@@ -41,6 +41,7 @@ from .errors import (
     EvenSliceCountError,
     ModeMismatchError,
     NonHermitianError,
+    NumericalError,
     OrderingTagError,
     SingularityError,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "EvenSliceCountError",
     "ModeMismatchError",
     "NonHermitianError",
+    "NumericalError",
     "OrderingTagError",
     "SingularityError",
     "ParseError",

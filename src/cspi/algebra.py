@@ -37,6 +37,9 @@ MonomialKey = tuple[tuple[int, int], ...]
 #: reordering is combinatorial; refuse blowups beyond this total degree
 DEFAULT_MAX_DEGREE = 16
 
+#: slices per block in :meth:`SymbolPoly.evaluate`; bounds its working memory
+EVAL_BLOCK = 8192
+
 
 class Ordering(Enum):
     """Which quantization map reproduces the operator from its symbol."""
@@ -253,26 +256,65 @@ class SymbolPoly:
         ``conjugated`` supplies the conjugate-variable values (the caller
         conjugates; nothing is conjugated here) and ``plain`` the plain ones.
         Both may be vectors of length ``modes`` or arrays ``(..., modes)``
-        for batch evaluation over many path slices.
+        for batch evaluation over many path slices; a vector returns a
+        Python ``complex``.
+
+        The slices are taken :data:`EVAL_BLOCK` rows at a time, so the
+        working memory does not grow with the batch.  For each block,
+        per-mode power tables ``zbar_i^k`` and ``z_i^k`` (k up to the largest
+        exponent of that variable in the symbol) are built by repeated
+        multiplication.  Each term is then its coefficient times at most
+        2 * modes contiguous table rows, accumulated in term order.
         """
         import numpy as np
 
         zb = np.asarray(conjugated, dtype=complex)
         z = np.asarray(plain, dtype=complex)
-        if zb.shape != z.shape or zb.shape[-1] != self._modes:
+        if zb.shape != z.shape or zb.ndim == 0 or zb.shape[-1] != self._modes:
             raise ModeMismatchError(
                 f"argument shape {zb.shape}/{z.shape} incompatible with "
                 f"{self._modes} modes"
             )
-        total = np.zeros(zb.shape[:-1], dtype=complex)
+        batch = zb.shape[:-1]
+        sides = (zb.reshape(-1, self._modes), z.reshape(-1, self._modes))
+        # a variable is (side, mode), side 0 = zbar and 1 = z; top = largest exponent
+        top: dict[tuple[int, int], int] = {}
+        plan = []
         for key, coeff in self._terms.items():
-            term = np.full(zb.shape[:-1], coeff, dtype=complex)
-            for i, (p, q) in enumerate(key):
-                if p:
-                    term = term * zb[..., i] ** p
-                if q:
-                    term = term * z[..., i] ** q
-            total = total + term
+            factors = [
+                ((side, i), k)
+                for i, pair in enumerate(key)
+                for side, k in enumerate(pair)
+                if k
+            ]
+            for v, k in factors:
+                top[v] = max(top.get(v, 0), k)
+            plan.append((coeff, factors))
+
+        n = sides[0].shape[0]
+        total = np.zeros(n, dtype=complex)
+        buffer = np.empty(min(n, EVAL_BLOCK), dtype=complex)
+        for lo in range(0, n, EVAL_BLOCK):
+            rows = min(EVAL_BLOCK, n - lo)
+            tables = {}  # tables[v][k - 1] = v^k over the block
+            for (side, i), k_max in top.items():
+                table = np.empty((k_max, rows), dtype=complex)
+                table[0] = sides[side][lo : lo + rows, i]
+                for k in range(1, k_max):
+                    np.multiply(table[k - 1], table[0], out=table[k])
+                tables[side, i] = table
+            acc = total[lo : lo + rows]
+            term = buffer[:rows]
+            for coeff, factors in plan:
+                if not factors:
+                    acc += coeff
+                    continue
+                (v, k), *rest = factors
+                np.multiply(tables[v][k - 1], coeff, out=term)
+                for v, k in rest:
+                    term *= tables[v][k - 1]
+                acc += term
+        total = total.reshape(batch)
         return total if total.shape else complex(total)
 
     def equals(self, other: "SymbolPoly", tol: float = 0.0) -> bool:

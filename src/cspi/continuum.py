@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Ordering
-from .errors import EvenSliceCountError, SingularityError
+from .errors import EvenSliceCountError, NumericalError, SingularityError
 from .fock import QuadraticModel
 
 #: constant added to the cutoff frequency sum by each ordering's symbol shift
@@ -38,8 +38,8 @@ class CutoffSpec:
     def __post_init__(self):
         if self.b < 0:
             raise ValueError(f"cutoff index must be >= 0, got {self.b}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
     def frequencies(self) -> np.ndarray:
         ell = np.arange(-self.b, self.b + 1)
@@ -59,7 +59,8 @@ def cutoff_dFdA(model: QuadraticModel, spec: CutoffSpec, ordering: Ordering) -> 
     ell = np.arange(spec.b, 0, -1)
     pair = 1.0 / (2j * np.pi * ell + bA) + 1.0 / (-2j * np.pi * ell + bA)
     total = np.sum(pair) + 1.0 / bA
-    assert abs(total.imag) < 1e-10, f"paired sum left imaginary residue {total.imag}"
+    if not abs(total.imag) < 1e-10:
+        raise NumericalError(f"paired sum left imaginary residue {total.imag}")
     return float(total.real) + ORDERING_SHIFT[ordering]
 
 

@@ -23,6 +23,7 @@ from .algebra import Ordering, SymbolPoly
 from .errors import (
     EvenSliceCountError,
     ModeMismatchError,
+    NumericalError,
     OrderingTagError,
     SingularityError,
 )
@@ -42,8 +43,8 @@ class MatsubaraGrid:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"slice count must be >= 1, got {self.N}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
     @property
     def delta(self) -> float:
@@ -205,7 +206,8 @@ def normal_discrete_dFdA(grid: MatsubaraGrid, model: QuadraticModel) -> float:
 
     Re sum_w 1 / (N (e^{-iw} - 1 + beta A / N)), accumulated over conjugate
     +-omega pairs with omega = 0 last; the paired imaginary parts cancel and
-    the residual is asserted.  Converges to the exact value like 1/N.
+    a residue of 1e-10 or more raises NumericalError.  Converges to the
+    exact value like 1/N.
     """
     if model.A == 0:
         raise SingularityError("normal-order dF/dA has a pole at A = 0")
@@ -230,7 +232,8 @@ def normal_discrete_dFdA(grid: MatsubaraGrid, model: QuadraticModel) -> float:
     if N % 2 == 0:
         total += 1.0 / (N * (np.exp(-1j * np.pi) - 1.0 + c))
     total += 1.0 / (N * c)
-    assert abs(total.imag) < 1e-10, f"paired sum left imaginary residue {total.imag}"
+    if not abs(total.imag) < 1e-10:
+        raise NumericalError(f"paired sum left imaginary residue {total.imag}")
     return float(total.real)
 
 
@@ -249,7 +252,8 @@ def weyl_discrete_dFdA(grid: MatsubaraGrid, model: QuadraticModel) -> float:
     half_tan = np.tan(np.pi * n / N)
     pair = 1.0 / (N * (c - 2j * half_tan)) + 1.0 / (N * (c + 2j * half_tan))
     total = np.sum(pair) + 1.0 / (N * c)
-    assert abs(total.imag) < 1e-10, f"paired sum left imaginary residue {total.imag}"
+    if not abs(total.imag) < 1e-10:
+        raise NumericalError(f"paired sum left imaginary residue {total.imag}")
     return float(total.real) - 0.5
 
 
@@ -261,7 +265,7 @@ def weyl_discrete_logZ_quadratic(grid: MatsubaraGrid, model: QuadraticModel) -> 
         logZ_N = (N-1) ln 2 + beta A / 2 - sum_w ln(beta A / N - 2i tan(w/2)),
 
     where each +-omega pair multiplies to the real positive
-    (beta A / N)^2 + 4 tan^2(w/2) (imaginary residue asserted) and omega = 0
+    (beta A / N)^2 + 4 tan^2(w/2) (else NumericalError) and omega = 0
     contributes ln(beta A / N) last.  Converges to -ln(1 - e^{-beta A}).
     """
     grid.require_odd("the symmetric-order lattice partition function")
@@ -274,6 +278,8 @@ def weyl_discrete_logZ_quadratic(grid: MatsubaraGrid, model: QuadraticModel) -> 
     n = np.arange((N - 1) // 2, 0, -1)
     half_tan = np.tan(np.pi * n / N)
     pair = (c - 2j * half_tan) * (c + 2j * half_tan)
-    assert np.abs(pair.imag).max(initial=0.0) < 1e-12, "pair products must be real"
+    residue = np.abs(pair.imag).max(initial=0.0)
+    if not residue < 1e-12:
+        raise NumericalError(f"pair products must be real, imaginary residue {residue}")
     log_sum = float(np.sum(np.log(pair.real))) + math.log(c)
     return (N - 1) * math.log(2.0) + grid.beta * model.A / 2.0 - log_sum

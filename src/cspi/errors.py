@@ -21,5 +21,9 @@ class SingularityError(ArithmeticError):
     """A denominator hit (or came within tolerance of) a pole."""
 
 
+class NumericalError(ArithmeticError):
+    """A numerical invariant failed, e.g. a paired sum that should be real is not."""
+
+
 class EvenSliceCountError(ValueError):
     """The symmetric-order lattice construction is only defined for odd N."""

@@ -87,18 +87,24 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> BosonPoly:
-        negate = False
-        if self.peek()[0] == "minus":
-            self.take()
-            negate = True
-        acc = self.parse_term()
+        # One dict for the whole sum keeps parsing linear in the term count.
+        # It matches chained ``+``/``-`` on BosonPoly bit for bit: negation is
+        # ``-c``, a sum that cancels to zero drops its key (a later term
+        # re-appends it), and keys keep first-insertion order.
+        negate = self.peek()[0] == "minus"
         if negate:
-            acc = -acc
+            self.take()
+        first = self.parse_term().terms
+        acc = {k: -c for k, c in first.items()} if negate else dict(first)
         while self.peek()[0] in ("plus", "minus"):
-            op = self.take()[0]
-            rhs = self.parse_term()
-            acc = acc + rhs if op == "plus" else acc - rhs
-        return acc
+            negate = self.take()[0] == "minus"
+            for key, coeff in self.parse_term().terms.items():
+                total = acc.get(key, 0.0) + (-coeff if negate else coeff)
+                if total != 0:
+                    acc[key] = total
+                else:
+                    acc.pop(key, None)
+        return BosonPoly(acc, self.modes)
 
     def parse_term(self) -> BosonPoly:
         acc = self.parse_factor()

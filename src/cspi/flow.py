@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import MatsubaraGrid
+from .errors import NumericalError
 from .fock import QuadraticModel
 
 
@@ -74,7 +75,8 @@ def renorm_step(state: FlowState, model: QuadraticModel) -> tuple[FlowState, flo
     c = state.grid.beta * state.A_eff / N
 
     pair = (c - 2j * half_tan) * (c + 2j * half_tan)  # exact Gaussian pair integral
-    assert abs(pair.imag) < 1e-12, "conjugate pair product must be real"
+    if not abs(pair.imag) < 1e-12:
+        raise NumericalError(f"conjugate pair product must be real, got {pair}")
 
     berry_log = -state.modes * math.log(4.0 * half_tan * half_tan)
     correction_log = -state.modes * math.log1p(c * c / (4.0 * half_tan * half_tan))

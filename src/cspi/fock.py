@@ -27,8 +27,10 @@ class QuadraticModel:
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not math.isfinite(self.A):
+            raise ValueError(f"A must be finite, got {self.A}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
 
 class FockBasis:

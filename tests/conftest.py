@@ -55,9 +55,24 @@ def _block(matrix: np.ndarray, n_max: int, modes: int, margin: int) -> np.ndarra
     return matrix[np.ix_(keep, keep)]
 
 
+def _unchecked_model(A: float, beta: float):
+    """A QuadraticModel built without its input checks, to reach the in-sum guards."""
+    from cspi import QuadraticModel
+
+    model = object.__new__(QuadraticModel)
+    object.__setattr__(model, "A", A)
+    object.__setattr__(model, "beta", beta)
+    return model
+
+
 @pytest.fixture
 def waves():
     return _waves
+
+
+@pytest.fixture
+def unchecked_model():
+    return _unchecked_model
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from cspi import (
     symmetrize,
     to_ordered_form,
 )
+from cspi.algebra import EVAL_BLOCK
 
 A_OP = BosonPoly.annihilate(0)
 AD_OP = BosonPoly.create(0)
@@ -244,3 +245,85 @@ def test_symbol_evaluation_batched(waves):
     values = symbol.evaluate(np.conj(z), z)
     expected = 2.0 * np.abs(z[:, 0]) ** 2 - 0.5
     assert np.abs(values - expected).max() < 1e-14
+
+
+
+# -- symbol evaluation against a per-term oracle --------------------------------
+
+
+def _evaluate_per_term(symbol, zb, z):
+    """Independent oracle: one numpy power per exponent, one array per term."""
+    total = np.zeros(zb.shape[:-1], dtype=complex)
+    for key, coeff in symbol.terms.items():
+        term = np.full(zb.shape[:-1], coeff, dtype=complex)
+        for i, (p, q) in enumerate(key):
+            if p:
+                term = term * zb[..., i] ** p
+            if q:
+                term = term * z[..., i] ** q
+        total = total + term
+    return total
+
+
+def _random_symbol(rng, modes, degree, draws=40):
+    """Seeded symbol: a constant plus ``draws`` monomials of total degree 1..degree."""
+    out = {((0, 0),) * modes: complex(*rng.normal(size=2))}
+    for _ in range(draws):
+        total = int(rng.integers(1, degree + 1))
+        exps = rng.multinomial(total, [1 / (2 * modes)] * (2 * modes)).tolist()
+        out[tuple(zip(exps[0::2], exps[1::2]))] = complex(*rng.normal(size=2))
+    return SymbolPoly(out, modes, Ordering.WEYL)
+
+
+def _random_args(rng, shape):
+    return [0.8 * (rng.normal(size=shape) + 1j * rng.normal(size=shape)) for _ in range(2)]
+
+
+def _assert_matches_oracle(symbol, zb, z):
+    """Agreement to 1e-12 relative to the sum of the term magnitudes, per slice."""
+    abs_symbol = SymbolPoly(
+        {k: abs(c) for k, c in symbol.terms.items()}, symbol.modes, symbol.ordering
+    )
+    magnitude = _evaluate_per_term(abs_symbol, np.abs(zb), np.abs(z)).real
+    values = symbol.evaluate(zb, z)
+    assert values.shape == zb.shape[:-1]
+    assert np.all(np.abs(values - _evaluate_per_term(symbol, zb, z)) <= 1e-12 * magnitude)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+@pytest.mark.parametrize("slices", [1000, EVAL_BLOCK, 2 * EVAL_BLOCK + 37])
+def test_symbol_evaluation_matches_per_term_oracle(modes, slices):
+    rng = np.random.default_rng(100 * modes + slices % 97)
+    for degree in (1, 4, 8):
+        symbol = _random_symbol(rng, modes, degree)
+        _assert_matches_oracle(symbol, *_random_args(rng, (slices, modes)))
+
+
+def test_symbol_evaluation_batch_shape_and_vector():
+    rng = np.random.default_rng(7)
+    symbol = _random_symbol(rng, 2, 8)
+    _assert_matches_oracle(symbol, *_random_args(rng, (3, 50, 2)))
+    zb, z = _random_args(rng, (2,))
+    value = symbol.evaluate(zb, z)
+    assert type(value) is complex
+    assert abs(value - complex(_evaluate_per_term(symbol, zb, z))) <= 1e-12 * abs(value)
+
+
+def test_symbol_evaluation_constant_and_zero():
+    zb, z = _random_args(np.random.default_rng(8), (5, 2))
+    constant = SymbolPoly({((0, 0), (0, 0)): 1.5 - 2.0j}, 2, Ordering.NORMAL)
+    assert np.array_equal(constant.evaluate(zb, z), np.full(5, 1.5 - 2.0j))
+    zero = SymbolPoly({}, 2, Ordering.NORMAL)
+    assert np.array_equal(zero.evaluate(zb, z), np.zeros(5, dtype=complex))
+    assert zero.evaluate(zb[0], z[0]) == 0
+    assert type(zero.evaluate(zb[0], z[0])) is complex
+
+
+@pytest.mark.parametrize(
+    "zb_shape, z_shape",
+    [((4, 3), (4, 3)), ((4, 2), (5, 2)), ((3,), (3,)), ((), ())],
+)
+def test_symbol_evaluation_mode_mismatch(zb_shape, z_shape):
+    symbol = SymbolPoly({((1, 1), (0, 0)): 1.0}, 2, Ordering.NORMAL)
+    with pytest.raises(ModeMismatchError):
+        symbol.evaluate(np.ones(zb_shape), np.ones(z_shape))

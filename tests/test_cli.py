@@ -1,9 +1,14 @@
 """CLI: reports, verdicts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cspi
 from cspi.cli import main
 
 
@@ -101,6 +106,35 @@ def test_bad_config_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"N": []}))
     assert main(["free-energy", "--config", str(cfg)]) == 2
     assert main(["free-energy", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["free-energy", "--N", "101", "--A", "nan"],
+        ["free-energy", "--N", "101", "--beta", "inf"],
+        ["cutoff", "--b", "10", "--A", "inf"],
+        ["flow", "--N", "1001", "--beta", "nan"],
+    ],
+)
+def test_non_finite_inputs_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_finite_input_exit_2_under_optimize():
+    # python -O strips asserts; the input checks must still turn NaN into exit 2
+    path = [str(Path(cspi.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "cspi.cli", "free-energy", "--N", "101", "--A", "nan"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
 
 
 def test_verdict_failure_exit_1(capsys):

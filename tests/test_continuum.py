@@ -8,6 +8,7 @@ import pytest
 from cspi import (
     CutoffSpec,
     EvenSliceCountError,
+    NumericalError,
     Ordering,
     QuadraticModel,
     SingularityError,
@@ -67,6 +68,14 @@ def test_cutoff_tail_scales_like_inverse_b():
 def test_cutoff_pole():
     with pytest.raises(SingularityError):
         cutoff_dFdA(QuadraticModel(A=0.0, beta=1.0), CutoffSpec(3, 1.0), Ordering.NORMAL)
+
+
+def test_cutoff_non_finite_inputs(unchecked_model):
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            CutoffSpec(3, beta)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        cutoff_dFdA(unchecked_model(math.nan, 1.0), CutoffSpec(3, 1.0), Ordering.NORMAL)
 
 
 def test_prefactor_closed_values():

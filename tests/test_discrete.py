@@ -9,6 +9,7 @@ from cspi import (
     DiscretePath,
     EvenSliceCountError,
     MatsubaraGrid,
+    NumericalError,
     Ordering,
     OrderingTagError,
     QuadraticModel,
@@ -47,6 +48,9 @@ def test_grid_basics():
         MatsubaraGrid(0, 1.0)
     with pytest.raises(ValueError):
         MatsubaraGrid(3, -1.0)
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            MatsubaraGrid(3, beta)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 9])
@@ -328,3 +332,12 @@ def test_weyl_dFdA_values_and_convergence():
     assert err / exact_dFdA(model) < 1e-3
     with pytest.raises(EvenSliceCountError):
         weyl_discrete_dFdA(MatsubaraGrid(4, 1.0), model)
+
+
+@pytest.mark.parametrize(
+    "fn", [normal_discrete_dFdA, weyl_discrete_dFdA, weyl_discrete_logZ_quadratic]
+)
+def test_paired_sum_residue_raises_numerical_error(fn, unchecked_model):
+    # explicit checks, not asserts: they hold under python -O as well
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        fn(MatsubaraGrid(11, 1.0), unchecked_model(math.nan, 1.0))

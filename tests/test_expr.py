@@ -1,5 +1,7 @@
 """Operator expression parsing and printing."""
 
+import itertools
+
 import pytest
 
 from cspi import BosonPoly, multiply
@@ -74,3 +76,24 @@ def test_format_round_trips_exactly(waves):
 def test_format_is_deterministic_and_readable():
     p = BosonPoly({((1, 1),): 1.0, ((0, 0),): -0.5}, 1)
     assert format_operator(p) == "ad_0*a_0 - 0.5"
+
+
+def test_large_operator_parses_and_round_trips(waves):
+    # every 3-mode monomial of total degree <= 7: 1716 terms; a third of the
+    # coefficients are real so that " - " joins appear in the text
+    keys = [
+        ((c0, a0), (c1, a1), (c2, a2))
+        for c0, a0, c1, a1, c2, a2 in itertools.product(range(8), repeat=6)
+        if c0 + a0 + c1 + a1 + c2 + a2 <= 7
+    ]
+    coeffs = waves(len(keys), salt=0.9)
+    terms = {}
+    for j, key in enumerate(keys):
+        terms[key] = complex(coeffs[j].real, 0.0) if j % 3 == 0 else complex(coeffs[j])
+    poly = BosonPoly(terms, 3)
+    text = format_operator(poly)
+    assert " - " in text
+    parsed = parse_operator(text)
+    assert len(parsed.terms) == len(keys)
+    assert parsed == poly
+    assert format_operator(parsed) == text

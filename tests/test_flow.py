@@ -7,7 +7,9 @@ import pytest
 
 from cspi import (
     EvenSliceCountError,
+    FlowState,
     MatsubaraGrid,
+    NumericalError,
     QuadraticModel,
     initial_state,
     remaining_gaussian_logZ,
@@ -113,6 +115,10 @@ def test_flow_validation():
         exhausted, _ = renorm_step(exhausted, model)
     with pytest.raises(ValueError):
         renorm_step(exhausted, model)
+    # the pair-product check is explicit code, so it also holds under python -O
+    broken = FlowState(log_c=0.0, A_eff=math.nan, shell=5, grid=grid)
+    with pytest.raises(NumericalError):
+        renorm_step(broken, model)
 
 
 def test_flow_shell_bookkeeping():

@@ -91,6 +91,14 @@ def test_partition_function_ground_state_dominance():
     assert partition_function(H, beta=60.0) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "A, beta", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)]
+)
+def test_quadratic_model_validation(A, beta):
+    with pytest.raises(ValueError):
+        QuadraticModel(A, beta)
+
+
 def test_partition_function_validation():
     with pytest.raises(ValueError):
         partition_function(np.array([[np.inf]]), beta=1.0)
