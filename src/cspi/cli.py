@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .discrete import (
 )
 from .errors import EvenSliceCountError, SingularityError
 from .expr import ParseError, format_symbol, parse_operator
-from .flow import run_flow
+from .flow import remaining_gaussian_logZ, run_flow
 from .fock import (
     FockBasis,
     QuadraticModel,
@@ -386,14 +385,8 @@ def cmd_flow(cfg: RunConfig):
 
     # conservation: log_c plus remaining Gaussian logZ must stay at full logZ
     full = cfg.modes * weyl_discrete_logZ_quadratic(grid, model)
-    c = cfg.beta * cfg.A / N
-    top = (N - 1) // 2
-    n_asc = np.arange(1, top + 1)
-    pair_terms = np.log(c * c + 4.0 * np.tan(np.pi * n_asc / N) ** 2)
-    prefix = np.concatenate([[0.0], np.cumsum(pair_terms)])  # prefix[s] = sum n<=s
-    remaining = cfg.modes * (
-        cfg.beta * cfg.A / 2.0 - math.log(c) - prefix[result.shells - 1]
-    )
+    # after step i the shells |n| <= shells[i] - 1 remain
+    remaining = remaining_gaussian_logZ(replace(result.final, shell=result.shells - 1), model)
     residuals = np.abs(result.log_c_series + remaining - full)
     max_residual = float(residuals.max())
 

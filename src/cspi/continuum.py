@@ -68,8 +68,8 @@ def prefactor_log_closed(b: int, beta: float, modes: int = 1) -> float:
     """log of the closed-form prefactor [beta^-(2b+1) (2 pi)^(2b) (b!)^2]^M."""
     if b < 0:
         raise ValueError(f"cutoff index must be >= 0, got {b}")
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if modes < 1:
         raise ValueError(f"modes must be >= 1, got {modes}")
     return modes * (
@@ -83,25 +83,29 @@ def prefactor_log_empirical(N: int, b: int, beta: float, modes: int = 1) -> floa
     """log of (N/beta)^{(2b+1)M} times the lattice shell product for c_{B,b}.
 
     c_{B,b} = 2^{(N-1)M} prod_{B'=b+1}^{B} (4 tan^2(pi B'/N))^{-M} with
-    B = (N-1)/2, accumulated in the log domain.  Approaches the closed form
-    in the regime 1 << b << B with b^3 << B^2.
+    B = (N-1)/2.  Approaches the closed form in the regime 1 << b << B with
+    b^3 << B^2.
+
+    For odd N, prod_{k=1}^{B} tan(pi k/N) = sqrt(N), so the log shell
+    product over b < k <= B is 2(B-b) ln 2 + ln N - sum_{k<=b} ln tan^2(pi k/N).
+    Substituting it leaves the O(b) sum
+
+        M [ sum_{k=1}^{b} ln(4 N^2 tan^2(pi k/N)) - (2b+1) ln beta ],
+
+    whose terms approach ln((2 pi k)^2), those of the closed form, and which
+    never subtracts the two numbers of size N ln 2 the O(N) product does.
     """
     if N < 1 or N % 2 == 0:
         raise EvenSliceCountError(f"shell product is defined for odd N, got {N}")
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if modes < 1:
         raise ValueError(f"modes must be >= 1, got {modes}")
     B = (N - 1) // 2
     if not 0 <= b <= B:
         raise ValueError(f"need 0 <= b <= (N-1)/2 = {B}, got b={b}")
-    shells = np.arange(B, b, -1)
-    half_tan = np.tan(np.pi * shells / N)
-    if shells.size and (not np.all(np.isfinite(half_tan)) or np.any(half_tan == 0.0)):
+    scaled_tan = N * np.tan(np.pi * np.arange(1, b + 1) / N)
+    if not np.all(np.isfinite(scaled_tan)) or np.any(scaled_tan == 0.0):
         raise SingularityError("tangent pole in the shell product")
-    shell_log = float(np.sum(np.log(4.0 * half_tan * half_tan)))
-    return (
-        (2 * b + 1) * modes * math.log(N / beta)
-        + (N - 1) * modes * math.log(2.0)
-        - modes * shell_log
-    )
+    shell_log = float(np.sum(np.log(4.0 * scaled_tan * scaled_tan)))
+    return modes * (shell_log - (2 * b + 1) * math.log(beta))

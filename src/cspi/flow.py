@@ -14,12 +14,21 @@ the shell; its free-energy-density magnitude is reported as the step's
 correction and falls off like 1/shell^2.  The partition function is
 conserved at every step: log c plus the Gaussian log Z of the remaining
 shells stays equal to the full lattice log Z.
+
+Since the steps do not feed back into each other, :func:`run_flow` takes
+them all at once as arrays over the shells, and log c after each step is a
+prefix sum of the step terms.  That prefix sum is compensated (the exact
+rounding error of every addition is summed alongside), because a plain
+float sum over 10^5 or more shells drifts past the 1e-9 conservation gate;
+:func:`remaining_gaussian_logZ` reads its partner sums off the same kind of
+prefix.  :func:`initial_state` and :func:`renorm_step` remain as the
+single-step API, with the same per-step arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +70,44 @@ def initial_state(grid: MatsubaraGrid, model: QuadraticModel, modes: int = 1) ->
     )
 
 
+def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
+    """Prefix sums of ``x``, each carrying the rounding errors of the steps before it.
+
+    ``np.cumsum`` adds left to right, so step i rounds ``s[i-1] + x[i]`` to
+    ``s[i]``.  TwoSum recovers that rounding error exactly, and adding the
+    prefix sums of the errors back is Ogita, Rump & Oishi's Sum2 (SIAM J.
+    Sci. Comput. 26, 2005) in prefix form: every prefix comes out as if it
+    were summed in twice the working precision and then rounded once.
+    """
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s))[:-1]
+    x_part = s - prev
+    err = (prev - (s - x_part)) + (x - x_part)
+    return s + np.cumsum(err)
+
+
+def _shell_logs(state: FlowState, shells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-shell (Berry, correction) parts of the log pair integral at ``state``'s A_eff.
+
+    The one place the per-step formulas live: :func:`renorm_step` calls it
+    with one shell, :func:`run_flow` with all of them.
+    """
+    N = state.grid.N
+    half_tan = np.tan(np.pi * shells / N)
+    c = state.grid.beta * state.A_eff / N
+
+    pair = (c - 2j * half_tan) * (c + 2j * half_tan)  # exact Gaussian pair integral
+    # relative: numpy's complex product may round its two cross terms differently
+    residue = (np.abs(pair.imag) / pair.real).max(initial=0.0)
+    if not residue < 1e-12:
+        raise NumericalError(f"conjugate pair products must be real, relative residue {residue}")
+
+    tan_sq4 = 4.0 * half_tan * half_tan
+    berry_log = -state.modes * np.log(tan_sq4)
+    correction_log = -state.modes * np.log1p(c * c / tan_sq4)
+    return berry_log, correction_log
+
+
 def renorm_step(state: FlowState, model: QuadraticModel) -> tuple[FlowState, float]:
     """Integrate out the +-omega pair at the current shell (quadratic model).
 
@@ -70,43 +117,34 @@ def renorm_step(state: FlowState, model: QuadraticModel) -> tuple[FlowState, flo
     """
     if state.shell < 1:
         raise ValueError(f"no nonzero frequency shell left to integrate (shell={state.shell})")
-    N = state.grid.N
-    half_tan = math.tan(math.pi * state.shell / N)
-    c = state.grid.beta * state.A_eff / N
-
-    pair = (c - 2j * half_tan) * (c + 2j * half_tan)  # exact Gaussian pair integral
-    if not abs(pair.imag) < 1e-12:
-        raise NumericalError(f"conjugate pair product must be real, got {pair}")
-
-    berry_log = -state.modes * math.log(4.0 * half_tan * half_tan)
-    correction_log = -state.modes * math.log1p(c * c / (4.0 * half_tan * half_tan))
+    (berry_log,), (correction_log,) = _shell_logs(state, np.array([state.shell]))
     # quadratic action is diagonal in frequency: no induced shift on A_eff
-    advanced = FlowState(
-        log_c=state.log_c + berry_log + correction_log,
-        A_eff=state.A_eff,
-        shell=state.shell - 1,
-        grid=state.grid,
-        modes=state.modes,
-    )
-    correction = abs(correction_log) / state.grid.beta
-    return advanced, correction
+    log_c = float(state.log_c + berry_log + correction_log)
+    advanced = replace(state, log_c=log_c, shell=state.shell - 1)
+    return advanced, float(abs(correction_log)) / state.grid.beta
 
 
-def remaining_gaussian_logZ(state: FlowState, model: QuadraticModel) -> float:
+def remaining_gaussian_logZ(state: FlowState, model: QuadraticModel) -> float | np.ndarray:
     """Gaussian log Z of the shells still present, |n| <= state.shell.
 
     Partner of log_c in the conservation identity
     ``log_c + remaining == full lattice log Z``; the constant beta A / 2 per
     mode belongs to the Hamiltonian sum and stays here until the end.
+    ``state.shell`` may also be an integer array; the result is then one
+    log Z per entry, all read off one compensated prefix sum of the pair
+    terms ln(c^2 + 4 tan^2(pi n / N)), n = 1 .. max shell.
     """
     if state.A_eff <= 0:
         raise ValueError("remaining Gaussian log Z needs A_eff > 0")
     N = state.grid.N
     c = state.grid.beta * state.A_eff / N
-    n = np.arange(state.shell, 0, -1)
+    shell = np.asarray(state.shell)
+    n = np.arange(1, int(shell.max(initial=0)) + 1)
     half_tan = np.tan(np.pi * n / N)
-    log_sum = float(np.sum(np.log(c * c + 4.0 * half_tan * half_tan))) + math.log(c)
-    return state.modes * (state.grid.beta * state.A_eff / 2.0 - log_sum)
+    pair_logs = np.log(c * c + 4.0 * half_tan * half_tan)
+    prefix = np.concatenate(([0.0], _compensated_cumsum(pair_logs)))  # prefix[s] = sum over n <= s
+    remaining = state.modes * (state.grid.beta * state.A_eff / 2.0 - math.log(c) - prefix[shell])
+    return float(remaining) if remaining.ndim == 0 else remaining
 
 
 def run_flow(
@@ -115,7 +153,13 @@ def run_flow(
     b_floor: int,
     modes: int = 1,
 ) -> FlowResult:
-    """Iterate :func:`renorm_step` from the top shell down to ``b_floor``.
+    """Integrate out every shell from the top one down to ``b_floor + 1``.
+
+    Same steps as iterating :func:`renorm_step`, done as array code over all
+    shells at once: one tangent per shell, the per-step Berry and correction
+    logs, and ``log_c`` after each step as the initial value plus a
+    compensated prefix sum of the steps, so the accumulated rounding stays
+    at a few ulps of log_c instead of growing with the number of shells.
 
     The accumulated correction beyond the floor inherits the 1/b tail of
     sum 1/shell^2, so it vanishes in the double limit 1 << b << B.
@@ -123,13 +167,9 @@ def run_flow(
     top = (grid.N - 1) // 2
     if not 0 <= b_floor < top:
         raise ValueError(f"need 0 <= b_floor < (N-1)/2 = {top}, got {b_floor}")
-    state = initial_state(grid, model, modes)
-    steps = top - b_floor
-    shells = np.empty(steps, dtype=int)
-    corrections = np.empty(steps)
-    log_c_series = np.empty(steps)
-    for i in range(steps):
-        shells[i] = state.shell
-        state, corrections[i] = renorm_step(state, model)
-        log_c_series[i] = state.log_c
-    return FlowResult(state, shells, corrections, log_c_series)
+    start = initial_state(grid, model, modes)
+    shells = np.arange(top, b_floor, -1)
+    berry_log, correction_log = _shell_logs(start, shells)
+    log_c_series = start.log_c + _compensated_cumsum(berry_log + correction_log)
+    final = replace(start, log_c=float(log_c_series[-1]), shell=b_floor)
+    return FlowResult(final, shells, np.abs(correction_log) / grid.beta, log_c_series)

@@ -31,6 +31,8 @@ class QuadraticModel:
             raise ValueError(f"A must be finite, got {self.A}")
         if not 0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not math.isfinite(self.A * self.beta):
+            raise ValueError(f"A * beta must be finite, got {self.A} * {self.beta}")
 
 
 class FockBasis:

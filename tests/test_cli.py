@@ -115,6 +115,9 @@ def test_bad_config_exit_2(tmp_path, capsys):
         ["free-energy", "--N", "101", "--beta", "inf"],
         ["cutoff", "--b", "10", "--A", "inf"],
         ["flow", "--N", "1001", "--beta", "nan"],
+        ["cutoff", "--b", "10", "--A", "1e308", "--beta", "10"],
+        ["free-energy", "--N", "101", "--A", "1e308", "--beta", "10"],
+        ["prefactor", "--N", "101", "--beta", "inf"],
     ],
 )
 def test_non_finite_inputs_exit_2(argv, capsys):
@@ -152,6 +155,12 @@ def test_flow_report(capsys):
     assert code == 0
     assert "correction_slope" in out.out
     assert "verdict: pass" in out.err
+
+
+def test_flow_verdict_holds_at_scale(capsys):
+    # the conservation gate (1e-9) used to fail from N ~ 8e4 on
+    assert main(["flow", "--N", "100001"]) == 0
+    assert "check conservation: pass" in capsys.readouterr().err
 
 
 def test_identity_check_report(capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -122,3 +123,59 @@ def test_prefactor_empirical_validation():
         prefactor_log_empirical(11, 6, 1.0)
     with pytest.raises(ValueError):
         prefactor_log_empirical(11, -1, 1.0)
+
+
+def _shell_product_prefactor(N, b, beta, modes=1):
+    """The O(N) shell product for c_{B,b}, accumulated in the log domain."""
+    shells = np.arange((N - 1) // 2, b, -1)
+    half_tan = np.tan(np.pi * shells / N)
+    shell_log = float(np.sum(np.log(4.0 * half_tan * half_tan)))
+    return (
+        (2 * b + 1) * modes * math.log(N / beta)
+        + (N - 1) * modes * math.log(2.0)
+        - modes * shell_log
+    )
+
+
+@pytest.mark.parametrize("N", [11, 101, 1001, 10001])
+def test_prefactor_empirical_matches_shell_product(N):
+    # the O(N) oracle subtracts terms of size N ln N, so it is only good to
+    # about eps N ln N
+    for b in (0, 1, 4, (N - 1) // 2):
+        for beta, modes in ((1.0, 1), (0.7, 2)):
+            oracle = _shell_product_prefactor(N, b, beta, modes)
+            tol = 4 * np.finfo(float).eps * modes * N * math.log(N)
+            assert abs(prefactor_log_empirical(N, b, beta, modes) - oracle) <= tol
+
+
+def test_prefactor_empirical_against_mpmath():
+    # 40-digit reference from the tangent-product identity
+    # prod_{k<=B} tan(pi k/N) = sqrt(N), itself checked against the direct
+    # shell product at small N
+    def reference(N, b, beta, direct):
+        with mpmath.workdps(40):
+            k_top = (N - 1) // 2 if direct else b
+            tan_logs = [
+                mpmath.log(4 * mpmath.tan(mpmath.pi * k / N) ** 2) for k in range(1, k_top + 1)
+            ]
+            if direct:
+                shells = mpmath.fsum(tan_logs[b:])
+            else:
+                shells = (N - 1) * mpmath.log(2) + mpmath.log(N) - mpmath.fsum(tan_logs)
+            return (2 * b + 1) * mpmath.log(mpmath.mpf(N) / beta) + (N - 1) * mpmath.log(2) - shells
+
+    for N in (11, 101, 1001):
+        assert abs(reference(N, 4, 0.7, True) - reference(N, 4, 0.7, False)) < mpmath.mpf(10) ** -30
+    for N in (11, 1001, 10**5 + 1, 10**7 + 1):
+        for beta in (1.0, 0.7):
+            ref = reference(N, 4, beta, False)
+            rel = abs(prefactor_log_empirical(N, 4, beta) - ref) / abs(ref)
+            assert rel <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+def test_prefactor_beta_must_be_positive_and_finite(beta):
+    with pytest.raises(ValueError, match="beta"):
+        prefactor_log_closed(4, beta)
+    with pytest.raises(ValueError, match="beta"):
+        prefactor_log_empirical(101, 4, beta)

@@ -1,6 +1,7 @@
 """Frequency-shell renormalization: exactness, scaling, free-theory limit."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cspi import (
     run_flow,
     weyl_discrete_logZ_quadratic,
 )
+from cspi.flow import _compensated_cumsum
 
 
 def test_initial_state():
@@ -126,3 +128,71 @@ def test_flow_shell_bookkeeping():
     assert list(result.shells) == list(range(50, 10, -1))
     assert result.final.shell == 10
     assert result.corrections.shape == result.shells.shape
+
+
+@pytest.mark.parametrize("N", [10**5 + 1, 10**6 + 1])
+@pytest.mark.parametrize("A, beta", [(0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5)])
+def test_conservation_gate_at_scale(N, A, beta):
+    # the same 1e-9 gate as cspi flow; a plain float cumsum of the steps
+    # misses it from N ~ 8e4 on
+    model = QuadraticModel(A=A, beta=beta)
+    grid = MatsubaraGrid(N, beta)
+    result = run_flow(model, grid, b_floor=40)
+    full = weyl_discrete_logZ_quadratic(grid, model)
+    remaining = remaining_gaussian_logZ(replace(result.final, shell=result.shells - 1), model)
+    assert np.abs(result.log_c_series + remaining - full).max() <= 1e-9
+
+
+def test_remaining_logZ_array_matches_scalar():
+    model = QuadraticModel(A=1.2, beta=0.7)
+    state = initial_state(MatsubaraGrid(1001, 0.7), model, modes=2)
+    shells = np.array([0, 1, 17, 499, 500])
+    values = remaining_gaussian_logZ(replace(state, shell=shells), model)
+    for shell, value in zip(shells, values):
+        scalar = remaining_gaussian_logZ(replace(state, shell=int(shell)), model)
+        assert isinstance(scalar, float)
+        assert value == scalar
+
+
+@pytest.mark.parametrize("N", [101, 1001])
+def test_run_flow_matches_step_loop(N):
+    # oracle: the single-step API iterated shell by shell
+    model = QuadraticModel(A=1.3, beta=0.9)
+    grid = MatsubaraGrid(N, 0.9)
+    b_floor = 3
+    result = run_flow(model, grid, b_floor, modes=2)
+    state = initial_state(grid, model, modes=2)
+    shells, corrections, log_c = [], [], []
+    while state.shell > b_floor:
+        shells.append(state.shell)
+        state, correction = renorm_step(state, model)
+        corrections.append(correction)
+        log_c.append(state.log_c)
+    assert np.array_equal(result.shells, shells)
+    assert np.array_equal(result.corrections, corrections)
+    assert np.abs(result.log_c_series - log_c).max() <= 1e-12
+    assert result.final.shell == state.shell
+    assert abs(result.final.log_c - state.log_c) <= 1e-12
+    assert (result.final.A_eff, result.final.modes) == (state.A_eff, state.modes)
+
+
+def test_compensated_prefix_matches_fsum():
+    # mixed signs, magnitudes 1e-8 .. 1e8: the sampled prefixes have condition
+    # numbers sum|x| / |sum x| up to a few thousand, and a plain cumsum is
+    # hundreds of ulps off
+    rng = np.random.default_rng(20261018)
+    n = 50_000
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    prefix = _compensated_cumsum(x)
+    for i in range(0, n, 997):
+        exact = math.fsum(x[: i + 1])
+        assert abs(prefix[i] - exact) <= np.spacing(abs(exact))
+
+
+def test_large_c_passes_pair_check():
+    # c = beta A / N = 1e4: the pair products' imaginary rounding can reach 1e-11
+    # in absolute terms, but ~1e-17 relative to the real part
+    model = QuadraticModel(A=1e6, beta=1.0)
+    result = run_flow(model, MatsubaraGrid(101, 1.0), 5)
+    assert np.all(np.isfinite(result.log_c_series))
+    assert np.all(np.isfinite(result.corrections))

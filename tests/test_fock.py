@@ -92,7 +92,8 @@ def test_partition_function_ground_state_dominance():
 
 
 @pytest.mark.parametrize(
-    "A, beta", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)]
+    "A, beta",
+    [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1e308, 10.0)],
 )
 def test_quadratic_model_validation(A, beta):
     with pytest.raises(ValueError):
