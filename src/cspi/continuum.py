@@ -49,19 +49,20 @@ class CutoffSpec:
 def cutoff_dFdA(model: QuadraticModel, spec: CutoffSpec, ordering: Ordering) -> float:
     """Re sum_{|l|<=b} 1/(i beta omega_l + beta A) plus the ordering shift.
 
-    Accumulated over +-l pairs (l = 0 last); the tail beyond b falls off
-    like 1/b, so the normal-order value approaches (1/2) coth(beta A / 2)
-    and the Weyl value approaches the exact derivative.
+    Each +-l pair adds the real 2x / (x^2 + (2 pi l)^2) with x = beta A,
+    written as 2 / (x + (2 pi l)^2 / x) so that x^2 cannot overflow; pairs
+    are summed from l = b down, then l = 0 adds 1/x.  The tail beyond b
+    falls off like 1/b, so the normal-order value approaches
+    (1/2) coth(beta A / 2) and the Weyl value approaches the exact derivative.
     """
     if model.A == 0:
         raise SingularityError("cutoff dF/dA has a pole at A = 0")
     bA = model.beta * model.A
     ell = np.arange(spec.b, 0, -1)
-    pair = 1.0 / (2j * np.pi * ell + bA) + 1.0 / (-2j * np.pi * ell + bA)
-    total = np.sum(pair) + 1.0 / bA
-    if not abs(total.imag) < 1e-10:
-        raise NumericalError(f"paired sum left imaginary residue {total.imag}")
-    return float(total.real) + ORDERING_SHIFT[ordering]
+    total = float(np.sum(2.0 / (bA + (2.0 * np.pi * ell) ** 2 / bA))) + 1.0 / bA
+    if not math.isfinite(total):
+        raise NumericalError(f"cutoff sum is not finite: {total}")
+    return total + ORDERING_SHIFT[ordering]
 
 
 def prefactor_log_closed(b: int, beta: float, modes: int = 1) -> float:

@@ -7,9 +7,10 @@ and the symmetric-order action replaces the kinetic difference with the
 tan(omega/2)-weighted frequency sum (and exists only for odd N, where the
 underlying determinant 2^{1-N} is nonzero).
 
-All frequency sums are accumulated over conjugate +-omega pairs with the
-zero frequency last, and all products live in the log domain (2^{N-1}
-overflows doubles near N ~ 2100).
+The harmonic lattice Gaussians are closed forms, O(1) in N: factoring
+z^N - 1 over the N-th roots of unity sums their frequency sums exactly (the
+O(N) paired sums live on in the tests as the oracle).  Products live in the
+log domain (2^{N-1} overflows doubles near N ~ 2100).
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .errors import (
     SingularityError,
 )
 from .fock import QuadraticModel
-
-#: absolute tolerance on a frequency denominator before declaring a pole
-POLE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -201,72 +199,86 @@ def berry_determinant_log(N: int, modes: int = 1) -> BerryDeterminant:
     return BerryDeterminant((1 - N) * modes * math.log(2.0), False)
 
 
+
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} is not finite: {value}")
+    return value
+
+
 def normal_discrete_dFdA(grid: MatsubaraGrid, model: QuadraticModel) -> float:
     """dF/dA of the exact normal-order lattice Gaussian, any N >= 1.
 
-    Re sum_w 1 / (N (e^{-iw} - 1 + beta A / N)), accumulated over conjugate
-    +-omega pairs with omega = 0 last; the paired imaginary parts cancel and
-    a residue of 1e-10 or more raises NumericalError.  Converges to the
-    exact value like 1/N.
+    (1/N) sum_w 1 / (e^{-iw} - q), q = 1 - beta A / N, runs over the N-th
+    roots of unity, so it equals q^{N-1} / (1 - q^N).  Powers of q in (0, 1)
+    go through log1p/expm1; |q| > 1 uses 1 / (q^{1-N} - q), which cannot
+    overflow.  Besides A = 0, q = -1 at even N (omega = pi) is a pole.
+    Converges to the exact value like 1/N.
     """
     if model.A == 0:
         raise SingularityError("normal-order dF/dA has a pole at A = 0")
     N = grid.N
     c = grid.beta * model.A / N
+    q = 1.0 - c
+    if 0 < c < 1:
+        log_q = math.log1p(-c)
+        value = math.exp((N - 1) * log_q) / -math.expm1(N * log_q)
+    elif c < 0:  # q^{1-N} - q = q (q^{-N} - 1)
+        value = 1.0 / (q * math.expm1(-N * math.log1p(-c)))
+    elif q >= -1:
+        if q**N == 1:
+            raise SingularityError(f"the omega = pi denominator vanishes at beta*A/N = {c}")
+        value = q ** (N - 1) / (1.0 - q**N)
+    else:
+        value = 1.0 / (q ** (1 - N) - q)
+    return _finite(value, "normal-order dF/dA")
 
-    top = (N - 1) // 2
-    n = np.arange(top, 0, -1)
-    omega = 2.0 * np.pi * n / N
-    den_pos = np.exp(-1j * omega) - 1.0 + c
-    den_neg = np.exp(+1j * omega) - 1.0 + c
-    denominators = [den_pos, den_neg]
-    if N % 2 == 0:  # self-paired omega = pi entry
-        denominators.append(np.array([np.exp(-1j * np.pi) - 1.0 + c]))
-    denominators.append(np.array([complex(c)]))  # omega = 0, last
-    if min(np.abs(d).min(initial=np.inf) for d in denominators) < POLE_TOL:
-        raise SingularityError(
-            f"frequency denominator within {POLE_TOL} of zero at beta*A={c * N}"
-        )
 
-    total = np.sum(1.0 / (N * den_pos) + 1.0 / (N * den_neg))
-    if N % 2 == 0:
-        total += 1.0 / (N * (np.exp(-1j * np.pi) - 1.0 + c))
-    total += 1.0 / (N * c)
-    if not abs(total.imag) < 1e-10:
-        raise NumericalError(f"paired sum left imaginary residue {total.imag}")
-    return float(total.real)
+def _weyl_powers(c: float, N: int) -> tuple[float, float]:
+    """r^{N-1} and 1 - r^N for r = (2 - c)/(2 + c), c >= 0; via log1p/expm1 below c = 2."""
+    if c < 2:
+        log_r = math.log1p(-c / 2.0) - math.log1p(c / 2.0)
+        return math.exp((N - 1) * log_r), -math.expm1(N * log_r)
+    r = (2.0 - c) / (2.0 + c)
+    return r ** (N - 1), 1.0 - r**N
 
 
 def weyl_discrete_dFdA(grid: MatsubaraGrid, model: QuadraticModel) -> float:
     """dF/dA of the symmetric-order lattice Gaussian (A-derivative of logZ).
 
-    -1/2 + Re sum_w 1 / (N (beta A / N - 2i tan(w/2))), paired like the
-    normal-order sum.  Same N -> infinity limit as the exact derivative.
+    -1/2 + (1/N) sum_w 1 / (c - 2i tan(w/2)), c = beta A / N, which is
+    -c / (2 (2 + c)) + 4 r^{N-1} / ((2 + c)^2 (1 - r^N)); the first term is
+    written so, because -1/2 + 1/(2 + c) cancels.  The sum is odd in c (the
+    tangents come in +- pairs), which gives A < 0.  Same N -> infinity limit
+    as the exact derivative.
     """
     grid.require_odd("the symmetric-order lattice dF/dA")
     if model.A == 0:
         raise SingularityError("symmetric-order dF/dA has a pole at A = 0")
     N = grid.N
     c = grid.beta * model.A / N
-    n = np.arange((N - 1) // 2, 0, -1)
-    half_tan = np.tan(np.pi * n / N)
-    pair = 1.0 / (N * (c - 2j * half_tan)) + 1.0 / (N * (c + 2j * half_tan))
-    total = np.sum(pair) + 1.0 / (N * c)
-    if not abs(total.imag) < 1e-10:
-        raise NumericalError(f"paired sum left imaginary residue {total.imag}")
-    return float(total.real) - 0.5
+    s = abs(c)
+    r_prev, one_minus_r_N = _weyl_powers(s, N)
+    tail = 4.0 * r_prev / ((2.0 + s) ** 2 * one_minus_r_N)
+    if c > 0:
+        value = -c / (2.0 * (2.0 + c)) + tail
+    else:  # -(1/(2 + s) + tail) - 1/2
+        value = -(4.0 + s) / (2.0 * (2.0 + s)) - tail
+    return _finite(value, "symmetric-order dF/dA")
 
 
 def weyl_discrete_logZ_quadratic(grid: MatsubaraGrid, model: QuadraticModel) -> float:
     """log of the symmetric-order lattice partition function, harmonic model.
 
-    With HW = A zbar z - A/2 the integral is Gaussian per frequency:
-
-        logZ_N = (N-1) ln 2 + beta A / 2 - sum_w ln(beta A / N - 2i tan(w/2)),
-
-    where each +-omega pair multiplies to the real positive
-    (beta A / N)^2 + 4 tan^2(w/2) (else NumericalError) and omega = 0
-    contributes ln(beta A / N) last.  Converges to -ln(1 - e^{-beta A}).
+    With HW = A zbar z - A/2 the integral is Gaussian per frequency,
+    logZ_N = (N-1) ln 2 + beta A / 2 - sum_w ln(c - 2i tan(w/2)), c = beta A / N.
+    With u = e^{iw} and r = (2 - c)/(2 + c) each factor is
+    (2 + c)(1 - r u)/(1 + u), and over the N-th roots of unity
+    prod (1 - r u) = 1 - r^N and prod (1 + u) = 2 (odd N), so
+    logZ_N = beta A / 2 - N ln(1 + c/2) - ln(1 - r^N).  Converges to
+    -ln(1 - e^{-beta A}).
     """
     grid.require_odd("the symmetric-order lattice partition function")
     if model.A <= 0:
@@ -274,12 +286,8 @@ def weyl_discrete_logZ_quadratic(grid: MatsubaraGrid, model: QuadraticModel) -> 
             "the frequency-domain Gaussian needs A > 0 (omega = 0 diverges otherwise)"
         )
     N = grid.N
-    c = grid.beta * model.A / N
-    n = np.arange((N - 1) // 2, 0, -1)
-    half_tan = np.tan(np.pi * n / N)
-    pair = (c - 2j * half_tan) * (c + 2j * half_tan)
-    residue = np.abs(pair.imag).max(initial=0.0)
-    if not residue < 1e-12:
-        raise NumericalError(f"pair products must be real, imaginary residue {residue}")
-    log_sum = float(np.sum(np.log(pair.real))) + math.log(c)
-    return (N - 1) * math.log(2.0) + grid.beta * model.A / 2.0 - log_sum
+    beta_A = grid.beta * model.A
+    c = beta_A / N
+    _, one_minus_r_N = _weyl_powers(c, N)
+    value = beta_A / 2.0 - N * math.log1p(c / 2.0) - math.log(one_minus_r_N)
+    return _finite(value, "symmetric-order log Z")

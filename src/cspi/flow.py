@@ -108,7 +108,7 @@ def _shell_logs(state: FlowState, shells: np.ndarray) -> tuple[np.ndarray, np.nd
     return berry_log, correction_log
 
 
-def renorm_step(state: FlowState, model: QuadraticModel) -> tuple[FlowState, float]:
+def renorm_step(state: FlowState) -> tuple[FlowState, float]:
     """Integrate out the +-omega pair at the current shell (quadratic model).
 
     Returns the advanced state and the magnitude of the free-energy-density
@@ -124,7 +124,7 @@ def renorm_step(state: FlowState, model: QuadraticModel) -> tuple[FlowState, flo
     return advanced, float(abs(correction_log)) / state.grid.beta
 
 
-def remaining_gaussian_logZ(state: FlowState, model: QuadraticModel) -> float | np.ndarray:
+def remaining_gaussian_logZ(state: FlowState) -> float | np.ndarray:
     """Gaussian log Z of the shells still present, |n| <= state.shell.
 
     Partner of log_c in the conservation identity

@@ -132,12 +132,14 @@ def exact_dFdA(model: QuadraticModel) -> float:
     """d(free energy)/dA for the harmonic model: (coth(beta A / 2) - 1) / 2.
 
     Evaluated as 1/(e^(beta A) - 1), which is the same function and stays
-    accurate for small beta*A.  The derivative removes additive constants,
-    so this is the ordering-insensitive reference value.
+    accurate for small beta*A, over e^(-beta A) for beta*A > 0 so that it
+    underflows to 0 instead of overflowing.  The derivative removes additive
+    constants, so this is the ordering-insensitive reference value.
     """
     if model.A == 0:
         raise SingularityError("dF/dA diverges like 1/(beta A) at A = 0")
-    return 1.0 / math.expm1(model.beta * model.A)
+    x = model.beta * model.A
+    return math.exp(-x) / -math.expm1(-x) if x > 0 else 1.0 / math.expm1(x)
 
 
 def suggested_n_max(model: QuadraticModel, rel_tol: float = 1e-12) -> int:

@@ -55,6 +55,26 @@ def _block(matrix: np.ndarray, n_max: int, modes: int, margin: int) -> np.ndarra
     return matrix[np.ix_(keep, keep)]
 
 
+def _paired_frequency_sum(term, N: int) -> float:
+    """Re sum_n term(n) over the N signed frequency indices, the O(N) way.
+
+    The reference the lattice closed forms and the cutoff sum are checked
+    against: ``term`` maps an integer array of indices n to complex values,
+    and each conjugate +-n pair is added together, from the top index down
+    to n = 1, then the self-paired n = N/2 of an even N, then n = 0 last.
+    The pairs cancel each other's imaginary parts; a residue beyond 1e-10
+    relative means the oracle itself went wrong.  Its rounding grows like
+    N eps (e^{-iw} - 1 and tan(w/2) lose their leading digits at small w).
+    """
+    n = np.arange((N - 1) // 2, 0, -1)
+    total = np.sum(term(n) + term(-n))
+    if N % 2 == 0:
+        total += term(np.array([N // 2]))[0]
+    total += term(np.array([0]))[0]
+    assert abs(total.imag) <= 1e-10 * max(1.0, abs(total.real)), total
+    return float(total.real)
+
+
 def _unchecked_model(A: float, beta: float):
     """A QuadraticModel built without its input checks, to reach the in-sum guards."""
     from cspi import QuadraticModel
@@ -68,6 +88,11 @@ def _unchecked_model(A: float, beta: float):
 @pytest.fixture
 def waves():
     return _waves
+
+
+@pytest.fixture
+def paired_frequency_sum():
+    return _paired_frequency_sum
 
 
 @pytest.fixture

@@ -62,13 +62,12 @@ def test_free_energy_sweep_and_even_N_warning(tmp_path, capsys):
     assert len(refused) == 1 and refused[0].startswith("2000,weyl-discrete")
 
 
-def test_csv_determinism_across_runs_and_threads(tmp_path, monkeypatch):
+def test_csv_determinism_across_runs_and_threads(tmp_path):
     args = ["free-energy", "--N", "101,201,301", "--tol", "1e-2", "--out", None]
     outputs = []
-    for name, threads in [("a.csv", "1"), ("b.csv", "1"), ("c.csv", "4")]:
+    for name in ("a.csv", "b.csv", "c.csv"):
         path = tmp_path / name
         args[-1] = str(path)
-        monkeypatch.setenv("CSPI_THREADS", threads)
         assert main(args) == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
@@ -97,6 +96,23 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     assert "\n501,normal-discrete" in out
     assert "101," not in out
+
+
+@pytest.mark.parametrize("sweep", [{"N": [100.9, 1001.7]}, {"N": [101, True]}, {"b": 10.5}])
+def test_non_integral_sweep_config_exit_2(tmp_path, capsys, sweep):
+    # sweep values used to be truncated silently (100.9 ran as N = 100)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(sweep))
+    command = "cutoff" if "b" in sweep else "free-energy"
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_sweep_config_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"N": [101.0, 1e3 + 1], "tol": 1e-2}))
+    assert main(["free-energy", "--config", str(cfg)]) == 0
+    assert "\n1001,normal-discrete" in capsys.readouterr().out
 
 
 def test_bad_config_exit_2(tmp_path, capsys):
@@ -145,6 +161,22 @@ def test_verdict_failure_exit_1(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "verdict: fail" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the exact dF/dA underflows to 0 (it used to overflow to "math range error")
+        ["free-energy", "--N", "101", "--A", "1000"],
+        # beta A / N = 1e4 (the log Z pair-product check used to refuse it)
+        ["flow", "--N", "1001", "--A", "1e7", "--b-floor", "5"],
+    ],
+)
+def test_extreme_beta_A_fails_verdict_not_input(argv, capsys):
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == "verdict: fail"
+    assert not any(line.startswith(("error:", "Traceback")) for line in lines)
 
 
 def test_flow_report(capsys):

@@ -58,6 +58,16 @@ def test_weyl_cutoff_converges_to_exact(beta_A):
     assert abs(value - exact_dFdA(model)) <= 1e-4
 
 
+@pytest.mark.parametrize("beta_A", [0.25, 1.0, 2.25, -1.0, 1e4])
+def test_cutoff_matches_paired_sum(beta_A, paired_frequency_sum):
+    # the complex +-l pairs 1/(2 pi i l + beta A), l = -b .. b, are the frequencies of N = 2b + 1
+    model = QuadraticModel(A=beta_A, beta=1.0)
+    for b in (0, 1, 7, 100, 12345, 10**5):
+        oracle = paired_frequency_sum(lambda ell: 1.0 / (2j * np.pi * ell + beta_A), 2 * b + 1)
+        value = cutoff_dFdA(model, CutoffSpec(b, 1.0), Ordering.NORMAL)
+        assert abs(value - oracle) <= 8 * np.finfo(float).eps * abs(oracle), (b, value, oracle)
+
+
 def test_cutoff_tail_scales_like_inverse_b():
     # tail beyond b is sum 2 beta A / ((2 pi l)^2 + (beta A)^2) <= C / b
     coth_half = 0.5 / math.tanh(0.5)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -288,8 +289,9 @@ def test_normal_discrete_pole_detection():
     with pytest.raises(SingularityError):
         normal_discrete_dFdA(MatsubaraGrid(3, 1.0), QuadraticModel(A=0.0, beta=1.0))
     # beta A / N = 2 puts the omega = pi denominator exactly at zero
-    with pytest.raises(SingularityError):
-        normal_discrete_dFdA(MatsubaraGrid(2, 1.0), QuadraticModel(A=4.0, beta=1.0))
+    for N in (2, 4, 1000):
+        with pytest.raises(SingularityError):
+            normal_discrete_dFdA(MatsubaraGrid(N, 1.0), QuadraticModel(A=2.0 * N, beta=1.0))
 
 
 def test_weyl_logZ_single_slice():
@@ -341,3 +343,118 @@ def test_paired_sum_residue_raises_numerical_error(fn, unchecked_model):
     # explicit checks, not asserts: they hold under python -O as well
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
         fn(MatsubaraGrid(11, 1.0), unchecked_model(math.nan, 1.0))
+
+
+# -- closed forms against the O(N) paired sums and a 40-digit reference --------
+
+CLOSED_FORMS = [normal_discrete_dFdA, weyl_discrete_dFdA, weyl_discrete_logZ_quadratic]
+
+#: every N the test, README and CI sweeps run, up to the 1e6+1 of the flow
+SWEEP_NS = [1, 2, 3, 10, 11, 21, 101, 201, 301, 501, 1000, 1001, 2000, 2001,
+            10**4, 10**4 + 1, 10**5, 10**5 + 1, 10**6 + 1]
+
+#: (N, beta A): c = beta A / N >= 1, c = 2 (Weyl r = 0, normal q = -1 at odd N),
+#: c > 2, even N, beta A / N = 1e4, A < 0, and |beta A| so small that the
+#: powers of q and r sit next to 1
+EDGE_CASES = [(3, 4.5), (4, 4.0), (5, 12.5), (5, 10.0), (3, 6.0), (2, 2.5),
+              (10, 25.0), (11, -1.0), (101, 1.01e6), (100, 1.0e6), (1001, -30.0),
+              (10**6 + 1, 1e-6), (10**6 + 1, -1e-6)]
+
+EPS = np.finfo(float).eps
+
+
+def _oracle(paired_frequency_sum, fn, N, beta_A):
+    """The O(N) frequency sum each closed form replaces, at beta = 1."""
+    c = beta_A / N
+    if fn is normal_discrete_dFdA:
+        return paired_frequency_sum(lambda n: 1.0 / (N * (np.exp(-2j * np.pi * n / N) - 1.0 + c)), N)
+
+    def weyl_factor(n):
+        return c - 2j * np.tan(np.pi * n / N)
+
+    if fn is weyl_discrete_dFdA:
+        return paired_frequency_sum(lambda n: 1.0 / (N * weyl_factor(n)), N) - 0.5
+    log_sum = paired_frequency_sum(lambda n: np.log(weyl_factor(n)), N)
+    return (N - 1) * math.log(2.0) + beta_A / 2.0 - log_sum
+
+
+def _applies(fn, N, beta_A):
+    if fn is normal_discrete_dFdA:
+        return not (N % 2 == 0 and beta_A == 2 * N)  # the omega = pi pole
+    return N % 2 == 1 and (beta_A > 0 or fn is weyl_discrete_dFdA)
+
+
+def _closed(fn, N, beta_A):
+    return fn(MatsubaraGrid(N, 1.0), QuadraticModel(A=beta_A, beta=1.0))
+
+
+def _assert_matches_oracle(paired_frequency_sum, fn, N, beta_A):
+    value = _closed(fn, N, beta_A)
+    reference = _oracle(paired_frequency_sum, fn, N, beta_A)
+    # the oracle's own rounding grows like N eps (see conftest)
+    assert abs(value - reference) <= 16 * EPS * N * max(1.0, abs(value)), (N, beta_A)
+
+
+@pytest.mark.parametrize("beta_A", [0.25, 1.0, 2.25, -1.0])
+@pytest.mark.parametrize("fn", CLOSED_FORMS)
+def test_closed_form_matches_paired_sum_on_sweeps(fn, beta_A, paired_frequency_sum):
+    for N in SWEEP_NS:
+        if _applies(fn, N, beta_A):
+            _assert_matches_oracle(paired_frequency_sum, fn, N, beta_A)
+
+
+@pytest.mark.parametrize("N, beta_A", EDGE_CASES)
+@pytest.mark.parametrize("fn", CLOSED_FORMS)
+def test_closed_form_matches_paired_sum_at_edges(fn, N, beta_A, paired_frequency_sum):
+    if _applies(fn, N, beta_A):
+        _assert_matches_oracle(paired_frequency_sum, fn, N, beta_A)
+
+
+def _mp_closed(fn, N, beta_A):
+    c = mpmath.mpf(beta_A) / N
+    if fn is normal_discrete_dFdA:
+        q = 1 - c
+        return q ** (N - 1) / (1 - q**N)
+    r = (2 - c) / (2 + c)
+    if fn is weyl_discrete_dFdA:
+        return -c / (2 * (2 + c)) + 4 * r ** (N - 1) / ((2 + c) ** 2 * (1 - r**N))
+    return mpmath.mpf(beta_A) / 2 - N * mpmath.log(1 + c / 2) - mpmath.log(1 - r**N)
+
+
+def _mp_sum(fn, N, beta_A):
+    """The frequency sum itself at 40 digits: ties _mp_closed to the definitions."""
+    c = mpmath.mpf(beta_A) / N
+    n = range(-((N - 1) // 2), N // 2 + 1)
+    if fn is normal_discrete_dFdA:
+        terms = [1 / (N * (mpmath.expjpi(-2 * mpmath.mpf(k) / N) - 1 + c)) for k in n]
+        return mpmath.re(mpmath.fsum(terms))
+    half_tans = [mpmath.tan(mpmath.pi * k / N) for k in n]
+    if fn is weyl_discrete_dFdA:
+        return mpmath.re(mpmath.fsum(1 / (N * (c - 2j * t)) for t in half_tans)) - mpmath.mpf(0.5)
+    log_sum = mpmath.fsum(mpmath.log(c * c + 4 * t * t) for t in half_tans) / 2
+    return (N - 1) * mpmath.log(2) + mpmath.mpf(beta_A) / 2 - log_sum
+
+
+@pytest.mark.parametrize("fn", CLOSED_FORMS)
+def test_mpmath_closed_form_is_the_frequency_sum(fn):
+    with mpmath.workdps(40):
+        small = [(N, beta_A) for N, beta_A in EDGE_CASES if N <= 11]
+        for N, beta_A in [(1, 1.0), (11, 2.25), (101, 0.25), (4, 1.0)] + small:
+            if _applies(fn, N, beta_A):
+                gap = abs(_mp_closed(fn, N, beta_A) - _mp_sum(fn, N, beta_A))
+                assert gap < mpmath.mpf(10) ** -30, (N, beta_A)
+
+
+@pytest.mark.parametrize("fn", CLOSED_FORMS)
+def test_closed_form_against_mpmath(fn):
+    cases = [(10**k + 1 if k else 1, beta_A) for k in range(8) for beta_A in (0.25, 1.0, 2.25)]
+    if fn is weyl_discrete_dFdA:
+        # the value is about -c/4, which -1/2 + 1/(2 + c) would bury in its rounding
+        cases += [(1001, 30.0), (10**5 + 1, 20.0), (10**7 + 1, 30.0)]
+    with mpmath.workdps(40):
+        for N, beta_A in cases + EDGE_CASES:
+            if _applies(fn, N, beta_A):
+                reference = _mp_closed(fn, N, beta_A)  # exactly 0 for normal order at c = 1
+                error = abs(_closed(fn, N, beta_A) - reference)
+                assert error <= 4e-15 * abs(reference), (N, beta_A, float(error))
+

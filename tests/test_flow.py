@@ -34,7 +34,7 @@ def test_initial_state():
 def test_free_theory_step_is_pure_berry_factor():
     grid = MatsubaraGrid(101, 1.0)
     state = initial_state(grid, QuadraticModel(A=0.0, beta=1.0))
-    advanced, correction = renorm_step(state, QuadraticModel(A=0.0, beta=1.0))
+    advanced, correction = renorm_step(state)
     assert correction == 0.0
     half_tan = math.tan(math.pi * state.shell / 101)
     assert advanced.log_c == state.log_c - math.log(4.0 * half_tan * half_tan)
@@ -45,8 +45,8 @@ def test_single_step_conserves_partition_function():
     model = QuadraticModel(A=1.0, beta=1.0)
     grid = MatsubaraGrid(101, 1.0)
     full = weyl_discrete_logZ_quadratic(grid, model)
-    state, _ = renorm_step(initial_state(grid, model), model)
-    assert abs(state.log_c + remaining_gaussian_logZ(state, model) - full) < 1e-10
+    state, _ = renorm_step(initial_state(grid, model))
+    assert abs(state.log_c + remaining_gaussian_logZ(state) - full) < 1e-10
 
 
 def test_conservation_at_every_shell():
@@ -114,13 +114,13 @@ def test_flow_validation():
     state = initial_state(grid, model)
     exhausted = state
     for _ in range(50):
-        exhausted, _ = renorm_step(exhausted, model)
+        exhausted, _ = renorm_step(exhausted)
     with pytest.raises(ValueError):
-        renorm_step(exhausted, model)
+        renorm_step(exhausted)
     # the pair-product check is explicit code, so it also holds under python -O
     broken = FlowState(log_c=0.0, A_eff=math.nan, shell=5, grid=grid)
     with pytest.raises(NumericalError):
-        renorm_step(broken, model)
+        renorm_step(broken)
 
 
 def test_flow_shell_bookkeeping():
@@ -139,7 +139,7 @@ def test_conservation_gate_at_scale(N, A, beta):
     grid = MatsubaraGrid(N, beta)
     result = run_flow(model, grid, b_floor=40)
     full = weyl_discrete_logZ_quadratic(grid, model)
-    remaining = remaining_gaussian_logZ(replace(result.final, shell=result.shells - 1), model)
+    remaining = remaining_gaussian_logZ(replace(result.final, shell=result.shells - 1))
     assert np.abs(result.log_c_series + remaining - full).max() <= 1e-9
 
 
@@ -147,9 +147,9 @@ def test_remaining_logZ_array_matches_scalar():
     model = QuadraticModel(A=1.2, beta=0.7)
     state = initial_state(MatsubaraGrid(1001, 0.7), model, modes=2)
     shells = np.array([0, 1, 17, 499, 500])
-    values = remaining_gaussian_logZ(replace(state, shell=shells), model)
+    values = remaining_gaussian_logZ(replace(state, shell=shells))
     for shell, value in zip(shells, values):
-        scalar = remaining_gaussian_logZ(replace(state, shell=int(shell)), model)
+        scalar = remaining_gaussian_logZ(replace(state, shell=int(shell)))
         assert isinstance(scalar, float)
         assert value == scalar
 
@@ -165,7 +165,7 @@ def test_run_flow_matches_step_loop(N):
     shells, corrections, log_c = [], [], []
     while state.shell > b_floor:
         shells.append(state.shell)
-        state, correction = renorm_step(state, model)
+        state, correction = renorm_step(state)
         corrections.append(correction)
         log_c.append(state.log_c)
     assert np.array_equal(result.shells, shells)

@@ -119,8 +119,11 @@ def test_partition_function_unitary_invariance(waves):
 def test_exact_dFdA_closed_form():
     model = QuadraticModel(A=1.0, beta=1.0)
     assert exact_dFdA(model) == pytest.approx(0.5 * (1.0 / math.tanh(0.5) - 1.0), rel=1e-15)
-    # large beta*A: coth -> 1
+    # large beta*A: coth -> 1; past beta*A ~ 709 e^(beta A) overflows, the answer underflows
     assert exact_dFdA(QuadraticModel(A=50.0, beta=1.0)) < 1e-20
+    assert exact_dFdA(QuadraticModel(A=700.0, beta=1.0)) == pytest.approx(math.exp(-700.0), rel=1e-15)
+    assert exact_dFdA(QuadraticModel(A=1e6, beta=1.0)) == 0.0
+    assert exact_dFdA(QuadraticModel(A=-1e6, beta=1.0)) == -1.0
     # small beta*A: Laurent leading term 1/(beta A)
     tiny = exact_dFdA(QuadraticModel(A=1e-6, beta=1.0))
     assert tiny * 1e-6 == pytest.approx(1.0, rel=1e-5)
