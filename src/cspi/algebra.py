@@ -14,18 +14,19 @@ under ordering ``t`` is
     kappa = 0 (normal), -1/2 (Weyl), -1 (anti-normal),
 
 and quantization inverts the exponential with the opposite sign before
-promoting monomials ``zbar^p z^q -> ad^p a^q``.  All transformation weights
-(binomials, factorials, powers of 1/2) are computed in exact rational
-arithmetic; only the final coefficients are complex floats.
+promoting monomials ``zbar^p z^q -> ad^p a^q``.  Products and both
+transforms contract creation/annihilation pairs with the same weights
+s^K * prod_i C(m_i,k_i) C(n_i,k_i) k_i!, K = sum_i k_i, where s = 1 for
+products and s = +-kappa for the transforms.  The product over modes is an
+integer and s^K a power of two, so every weight is exact in float below
+2^53 and scaling a coefficient by it rounds once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from enum import Enum
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -375,18 +376,30 @@ class SymbolPoly:
 # ---------------------------------------------------------------------------
 
 
-def _mode_products(left: tuple[int, int], right: tuple[int, int]):
-    """Normal-order a single-mode product  ad^p1 a^q1 * ad^p2 a^q2.
+def _contract(terms, s: float) -> dict[MonomialKey, complex]:
+    """Sum every per-mode choice of contractions over ``(coeff, modes)`` items.
 
-    a^n ad^m = sum_k  C(n,k) C(m,k) k!  ad^(m-k) a^(n-k), so contracting k
-    pairs across the middle yields exponent pair (p1+p2-k, q1+q2-k) with an
-    exact integer weight.
+    ``modes`` lists one ``(P, Q, m, n)`` per mode: contracting k of m
+    creation with k of n annihilation operators yields the exponent pair
+    (P - k, Q - k) with weight C(m,k) C(n,k) k!, for k = 0 .. min(m, n).
+    The integer weights multiply across modes, and the coefficient is scaled
+    once by float(weight) * s**K, K the total number of contractions.
     """
-    p1, q1 = left
-    p2, q2 = right
-    for k in range(min(q1, p2) + 1):
-        weight = math.comb(q1, k) * math.comb(p2, k) * math.factorial(k)
-        yield (p1 + p2 - k, q1 + q2 - k), weight
+    out: dict[MonomialKey, complex] = {}
+    for coeff, modes in terms:
+        per_mode = []
+        for P, Q, m, n in modes:
+            choices = [((P, Q), 1, 0)]
+            weight = 1
+            for k in range(1, min(m, n) + 1):  # C(m,k) C(n,k) k! from its value at k - 1
+                weight = weight * (m - k + 1) * (n - k + 1) // k
+                choices.append(((P - k, Q - k), weight, k))
+            per_mode.append(choices)
+        for combo in itertools.product(*per_mode):
+            key, weights, contractions = zip(*combo)
+            scale = float(math.prod(weights)) * s ** sum(contractions)
+            out[key] = out.get(key, 0.0) + coeff * scale
+    return out
 
 
 def multiply(
@@ -394,10 +407,12 @@ def multiply(
 ) -> BosonPoly:
     """Operator product ``p * q`` re-expressed in canonical normal form.
 
-    Contraction weights are exact integers; coefficients stay complex
-    floats.  Raises :class:`DegreeCapError` when the result degree would
-    exceed ``max_degree`` and :class:`ModeMismatchError` on different mode
-    counts.
+    Per mode, a^q1 ad^p2 = sum_k C(q1,k) C(p2,k) k! ad^(p2-k) a^(q1-k), so
+    contracting k pairs across the middle yields the exponent pair
+    (p1+p2-k, q1+q2-k) with an exact integer weight; coefficients stay
+    complex floats.  Raises :class:`DegreeCapError` when the result degree
+    would exceed ``max_degree`` and :class:`ModeMismatchError` on different
+    mode counts.
     """
     if p.modes != q.modes:
         raise ModeMismatchError(
@@ -407,20 +422,12 @@ def multiply(
         raise DegreeCapError(
             f"product degree {p.degree() + q.degree()} exceeds cap {max_degree}"
         )
-    out: dict[MonomialKey, complex] = {}
-    for key1, c1 in p.terms.items():
-        for key2, c2 in q.terms.items():
-            coeff = c1 * c2
-            per_mode = [
-                list(_mode_products(m1, m2)) for m1, m2 in zip(key1, key2)
-            ]
-            for combo in itertools.product(*per_mode):
-                weight = 1
-                for _, w in combo:
-                    weight *= w
-                key = tuple(pair for pair, _ in combo)
-                out[key] = out.get(key, 0.0) + coeff * weight
-    return BosonPoly(out, p.modes)
+    terms = (
+        (c1 * c2, [(p1 + p2, q1 + q2, q1, p2) for (p1, q1), (p2, q2) in zip(key1, key2)])
+        for key1, c1 in p.terms.items()
+        for key2, c2 in q.terms.items()
+    )
+    return BosonPoly(_contract(terms, 1), p.modes)
 
 
 def _as_elementary(factor: BosonPoly) -> tuple[complex, MonomialKey]:
@@ -434,19 +441,6 @@ def _as_elementary(factor: BosonPoly) -> tuple[complex, MonomialKey]:
     return coeff, key
 
 
-def _distinct_arrangements(pool: list[tuple[MonomialKey, int]]):
-    """Yield each distinct ordering of a multiset exactly once (lex order)."""
-    if all(count == 0 for _, count in pool):
-        yield ()
-        return
-    for i, (key, count) in enumerate(pool):
-        if count == 0:
-            continue
-        reduced = [(k, c - 1 if j == i else c) for j, (k, c) in enumerate(pool)]
-        for tail in _distinct_arrangements(reduced):
-            yield (key,) + tail
-
-
 def symmetrize(
     factors: Sequence[BosonPoly],
     modes: int | None = None,
@@ -455,9 +449,12 @@ def symmetrize(
     """Average of all n! permuted products of the given ladder operators.
 
     Linear in each slot, so scalar prefactors on the factors multiply out
-    front.  An empty factor list yields the unit operator.  Permutations of
-    a repeated factor give identical products, so only distinct arrangements
-    are multiplied out, each weighted by its multiplicity.
+    front.  An empty factor list yields the unit operator.  The symmetrized
+    product of the ladder operators in ``zbar^p z^q`` (per mode, p creation
+    and q annihilation operators) is the Weyl quantization of that commuting
+    monomial (the s = 0 ordering of Cahill & Glauber, Phys. Rev. 177, 1857
+    (1969)), so it is read off :func:`quantize` in O(degree) terms instead
+    of multiplying out n! / prod(mult!) distinct arrangements.
     """
     factors = list(factors)
     if factors:
@@ -476,64 +473,34 @@ def symmetrize(
         raise DegreeCapError(f"symmetrizing {n} factors exceeds degree cap {max_degree}")
 
     scale = 1.0 + 0.0j
-    counts: Counter[MonomialKey] = Counter()
+    exponents = [(0, 0)] * modes
     for f in factors:
         coeff, key = _as_elementary(f)
         scale *= coeff
-        counts[key] += 1
-
-    # every distinct arrangement stands for prod(mult!) raw permutations
-    multiplicity = 1
-    for count in counts.values():
-        multiplicity *= math.factorial(count)
-
-    acc = BosonPoly.zero(modes)
-    for arrangement in _distinct_arrangements(sorted(counts.items())):
-        prod = BosonPoly.unit(modes)
-        for key in arrangement:
-            prod = multiply(prod, BosonPoly({key: 1.0}, modes), max_degree)
-        acc = acc + prod
-    return (scale * multiplicity / math.factorial(n)) * acc
+        exponents = [(c + dc, a + da) for (c, a), (dc, da) in zip(exponents, key)]
+    return scale * quantize(SymbolPoly({tuple(exponents): 1.0}, modes, Ordering.WEYL))
 
 
 # ---------------------------------------------------------------------------
 # ordering transforms
 # ---------------------------------------------------------------------------
 
-_SYMBOL_KAPPA = {
-    Ordering.NORMAL: Fraction(0),
-    Ordering.WEYL: Fraction(-1, 2),
-    Ordering.ANTINORMAL: Fraction(-1),
-}
+_SYMBOL_KAPPA = {Ordering.NORMAL: 0.0, Ordering.WEYL: -0.5, Ordering.ANTINORMAL: -1.0}
 
 
 def _apply_cross_derivatives(
-    terms: Mapping[MonomialKey, complex], kappa: Fraction
+    terms: Mapping[MonomialKey, complex], kappa: float
 ) -> dict[MonomialKey, complex]:
     """Apply exp(kappa * sum_i d/dzbar_i d/dz_i) to polynomial terms.
 
     Monomial-wise:  zbar^p z^q  gains  kappa^k C(p,k) C(q,k) k!  times
-    zbar^(p-k) z^(q-k)  for every k, independently per mode.  The weight is
-    an exact Fraction (dyadic for kappa = +-1/2), converted to float once.
+    zbar^(p-k) z^(q-k)  for every k, independently per mode.
     """
     if kappa == 0:
         return dict(terms)
-    out: dict[MonomialKey, complex] = {}
-    for key, coeff in terms.items():
-        per_mode = []
-        for p, q in key:
-            choices = []
-            for k in range(min(p, q) + 1):
-                weight = kappa**k * (math.comb(p, k) * math.comb(q, k) * math.factorial(k))
-                choices.append(((p - k, q - k), weight))
-            per_mode.append(choices)
-        for combo in itertools.product(*per_mode):
-            weight = Fraction(1)
-            for _, w in combo:
-                weight *= w
-            new_key = tuple(pair for pair, _ in combo)
-            out[new_key] = out.get(new_key, 0.0) + coeff * float(weight)
-    return out
+    return _contract(
+        ((coeff, [(p, q, p, q) for p, q in key]) for key, coeff in terms.items()), kappa
+    )
 
 
 def to_ordered_form(p: BosonPoly, target: Ordering) -> SymbolPoly:

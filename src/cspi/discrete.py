@@ -269,6 +269,29 @@ def weyl_discrete_dFdA(grid: MatsubaraGrid, model: QuadraticModel) -> float:
     return _finite(value, "symmetric-order dF/dA")
 
 
+def _weyl_gaussian_excess(c: float) -> float:
+    """y - ln(1 + y) for y = c/2 >= 0, without the cancellation of the difference.
+
+    With u = c/(4 + c), ln(1 + y) = 2 atanh(u) and y = 2u/(1 - u), so the
+    difference is 2 sum_{k>=2} a_k u^k, a_k = 1 for even k and 1 - 1/k for
+    odd k: positive terms, summed in pairs until they stop counting.  From
+    c = 2 (u = 1/3) on the plain difference loses at most two bits; a NaN
+    takes that branch too, so the loop always ends.
+    """
+    if not c < 2:
+        return c / 2.0 - math.log1p(c / 2.0)
+    u = c / (4.0 + c)
+    u2 = u * u
+    total, power, j = 0.0, u2, 1
+    while True:  # u^(2j) (1 + 2j u / (2j + 1))
+        pair = power * (1.0 + 2 * j * u / (2 * j + 1))
+        if total + pair == total:
+            return 2.0 * total
+        total += pair
+        power *= u2
+        j += 1
+
+
 def weyl_discrete_logZ_quadratic(grid: MatsubaraGrid, model: QuadraticModel) -> float:
     """log of the symmetric-order lattice partition function, harmonic model.
 
@@ -279,6 +302,11 @@ def weyl_discrete_logZ_quadratic(grid: MatsubaraGrid, model: QuadraticModel) -> 
     prod (1 - r u) = 1 - r^N and prod (1 + u) = 2 (odd N), so
     logZ_N = beta A / 2 - N ln(1 + c/2) - ln(1 - r^N).  Converges to
     -ln(1 - e^{-beta A}).
+
+    beta A / 2 - N ln(1 + c/2) = N (y - ln(1 + y)), y = c/2, is taken from
+    a series with positive terms, since the two sides of the difference are
+    each about beta A / 2 while it is about beta A c / 8.  ln(1 - r^N) is
+    log1p(-r^N) while r^N < 1/2 and ln(-expm1(N ln r)) above.
     """
     grid.require_odd("the symmetric-order lattice partition function")
     if model.A <= 0:
@@ -286,8 +314,12 @@ def weyl_discrete_logZ_quadratic(grid: MatsubaraGrid, model: QuadraticModel) -> 
             "the frequency-domain Gaussian needs A > 0 (omega = 0 diverges otherwise)"
         )
     N = grid.N
-    beta_A = grid.beta * model.A
-    c = beta_A / N
-    _, one_minus_r_N = _weyl_powers(c, N)
-    value = beta_A / 2.0 - N * math.log1p(c / 2.0) - math.log(one_minus_r_N)
+    c = grid.beta * model.A / N
+    if c < 2:
+        N_log_r = N * (math.log1p(-c / 2.0) - math.log1p(c / 2.0))
+        r_N = math.exp(N_log_r)
+        log_tail = math.log1p(-r_N) if r_N < 0.5 else math.log(-math.expm1(N_log_r))
+    else:  # r <= 0, so r^N <= 0 at odd N
+        log_tail = math.log1p(-(((2.0 - c) / (2.0 + c)) ** N))
+    value = N * _weyl_gaussian_excess(c) - log_tail
     return _finite(value, "symmetric-order log Z")

@@ -35,6 +35,11 @@ class QuadraticModel:
             raise ValueError(f"A * beta must be finite, got {self.A} * {self.beta}")
 
 
+#: largest dense complex matrix over a basis, in bytes; every user of a
+#: :class:`FockBasis` builds dim x dim matrices, so larger bases are refused
+DENSE_BYTES_MAX = 2**30
+
+
 class FockBasis:
     """Occupancy-number basis with a per-mode cap.
 
@@ -42,6 +47,10 @@ class FockBasis:
     ``n = (n_0, ..., n_{M-1})`` with the last mode varying fastest, i.e.
     ``(0,0), (0,1), ..., (1,0), ...``.  This order is part of the contract:
     matrix indices from :func:`hamiltonian_matrix` refer to it.
+
+    A basis whose dim x dim complex matrix would exceed
+    :data:`DENSE_BYTES_MAX` raises ``ValueError`` before any state is
+    enumerated.
     """
 
     def __init__(self, modes: int, n_max: int | Sequence[int]):
@@ -52,6 +61,13 @@ class FockBasis:
             raise ModeMismatchError(f"{len(caps)} caps given for {modes} modes")
         if any(c < 0 for c in caps):
             raise ValueError("occupancy caps must be non-negative")
+        dim = math.prod(c + 1 for c in caps)
+        dense_bytes = dim * dim * np.dtype(complex).itemsize
+        if dense_bytes > DENSE_BYTES_MAX:
+            raise ValueError(
+                f"a dense matrix over {dim} Fock states needs {dense_bytes / 2**30:.3g} GiB, "
+                f"over the {DENSE_BYTES_MAX / 2**30:g} GiB budget"
+            )
         self.modes = modes
         self.n_max = caps
         self.states: list[tuple[int, ...]] = list(

@@ -2,13 +2,24 @@
 
 Everything is enumerated deterministically (no RNG): "generic looking"
 complex data comes from incommensurate trig waves over integer indices, so
-every run sees the same values.  The Fock-side oracle here evaluates
-polynomials from raw ladder matrices and never goes through the package's
-own matrix builder.
+every run sees the same values, and hypothesis runs under one derandomized
+profile.  The Fock-side oracle here evaluates polynomials from raw ladder
+matrices and never goes through the package's own matrix builder; the
+algebra oracles reorder with integers and ``Fraction`` and never call the
+package's product or transforms.
 """
+
+import functools
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+settings.register_profile("cspi", derandomize=True, database=None, deadline=None)
+settings.load_profile("cspi")
 
 
 def _waves(count: int, salt: float = 0.0) -> np.ndarray:
@@ -45,8 +56,6 @@ def _poly_matrix(poly, n_max: int) -> np.ndarray:
 
 def _block(matrix: np.ndarray, n_max: int, modes: int, margin: int) -> np.ndarray:
     """Sub-block of rows/columns whose occupancies stay below n_max - margin."""
-    import itertools
-
     keep = [
         i
         for i, state in enumerate(itertools.product(range(n_max + 1), repeat=modes))
@@ -83,6 +92,133 @@ def _unchecked_model(A: float, beta: float):
     object.__setattr__(model, "A", A)
     object.__setattr__(model, "beta", beta)
     return model
+
+
+def _times_ladder(terms: dict, mode: int, creation: bool) -> dict:
+    """Right-multiply integer-weighted normal-form terms by ad_mode or a_mode.
+
+    ad^p a^q ad = ad^(p+1) a^q + q ad^p a^(q-1) by repeated a ad = ad a + 1;
+    the other modes commute and ride along.
+    """
+    out: dict = {}
+    for key, weight in terms.items():
+        p, q = key[mode]
+        if creation:
+            moves = [((p + 1, q), weight)] + ([((p, q - 1), weight * q)] if q else [])
+        else:
+            moves = [((p, q + 1), weight)]
+        for pair, w in moves:
+            new = key[:mode] + (pair,) + key[mode + 1 :]
+            out[new] = out.get(new, 0) + w
+    return out
+
+
+@functools.cache
+def _arrangement_sum(pool: tuple, modes: int) -> tuple[dict, int]:
+    """Sum and number of the distinct arrangements of a ladder multiset.
+
+    ``pool`` holds ``((mode, is_creation), count)`` items.  Every distinct
+    arrangement ends in one of the ladder operators left in the pool, so the
+    sum over all of them is the sum over each choice of last operator of the
+    sum for the remaining pool, right-multiplied by it.  Memoized on the
+    pool, so a degree-8 multiset costs a few hundred right products instead
+    of one per arrangement.
+    """
+    if not any(count for _, count in pool):
+        return {((0, 0),) * modes: 1}, 1
+    total: dict = {}
+    arrangements = 0
+    for i, ((mode, creation), count) in enumerate(pool):
+        if not count:
+            continue
+        rest = pool[:i] + (((mode, creation), count - 1),) + pool[i + 1 :]
+        terms, number = _arrangement_sum(rest, modes)
+        arrangements += number
+        for key, weight in _times_ladder(terms, mode, creation).items():
+            total[key] = total.get(key, 0) + weight
+    return total, arrangements
+
+
+def _brute_force_symmetrize(factors, modes: int):
+    """Average of all distinct arrangements of single ladder operators.
+
+    The test-side oracle for ``cspi.symmetrize``: every arrangement is
+    normal-ordered by explicit commutation with integer weights, and the
+    exact rational average is rounded to float once, then scaled by the
+    product of the factors' coefficients.
+    """
+    from cspi import BosonPoly
+
+    scale = 1.0 + 0.0j
+    counts: dict = {}
+    for factor in factors:
+        ((key, coeff),) = factor.terms.items()
+        ((mode, pair),) = [(i, pair) for i, pair in enumerate(key) if pair != (0, 0)]
+        kind = (mode, pair == (1, 0))
+        counts[kind] = counts.get(kind, 0) + 1
+        scale *= coeff
+    terms, arrangements = _arrangement_sum(tuple(sorted(counts.items())), modes)
+    return BosonPoly(
+        {key: scale * float(Fraction(w, arrangements)) for key, w in terms.items()}, modes
+    )
+
+
+def _fraction_cross_derivatives(terms, kappa: Fraction) -> dict:
+    """exp(kappa * sum_i d/dzbar_i d/dz_i) on a term map, weights as exact Fractions.
+
+    zbar^p z^q gains kappa^k C(p,k) C(q,k) k! zbar^(p-k) z^(q-k) per mode;
+    the weight is converted to float once per term.  The term order is the
+    package's: input keys in order, per mode k ascending, the last mode
+    fastest.
+    """
+    if kappa == 0:
+        return dict(terms)
+    out: dict = {}
+    for key, coeff in terms.items():
+        per_mode = [
+            [
+                ((p - k, q - k), kappa**k * (math.comb(p, k) * math.comb(q, k) * math.factorial(k)))
+                for k in range(min(p, q) + 1)
+            ]
+            for p, q in key
+        ]
+        for combo in itertools.product(*per_mode):
+            weight = Fraction(1)
+            for _, w in combo:
+                weight *= w
+            new_key = tuple(pair for pair, _ in combo)
+            out[new_key] = out.get(new_key, 0.0) + coeff * float(weight)
+    return out
+
+
+@pytest.fixture
+def brute_force_symmetrize():
+    return _brute_force_symmetrize
+
+
+@pytest.fixture
+def fraction_cross_derivatives():
+    return _fraction_cross_derivatives
+
+
+class _NoEnumeration:
+    """Stands in for ``itertools`` in cspi.fock: enumerating states fails the test."""
+
+    @staticmethod
+    def product(*args, **kwargs):
+        raise AssertionError("Fock states enumerated")
+
+
+@pytest.fixture
+def forbid_state_enumeration(monkeypatch):
+    """Call to make any later Fock state enumeration fail the test.
+
+    Guards the oversized-basis tests: a missing size check fails at once
+    instead of allocating gigabytes.
+    """
+    import cspi.fock
+
+    return lambda: monkeypatch.setattr(cspi.fock, "itertools", _NoEnumeration)
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Operator algebra: products, symmetrizer, ordering transforms."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,8 +102,6 @@ def test_symmetrizer_three_factor_brute_force(poly_matrix):
     result = symmetrize([AD_OP, AD_OP, A_OP])
     assert result == BosonPoly({((2, 1),): 1.0, ((1, 0),): 1.0}, 1)
 
-    import itertools
-
     n_max = 8
     mats = {id(f): poly_matrix(f, n_max) for f in (AD_OP, A_OP)}
     factors = [mats[id(AD_OP)], mats[id(AD_OP)], mats[id(A_OP)]]
@@ -120,8 +120,6 @@ def test_symmetrizer_three_factor_brute_force(poly_matrix):
 def test_symmetrizer_permutation_invariant():
     factors = [AD_OP, A_OP, AD_OP, A_OP]
     reference = symmetrize(factors)
-    import itertools
-
     for perm in itertools.permutations(range(4)):
         assert symmetrize([factors[i] for i in perm]) == reference
 
@@ -137,6 +135,33 @@ def test_symmetrizer_rejects_composites():
         symmetrize([NUMBER])
     with pytest.raises(DegreeCapError):
         symmetrize([A_OP] * 17)
+
+
+def _ladder_multisets(max_degree=8, max_arrangements=924):
+    """Every multiset of single ladder operators on 1-3 modes, as factor lists."""
+    for modes in (1, 2, 3):
+        kinds = [(mode, creation) for mode in range(modes) for creation in (True, False)]
+        for n in range(max_degree + 1):
+            for combo in itertools.combinations_with_replacement(kinds, n):
+                multiplicities = [combo.count(kind) for kind in kinds]
+                arrangements = math.factorial(n) // math.prod(map(math.factorial, multiplicities))
+                if arrangements <= max_arrangements:
+                    yield modes, [
+                        BosonPoly.create(mode, modes) if creation else BosonPoly.annihilate(mode, modes)
+                        for mode, creation in combo
+                    ]
+
+
+def test_symmetrize_matches_brute_force(waves, brute_force_symmetrize):
+    checked = 0
+    for modes, ladders in _ladder_multisets():
+        factors = [c * f for c, f in zip(waves(len(ladders), salt=len(ladders)), ladders)]
+        result = symmetrize(factors, modes)
+        reference = brute_force_symmetrize(factors, modes)
+        scale = max(abs(c) for c in reference.terms.values())
+        assert result.equals(reference, tol=1e-14 * scale), [str(f) for f in factors]
+        checked += 1
+    assert checked == 2942
 
 
 # -- ordering transforms -----------------------------------------------------
@@ -204,15 +229,50 @@ def test_to_ordered_form_linear(ordering):
     assert combined == separate
 
 
-def test_weyl_transform_matches_symmetrizer(poly_matrix, block):
+def test_weyl_transform_matches_symmetrizer(poly_matrix, block, brute_force_symmetrize):
     # quantizing the Weyl symbol monomial-by-monomial with the brute-force
     # symmetrizer must rebuild the original operator
     weyl = to_ordered_form(AD2A2, Ordering.WEYL)
     rebuilt = BosonPoly.zero(1)
     for ((c, q),), coeff in weyl.terms.items():
-        rebuilt = rebuilt + coeff * symmetrize([AD_OP] * c + [A_OP] * q, modes=1)
+        rebuilt = rebuilt + coeff * brute_force_symmetrize([AD_OP] * c + [A_OP] * q, 1)
     diff = poly_matrix(rebuilt, 10) - poly_matrix(AD2A2, 10)
     assert np.abs(block(diff, 10, 1, 4)).max() < 1e-10
+
+
+_FRACTION_KAPPA = {
+    Ordering.NORMAL: Fraction(0),
+    Ordering.WEYL: Fraction(-1, 2),
+    Ordering.ANTINORMAL: Fraction(-1),
+}
+
+
+def _exponent_family(waves):
+    """Term maps on 1-3 modes with per-mode exponents 0-8, generic coefficients.
+
+    One mode takes all 81 keys; two and three modes take every 41st and
+    every 1820th key of the lexicographic enumeration, strides that end on
+    the all-8 key, which carries the largest weights.
+    """
+    for modes, stride in ((1, 1), (2, 41), (3, 1820)):
+        keys = list(itertools.product(itertools.product(range(9), repeat=2), repeat=modes))
+        keys = keys[::stride]
+        assert keys[-1] == ((8, 8),) * modes
+        yield modes, dict(zip(keys, waves(len(keys), salt=modes)))
+
+
+@pytest.mark.parametrize("ordering", list(Ordering))
+def test_reordering_weights_bit_identical(waves, fraction_cross_derivatives, ordering):
+    # the float weights integer * 2^-K must reproduce the Fraction path
+    # term for term: same keys in the same order, values equal under ==
+    kappa = _FRACTION_KAPPA[ordering]
+    for modes, terms in _exponent_family(waves):
+        symbol = to_ordered_form(BosonPoly(terms, modes), ordering)
+        expected = fraction_cross_derivatives(terms, kappa)
+        assert list(symbol.terms.items()) == [(k, v) for k, v in expected.items() if v != 0]
+        back = quantize(SymbolPoly(terms, modes, ordering))
+        expected = fraction_cross_derivatives(terms, -kappa)
+        assert list(back.terms.items()) == [(k, v) for k, v in expected.items() if v != 0]
 
 
 # -- storage/value invariants ------------------------------------------------

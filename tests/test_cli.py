@@ -202,6 +202,21 @@ def test_identity_check_report(capsys):
     assert out.out.startswith("n_max,radial,angular,margin,deviation\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identity-check", "--modes", "5", "--n-max", "8"],
+        ["order", "--expr", "a_9", "--target", "weyl", "--verify"],
+    ],
+)
+def test_oversized_dense_build_exit_2(argv, capsys, forbid_state_enumeration):
+    # 52 GiB and 1.8e11 GiB of dense matrix: refused before any state exists
+    forbid_state_enumeration()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "GiB budget" in err
+
+
 def test_prefactor_report(capsys):
     code = main(["prefactor", "--N", "1001,10001", "--b", "4"])
     out = capsys.readouterr()

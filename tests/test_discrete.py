@@ -451,6 +451,9 @@ def test_closed_form_against_mpmath(fn):
     if fn is weyl_discrete_dFdA:
         # the value is about -c/4, which -1/2 + 1/(2 + c) would bury in its rounding
         cases += [(1001, 30.0), (10**5 + 1, 20.0), (10**7 + 1, 30.0)]
+    if fn is weyl_discrete_logZ_quadratic:
+        # the value is about beta A c / 8, which beta A / 2 - N ln(1 + c/2) would bury
+        cases += [(1001, 30.0), (10**5 + 1, 20.0), (10**7 + 1, 20.0), (10**7 + 1, 30.0)]
     with mpmath.workdps(40):
         for N, beta_A in cases + EDGE_CASES:
             if _applies(fn, N, beta_A):

@@ -20,6 +20,7 @@ from cspi import (
     partition_function,
     suggested_n_max,
 )
+from cspi.fock import DENSE_BYTES_MAX
 
 A_OP = BosonPoly.annihilate(0)
 AD_OP = BosonPoly.create(0)
@@ -31,6 +32,16 @@ def test_basis_enumeration_is_lexicographic():
     assert basis.states == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert basis.dimension == 4
     assert FockBasis(2, (2, 1)).dimension == 6
+
+
+def test_dense_byte_budget(forbid_state_enumeration):
+    assert DENSE_BYTES_MAX == 2**30
+    assert FockBasis(1, 8191).dimension == 8192  # exactly 2^30 bytes
+    assert FockBasis(4, 8).dimension == 6561
+    forbid_state_enumeration()
+    for modes, n_max in [(1, 8192), (5, 8), (10, 8), (2, (100, 90))]:
+        with pytest.raises(ValueError, match="GiB budget"):
+            FockBasis(modes, n_max)
 
 
 def test_block_indices():
