@@ -401,6 +401,8 @@ def cmd_flow(cfg: RunConfig):
 
 
 def cmd_identity_check(cfg: RunConfig):
+    if cfg.margin < 0:
+        raise ConfigError(f"margin must be non-negative, got {cfg.margin}")
     basis = FockBasis(cfg.modes, cfg.n_max)
     deviation = check_resolution_identity(
         basis, cfg.radial_nodes, cfg.angular_nodes, cfg.margin

@@ -8,7 +8,6 @@ check of the coherent-state resolution of identity.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,6 +47,10 @@ class FockBasis:
     ``(0,0), (0,1), ..., (1,0), ...``.  This order is part of the contract:
     matrix indices from :func:`hamiltonian_matrix` refer to it.
 
+    ``occupancy[i, j]`` is the occupancy of mode ``i`` in basis state ``j``,
+    and state ``n`` has index ``n @ strides`` (mixed radix, last mode
+    fastest).
+
     A basis whose dim x dim complex matrix would exceed
     :data:`DENSE_BYTES_MAX` raises ``ValueError`` before any state is
     enumerated.
@@ -70,25 +73,49 @@ class FockBasis:
             )
         self.modes = modes
         self.n_max = caps
-        self.states: list[tuple[int, ...]] = list(
-            itertools.product(*(range(c + 1) for c in caps))
-        )
-        self.index = {state: i for i, state in enumerate(self.states)}
+        sizes = tuple(c + 1 for c in caps)
+        self.occupancy = np.indices(sizes).reshape(modes, dim)
+        self.strides = dim // np.cumprod(sizes)
 
     @property
     def dimension(self) -> int:
-        return len(self.states)
+        return self.occupancy.shape[1]
+
+    @property
+    def states(self) -> list[tuple[int, ...]]:
+        """Occupancy vectors in basis order."""
+        return list(map(tuple, self.occupancy.T.tolist()))
+
+    def _block_tops(self, margin: int) -> np.ndarray:
+        """Per-mode top occupancy of the block ``n <= cap - margin``."""
+        if margin < 0:
+            raise ValueError(f"margin must be non-negative, got {margin}")
+        tops = np.array(self.n_max) - margin
+        if tops.min() < 0:
+            raise ValueError(f"margin {margin} leaves no states in the block")
+        return tops
 
     def block_indices(self, margin: int) -> np.ndarray:
         """Indices of states with every occupancy <= cap - margin."""
-        keep = [
-            i
-            for i, state in enumerate(self.states)
-            if all(n <= cap - margin for n, cap in zip(state, self.n_max))
-        ]
-        if not keep:
-            raise ValueError(f"margin {margin} leaves no states in the block")
-        return np.array(keep, dtype=int)
+        tops = self._block_tops(margin)
+        return np.flatnonzero((self.occupancy <= tops[:, None]).all(axis=0))
+
+
+def _ladder_weights(cap: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared ladder-chain amplitudes of one mode, as exact float tables.
+
+    ``fall[a, n] = n!/(n-a)!`` is |a^a |n>|^2 and ``rise[c, m] = (m+c)!/m!``
+    is |ad^c |m>|^2, for exponents up to ``top``; both are 0 where the chain
+    leaves 0..cap (a > n, or m + c > cap), which is what drops those matrix
+    elements.  Entries are integers, exact while below 2^53.
+    """
+    n = np.arange(cap + 1, dtype=float)
+    fall = np.ones((top + 1, cap + 1))
+    rise = np.ones((top + 1, cap + 1))
+    for k in range(1, top + 1):
+        fall[k] = fall[k - 1] * np.maximum(n - k + 1, 0)
+        rise[k] = rise[k - 1] * np.where(n + k <= cap, n + k, 0)
+    return fall, rise
 
 
 def hamiltonian_matrix(p: BosonPoly, basis: FockBasis) -> np.ndarray:
@@ -98,6 +125,14 @@ def hamiltonian_matrix(p: BosonPoly, basis: FockBasis) -> np.ndarray:
     the truncated space at the top, which affects rows beyond the cap and
     is dropped.  Non-Hermitian input is refused since every downstream use
     (partition functions) assumes Hermiticity.
+
+    Monomial ``ad^c a^a`` (per mode) maps column ``n`` to row
+    ``n + (c - a) @ strides`` with amplitude ``sqrt(w)``, ``w`` the product
+    of the per-mode :func:`_ladder_weights`.  ``w`` is an integer, so it is
+    exact in float while below 2^53 (``cap^degree`` bounds it), and the
+    entries are then byte-identical to an integer weight rounded once under
+    the sqrt.  Monomials are scattered in chunks of at most ``dim``, key by
+    key, so an entry several monomials reach sums them in key order.
     """
     if p.modes != basis.modes:
         raise ModeMismatchError(
@@ -106,28 +141,33 @@ def hamiltonian_matrix(p: BosonPoly, basis: FockBasis) -> np.ndarray:
     if not p.is_hermitian():
         raise NonHermitianError("hamiltonian_matrix requires a Hermitian polynomial")
     dim = basis.dimension
-    H = np.zeros((dim, dim), dtype=complex)
-    for key, coeff in p.terms.items():
-        for col, state in enumerate(basis.states):
-            weight = 1  # exact integer product under a single final sqrt
-            target = []
-            for n, (c, a) in zip(state, key):
-                if n < a:
-                    weight = 0
-                    break
-                for step in range(a):  # a |n> chain: n (n-1) ...
-                    weight *= n - step
-                m = n - a
-                for step in range(c):  # ad |m> chain: (m+1) (m+2) ...
-                    weight *= m + 1 + step
-                target.append(m + c)
-            if weight == 0:
-                continue
-            row = basis.index.get(tuple(target))
-            if row is None:  # created past the cap
-                continue
-            H[row, col] += coeff * math.sqrt(weight)
-    return H
+    H = np.zeros(dim * dim, dtype=complex)
+    if not p.terms:
+        return H.reshape(dim, dim)
+    keys = np.array(list(p.terms), dtype=np.intp).reshape(-1, basis.modes, 2)
+    # an exponent past the cap reaches no state: cap + 1 stands for all of them
+    keys = np.minimum(keys, np.array(basis.n_max)[:, None] + 1)
+    coeffs = np.array(list(p.terms.values()), dtype=complex)
+    shifts = (keys[:, :, 0] - keys[:, :, 1]) @ basis.strides * dim
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        tables = [
+            _ladder_weights(cap, int(keys[:, i].max())) for i, cap in enumerate(basis.n_max)
+        ]
+        for start in range(0, len(coeffs), dim):
+            chunk = keys[start : start + dim]
+            weight = np.ones((len(chunk), 1))
+            for i, (fall, rise) in enumerate(tables):
+                # per-mode factors over n = 0..cap, spread over the grid, last mode fastest
+                n = np.arange(fall.shape[1])
+                a, c = chunk[:, i, 1, None], chunk[:, i, 0, None]
+                factor = fall[a, n] * rise[c, np.maximum(n - a, 0)]
+                weight = (weight[:, :, None] * factor[:, None, :]).reshape(len(chunk), -1)
+            if not np.isfinite(weight).all():
+                raise OverflowError("Fock ladder weights exceed the float range")
+            t, col = np.nonzero(weight)  # key-major, as the entries must be summed
+            flat = col * (dim + 1) + shifts[start + t]
+            np.add.at(H, flat, coeffs[start + t] * np.sqrt(weight[t, col]))
+    return H.reshape(dim, dim)
 
 
 def partition_function(H: np.ndarray, beta: float) -> float:
@@ -176,6 +216,27 @@ def coherent_overlap(z2, z1) -> complex:
     return complex(np.exp(np.vdot(z2, z1)))
 
 
+def _mode_quadrature(t, wt, phi, top: int) -> np.ndarray:
+    """Quadrature of integral |z><z| e^{-|z|^2} / pi on one mode, occupancies 0..top."""
+    s = np.arange(2 * top + 1)
+    with np.errstate(over="ignore"):
+        # radial moments: integral t^{(m+n)/2} e^{-t} dt on the node set
+        radial = np.sum(wt * t ** (s[:, None] / 2.0), axis=1)
+    if not np.isfinite(radial).all():
+        raise ValueError(f"radial moments up to t^{top} overflow float; lower n_max")
+    try:
+        norms = np.sqrt([float(math.factorial(n)) for n in range(top + 1)])
+    except OverflowError:
+        raise ValueError(
+            f"factorial norms up to sqrt({top}!) overflow float; lower n_max"
+        ) from None
+    # angular averages: (1/K) sum_k e^{i d phi_k}, d = m - n; one d at a time
+    # keeps the memory at one angular grid
+    angular = np.array([np.mean(np.exp(1j * d * phi)) for d in range(-top, top + 1)])
+    m, n = np.indices((top + 1, top + 1))
+    return radial[m + n] * angular[m - n + top] / np.multiply.outer(norms, norms)
+
+
 def check_resolution_identity(
     basis: FockBasis,
     radial_nodes: int,
@@ -190,33 +251,32 @@ def check_resolution_identity(
     angular_nodes does not alias m - n to 0; under-resolved grids leave
     O(1) spurious entries.  Returns the max-norm deviation on the sub-block
     of occupancies <= n_max - margin.
+
+    The quadrature matrix is the Kronecker product of the per-mode blocks
+    E_i, and is never formed.  On the diagonal the deviation is
+    |prod_i E_i[n_i, n_i] - 1|, dim entries.  An off-diagonal entry differs
+    from the diagonal in a non-empty set S of modes, so its largest size is
+    the max over S of prod_{i in S} o_i * prod_{i not in S} d_i, with o_i,
+    d_i the largest off-diagonal and diagonal |E_i|; that max is attained
+    at S = {i} plus every j with o_j >= d_j, for some i.  A mode with a
+    one-state block has o_i = 0.  Memory is sum_i (cap_i + 1)^2 plus dim.
     """
     if radial_nodes < 1 or angular_nodes < 1:
         raise ValueError("quadrature sizes must be >= 1")
+    tops = basis._block_tops(margin)
     t, wt = np.polynomial.laguerre.laggauss(radial_nodes)
     phi = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
 
-    per_mode = []
-    for cap in basis.n_max:
-        occ = np.arange(cap + 1)
-        # radial moments: integral t^{(m+n)/2} e^{-t} dt on the node set
-        radial = np.array(
-            [np.sum(wt * t ** (s / 2.0)) for s in range(2 * cap + 1)]
-        )
-        # angular averages: (1/K) sum_k e^{i d phi_k}, d = m - n
-        angular = {
-            d: np.mean(np.exp(1j * d * phi)) for d in range(-cap, cap + 1)
-        }
-        norms = np.array([math.sqrt(math.factorial(n)) for n in occ])
-        E = np.empty((cap + 1, cap + 1), dtype=complex)
-        for m in occ:
-            for n in occ:
-                E[m, n] = radial[m + n] * angular[m - n] / (norms[m] * norms[n])
-        per_mode.append(E)
-
-    approx = per_mode[0]
-    for E in per_mode[1:]:
-        approx = np.kron(approx, E)
-    keep = basis.block_indices(margin)
-    sub = approx[np.ix_(keep, keep)] - np.eye(keep.size)
-    return float(np.abs(sub).max())
+    diagonal = np.ones(1, dtype=complex)
+    d, o = [], []
+    for top in tops:
+        E = _mode_quadrature(t, wt, phi, int(top))
+        diagonal = np.multiply.outer(diagonal, np.diagonal(E)).ravel()
+        size = np.abs(E)
+        d.append(np.diagonal(size).max())
+        o.append(size[~np.eye(top + 1, dtype=bool)].max(initial=0.0))
+    off = max(
+        o[i] * math.prod(max(o[j], d[j]) for j in range(len(o)) if j != i)
+        for i in range(len(o))
+    )
+    return float(max(np.abs(diagonal - 1.0).max(), off))

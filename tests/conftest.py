@@ -3,8 +3,10 @@
 Everything is enumerated deterministically (no RNG): "generic looking"
 complex data comes from incommensurate trig waves over integer indices, so
 every run sees the same values, and hypothesis runs under one derandomized
-profile.  The Fock-side oracle here evaluates polynomials from raw ladder
-matrices and never goes through the package's own matrix builder; the
+profile.  The Fock-side oracles never go through the package's own matrix
+builder or quadrature check: one evaluates polynomials from raw ladder
+matrices, one is the per-state integer loop the array build replaced, and
+one forms the dense Kronecker product of the identity quadrature; the
 algebra oracles reorder with integers and ``Fraction`` and never call the
 package's product or transforms.
 """
@@ -201,24 +203,80 @@ def fraction_cross_derivatives():
     return _fraction_cross_derivatives
 
 
-class _NoEnumeration:
-    """Stands in for ``itertools`` in cspi.fock: enumerating states fails the test."""
-
-    @staticmethod
-    def product(*args, **kwargs):
-        raise AssertionError("Fock states enumerated")
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("Fock states enumerated")
 
 
 @pytest.fixture
 def forbid_state_enumeration(monkeypatch):
     """Call to make any later Fock state enumeration fail the test.
 
-    Guards the oversized-basis tests: a missing size check fails at once
-    instead of allocating gigabytes.
+    Guards the oversized-basis tests: ``FockBasis`` enumerates its states
+    with ``numpy.indices``, which this replaces, so a missing size check
+    fails at once instead of allocating gigabytes.
     """
-    import cspi.fock
+    return lambda: monkeypatch.setattr(np, "indices", _no_enumeration)
 
-    return lambda: monkeypatch.setattr(cspi.fock, "itertools", _NoEnumeration)
+
+def _loop_hamiltonian_matrix(p, basis) -> np.ndarray:
+    """Per-state loop build of <m|p|n>, the reference for the array build.
+
+    Integer weights under one final sqrt, monomials in key order, states in
+    basis order; the state index is rebuilt here from ``basis.states``.
+    """
+    states = basis.states
+    index = {state: i for i, state in enumerate(states)}
+    dim = basis.dimension
+    H = np.zeros((dim, dim), dtype=complex)
+    for key, coeff in p.terms.items():
+        for col, state in enumerate(states):
+            weight = 1  # exact integer product under a single final sqrt
+            target = []
+            for n, (c, a) in zip(state, key):
+                if n < a:
+                    weight = 0
+                    break
+                for step in range(a):  # a |n> chain: n (n-1) ...
+                    weight *= n - step
+                m = n - a
+                for step in range(c):  # ad |m> chain: (m+1) (m+2) ...
+                    weight *= m + 1 + step
+                target.append(m + c)
+            if weight == 0:
+                continue
+            row = index.get(tuple(target))
+            if row is None:  # created past the cap
+                continue
+            H[row, col] += coeff * math.sqrt(weight)
+    return H
+
+
+def _kron_identity_deviation(basis, radial_nodes: int, angular_nodes: int, margin: int = 0):
+    """Resolution-of-identity deviation from the dense Kronecker product.
+
+    Per-mode quadrature matrices filled entry by entry, combined with
+    ``np.kron`` into the full dim x dim matrix, then the max-norm distance
+    from the identity on the block of occupancies <= cap - margin.
+    """
+    t, wt = np.polynomial.laguerre.laggauss(radial_nodes)
+    phi = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
+    approx = np.ones((1, 1), dtype=complex)
+    for cap in basis.n_max:
+        radial = [np.sum(wt * t ** (s / 2.0)) for s in range(2 * cap + 1)]
+        angular = {d: np.mean(np.exp(1j * d * phi)) for d in range(-cap, cap + 1)}
+        E = np.empty((cap + 1, cap + 1), dtype=complex)
+        for m in range(cap + 1):
+            for n in range(cap + 1):
+                norm = math.sqrt(math.factorial(m)) * math.sqrt(math.factorial(n))
+                E[m, n] = radial[m + n] * angular[m - n] / norm
+        approx = np.kron(approx, E)
+    keep = [
+        i
+        for i, state in enumerate(itertools.product(*(range(c + 1) for c in basis.n_max)))
+        if all(n <= cap - margin for n, cap in zip(state, basis.n_max))
+    ]
+    sub = approx[np.ix_(keep, keep)] - np.eye(len(keep))
+    return float(np.abs(sub).max())
 
 
 @pytest.fixture
@@ -244,3 +302,13 @@ def poly_matrix():
 @pytest.fixture
 def block():
     return _block
+
+
+@pytest.fixture(scope="session")
+def loop_hamiltonian_matrix():
+    return _loop_hamiltonian_matrix
+
+
+@pytest.fixture
+def kron_identity_deviation():
+    return _kron_identity_deviation

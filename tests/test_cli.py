@@ -202,6 +202,30 @@ def test_identity_check_report(capsys):
     assert out.out.startswith("n_max,radial,angular,margin,deviation\n")
 
 
+def test_identity_check_four_modes(capsys):
+    # 6561 states: no dense 6561 x 6561 quadrature matrix is formed
+    assert main(["identity-check", "--modes", "4", "--n-max", "8"]) == 0
+    assert "check deviation: pass" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["identity-check", "--margin", "-1"], "margin must be non-negative"),
+        (["identity-check", "--n-max", "171"], "radial moments"),
+        (
+            ["identity-check", "--n-max", "171", "--radial", "1", "--angular", "1", "--margin", "0"],
+            "factorial norms",
+        ),
+    ],
+)
+def test_identity_check_bad_input_exit_2(argv, message, capsys, recwarn):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,9 +1,12 @@
 """Truncated-Fock-space oracle: matrices, partition functions, quadrature."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cspi import (
     BosonPoly,
@@ -21,6 +24,8 @@ from cspi import (
     suggested_n_max,
 )
 from cspi.fock import DENSE_BYTES_MAX
+
+EPS = np.finfo(float).eps
 
 A_OP = BosonPoly.annihilate(0)
 AD_OP = BosonPoly.create(0)
@@ -44,11 +49,23 @@ def test_dense_byte_budget(forbid_state_enumeration):
             FockBasis(modes, n_max)
 
 
+def test_basis_grid_and_strides():
+    basis = FockBasis(3, (2, 0, 3))
+    assert basis.states == list(itertools.product(range(3), range(1), range(4)))
+    assert list(basis.strides) == [4, 4, 1]
+    assert [tuple(n) @ basis.strides for n in basis.states] == list(range(basis.dimension))
+
+
 def test_block_indices():
     basis = FockBasis(1, 3)
     assert list(basis.block_indices(1)) == [0, 1, 2]
     with pytest.raises(ValueError):
         basis.block_indices(4)
+    with pytest.raises(ValueError, match="non-negative"):
+        basis.block_indices(-1)
+    two = FockBasis(2, (3, 1))
+    expected = [i for i, (n0, n1) in enumerate(two.states) if n0 <= 2 and n1 <= 0]
+    assert list(two.block_indices(1)) == expected == [0, 2, 4]
 
 
 def test_number_operator_matrix():
@@ -79,6 +96,77 @@ def test_two_mode_hopping_matrix(poly_matrix):
     hop = hop + hop.adjoint()
     H = hamiltonian_matrix(hop, FockBasis(2, 3))
     assert np.abs(H - poly_matrix(hop, 3)).max() < 1e-13
+
+
+def _same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@st.composite
+def _fock_case(draw):
+    """(Hermitian polynomial, basis): 1-3 modes, caps 0-3, degree <= 6."""
+    modes = draw(st.integers(1, 3))
+    caps = tuple(draw(st.integers(0, 3)) for _ in range(modes))
+
+    @st.composite
+    def key(draw):
+        budget = draw(st.integers(0, 6))
+        exponents = []
+        for _ in range(2 * modes):
+            k = draw(st.integers(0, budget))
+            budget -= k
+            exponents.append(k)
+        return tuple(zip(exponents[0::2], exponents[1::2]))
+
+    coeff = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    p = BosonPoly(draw(st.dictionaries(key(), coeff, max_size=8)), modes)
+    return p + p.adjoint(), caps
+
+
+_PAST_CAP = BosonPoly({((1, 2), (0, 0), (3, 0)): 1 + 2j, ((0, 1), (2, 0), (0, 0)): 0.5}, 3)
+
+
+@given(_fock_case())
+@example((_PAST_CAP + _PAST_CAP.adjoint(), (2, 0, 3)))
+@example((BosonPoly({((1, 1),): 1.5, ((2, 0),): 0.25j, ((0, 2),): -0.25j}, 1), (0,)))
+@example((BosonPoly({}, 2), (1, 2)))
+def test_hamiltonian_matrix_bytes_match_loop(loop_hamiltonian_matrix, case):
+    # asymmetric caps, cap 0, keys that create past the cap, the zero polynomial
+    p, caps = case
+    basis = FockBasis(p.modes, caps)
+    assert _same_bytes(hamiltonian_matrix(p, basis), loop_hamiltonian_matrix(p, basis))
+
+
+def test_hamiltonian_matrix_bytes_match_loop_at_dim_729(waves, loop_hamiltonian_matrix):
+    # every 3-mode monomial with exponents <= 2 and degree <= 8: 651 terms
+    exponents = [e for e in itertools.product(range(3), repeat=6) if sum(e) <= 8]
+    z = waves(len(exponents), salt=8.0)
+    terms = {}
+    for j, e in enumerate(exponents):
+        key = tuple(zip(e[0::2], e[1::2]))
+        dagger = tuple((a, c) for c, a in key)
+        if dagger == key:
+            terms[key] = 1.0 + abs(z[j])
+        else:
+            terms[key] = terms[dagger].conjugate() if dagger in terms else z[j]
+    op = BosonPoly(terms, 3)
+    assert len(op.terms) == 651 and op.degree() == 8
+    basis = FockBasis(3, 8)
+    assert basis.dimension == 729
+    assert _same_bytes(hamiltonian_matrix(op, basis), loop_hamiltonian_matrix(op, basis))
+
+
+def test_exponents_past_the_cap_reach_no_state():
+    huge = BosonPoly({((10**6, 0),): 1.0, ((0, 10**6),): 1.0})
+    H = hamiltonian_matrix(huge + NUMBER, FockBasis(1, 3))
+    assert np.array_equal(H, np.diag([0.0, 1.0, 2.0, 3.0]))
+
+
+def test_weights_past_float_range_refused():
+    # |a^171 |200>|^2 = 200!/29! is past the float range
+    big = BosonPoly({((0, 171),): 1.0, ((171, 0),): 1.0})
+    with pytest.raises(OverflowError, match="float range"):
+        hamiltonian_matrix(big, FockBasis(1, 200))
 
 
 def test_non_hermitian_refused():
@@ -207,9 +295,46 @@ def test_resolution_identity_angular_saturation():
     assert abs(d1 - d2) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "modes, caps, radial, angular, margin",
+    [
+        (1, 0, 2, 4, 0),
+        (1, 8, 64, 64, 2),
+        (1, 8, 64, 4, 0),  # aliased: O(1) off-diagonals
+        (2, 3, 24, 16, 1),
+        (2, (4, 1), 5, 5, 1),  # mode 1 keeps a one-state block
+        (3, (2, 0, 3), 8, 3, 0),  # aliased on three modes
+        (3, 3, 10, 7, 1),
+        (4, 2, 6, 2, 0),  # aliased on four modes
+    ],
+)
+def test_resolution_identity_matches_kron(
+    modes, caps, radial, angular, margin, kron_identity_deviation
+):
+    basis = FockBasis(modes, caps)
+    got = check_resolution_identity(basis, radial, angular, margin)
+    want = kron_identity_deviation(basis, radial, angular, margin)
+    assert abs(got - want) <= 4 * EPS * max(1.0, want)
+
+
 def test_resolution_identity_validation():
     with pytest.raises(ValueError):
         check_resolution_identity(FockBasis(1, 2), 0, 8)
+    with pytest.raises(ValueError, match="non-negative"):
+        check_resolution_identity(FockBasis(1, 2), 8, 8, margin=-1)
+    with pytest.raises(ValueError, match="no states"):
+        check_resolution_identity(FockBasis(2, (3, 1)), 8, 8, margin=2)
+
+
+def test_resolution_identity_float_range(recwarn):
+    # radial moments t^{n} on the 64-node rule overflow first; a 1-node rule
+    # (t = 1) reaches the factorial norms, and 171! is past the float range
+    with pytest.raises(ValueError, match="radial moments"):
+        check_resolution_identity(FockBasis(1, 171), 64, 64, margin=2)
+    with pytest.raises(ValueError, match="factorial norms"):
+        check_resolution_identity(FockBasis(1, 171), 1, 1)
+    assert check_resolution_identity(FockBasis(1, 170), 1, 1) > 0
+    assert not recwarn.list
 
 
 def test_suggested_n_max():
