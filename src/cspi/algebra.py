@@ -66,6 +66,24 @@ def _validated_terms(terms: Mapping[MonomialKey, complex], modes: int) -> dict:
     return clean
 
 
+def _canonical(terms: Mapping[MonomialKey, complex], modes: int, ordering=None):
+    """A BosonPoly (``ordering`` None) or SymbolPoly over terms the algebra made.
+
+    The private constructor for results whose keys are already canonical
+    (tuples of ``modes`` non-negative int pairs) and whose coefficients are
+    already Python complex: it skips :func:`_validated_terms` but still drops
+    exact-zero coefficients.
+    """
+    if ordering is None:
+        poly = object.__new__(BosonPoly)
+    else:
+        poly = object.__new__(SymbolPoly)
+        poly._ordering = ordering
+    poly._modes = modes
+    poly._terms = {key: coeff for key, coeff in terms.items() if coeff != 0}
+    return poly
+
+
 class BosonPoly:
     """Polynomial in bosonic creation/annihilation operators, normal form.
 
@@ -132,7 +150,7 @@ class BosonPoly:
             tuple((a, c) for c, a in key): coeff.conjugate()
             for key, coeff in self._terms.items()
         }
-        return BosonPoly(out, self._modes)
+        return _canonical(out, self._modes)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return self.equals(self.adjoint(), tol)
@@ -159,12 +177,12 @@ class BosonPoly:
         out = dict(self._terms)
         for key, coeff in other._terms.items():
             out[key] = out.get(key, 0.0) + coeff
-        return BosonPoly(out, self._modes)
+        return _canonical(out, self._modes)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BosonPoly({k: -c for k, c in self._terms.items()}, self._modes)
+        return _canonical({k: -c for k, c in self._terms.items()}, self._modes)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, BosonPoly) else -complex(other))
@@ -174,8 +192,8 @@ class BosonPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return BosonPoly(
-                {k: other * c for k, c in self._terms.items()}, self._modes
+            return _canonical(
+                {k: complex(other * c) for k, c in self._terms.items()}, self._modes
             )
         if isinstance(other, BosonPoly):
             return multiply(self, other)
@@ -338,12 +356,12 @@ class SymbolPoly:
         out = dict(self._terms)
         for key, coeff in other._terms.items():
             out[key] = out.get(key, 0.0) + coeff
-        return SymbolPoly(out, self._modes, self._ordering)
+        return _canonical(out, self._modes, self._ordering)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return SymbolPoly(
-                {k: other * c for k, c in self._terms.items()},
+            return _canonical(
+                {k: complex(other * c) for k, c in self._terms.items()},
                 self._modes,
                 self._ordering,
             )
@@ -427,7 +445,7 @@ def multiply(
         for key1, c1 in p.terms.items()
         for key2, c2 in q.terms.items()
     )
-    return BosonPoly(_contract(terms, 1), p.modes)
+    return _canonical(_contract(terms, 1), p.modes)
 
 
 def _as_elementary(factor: BosonPoly) -> tuple[complex, MonomialKey]:
@@ -490,14 +508,14 @@ _SYMBOL_KAPPA = {Ordering.NORMAL: 0.0, Ordering.WEYL: -0.5, Ordering.ANTINORMAL:
 
 def _apply_cross_derivatives(
     terms: Mapping[MonomialKey, complex], kappa: float
-) -> dict[MonomialKey, complex]:
+) -> Mapping[MonomialKey, complex]:
     """Apply exp(kappa * sum_i d/dzbar_i d/dz_i) to polynomial terms.
 
     Monomial-wise:  zbar^p z^q  gains  kappa^k C(p,k) C(q,k) k!  times
     zbar^(p-k) z^(q-k)  for every k, independently per mode.
     """
     if kappa == 0:
-        return dict(terms)
+        return terms
     return _contract(
         ((coeff, [(p, q, p, q) for p, q in key]) for key, coeff in terms.items()), kappa
     )
@@ -515,7 +533,7 @@ def to_ordered_form(p: BosonPoly, target: Ordering) -> SymbolPoly:
     if not isinstance(target, Ordering):
         raise TypeError(f"target must be an Ordering, got {target!r}")
     terms = _apply_cross_derivatives(p.terms, _SYMBOL_KAPPA[target])
-    return SymbolPoly(terms, p.modes, target)
+    return _canonical(terms, p.modes, target)
 
 
 def quantize(s: SymbolPoly) -> BosonPoly:
@@ -526,4 +544,4 @@ def quantize(s: SymbolPoly) -> BosonPoly:
     ``zbar^p z^q -> ad^p a^q``.
     """
     terms = _apply_cross_derivatives(s.terms, -_SYMBOL_KAPPA[s.ordering])
-    return BosonPoly(terms, s.modes)
+    return _canonical(terms, s.modes)

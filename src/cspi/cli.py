@@ -253,8 +253,13 @@ def cmd_order(cfg: RunConfig):
     row = [cfg.expr, target.value, format_symbol(symbol)]
     checks = []
     if cfg.verify:
-        basis = FockBasis(poly.modes, cfg.n_max)
         margin = poly.degree()
+        if margin > cfg.n_max:
+            raise ConfigError(
+                f"--verify compares the states with occupancies <= --n-max - degree, and "
+                f"degree {margin} > --n-max {cfg.n_max} leaves none; use --n-max >= {margin}"
+            )
+        basis = FockBasis(poly.modes, cfg.n_max)
         keep = basis.block_indices(margin)
         H_original = hamiltonian_matrix(poly, basis)
         H_round_trip = hamiltonian_matrix(quantize(symbol), basis)

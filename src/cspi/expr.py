@@ -18,7 +18,14 @@ from __future__ import annotations
 
 import re
 
-from .algebra import BosonPoly, MonomialKey, SymbolPoly
+from .algebra import (
+    DEFAULT_MAX_DEGREE,
+    BosonPoly,
+    MonomialKey,
+    SymbolPoly,
+    _canonical,
+    multiply,
+)
 
 
 class ParseError(ValueError):
@@ -31,121 +38,192 @@ class ParseError(ValueError):
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<ad>ad_(?P<ad_idx>\d+))
+    \s* (?:
+      (?P<ad>ad_(?P<ad_idx>\d+))
     | (?P<a>a_(?P<a_idx>\d+))
     | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?P<num_imag>i)?
     | (?P<iunit>i)
     | (?P<plus>\+) | (?P<minus>-) | (?P<star>\*) | (?P<caret>\^)
     | (?P<lpar>\() | (?P<rpar>\))
+    | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
 
+_PUNCTUATION = frozenset(("plus", "minus", "star", "caret", "lpar", "rpar"))
+
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    # One finditer pass: each match is one token with the whitespace before
+    # it, and ``bad`` takes any other non-space character, so the matches tile
+    # the text up to trailing whitespace and the first ``bad`` is the first
+    # unknown character.
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup if m.lastgroup != "num_imag" else "num"
-        if kind == "ad":
-            tokens.append(("ad", int(m.group("ad_idx")), pos))
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind in _PUNCTUATION:
+            append((kind, None, m.end() - 1))
+        elif kind == "ad":
+            append(("ad", int(m["ad_idx"]), m.start("ad")))
         elif kind == "a":
-            tokens.append(("a", int(m.group("a_idx")), pos))
+            append(("a", int(m["a_idx"]), m.start("a")))
         elif kind == "num":
-            value = float(m.group("num"))
-            if m.group("num_imag"):
-                tokens.append(("num", complex(0.0, value), pos))
-            else:
-                tokens.append(("num", complex(value, 0.0), pos))
+            append(("num", complex(float(m["num"]), 0.0), m.start("num")))
+        elif kind == "num_imag":
+            append(("num", complex(0.0, float(m["num"])), m.start("num")))
         elif kind == "iunit":
-            tokens.append(("num", 1j, pos))
-        elif kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
+            append(("num", 1j, m.start("iunit")))
+        else:
+            raise ParseError(f"unexpected character {m['bad']!r}", m.start("bad"))
+    append(("end", None, len(text)))
     return tokens
 
 
+_ONE = complex(1.0)
+
+
 class _Parser:
+    """Recursive descent that keeps each product term a bare monomial.
+
+    A term value is either a monomial ``(coeff, key, degree)`` or, once a
+    factor has more than one term, a :class:`BosonPoly`.  Two monomials with
+    nothing to contract (no mode with an ``a_i`` in the left factor and an
+    ``ad_i`` in the right one) multiply with the float operations
+    :func:`multiply` uses, ``0.0 + (c1 * c2) * 1.0``, and add exponents.
+    Everything else goes through :func:`multiply`: a contraction, a
+    multi-term factor, or a degree past the cap, which it refuses.  Its
+    single-term results become monomials again.  A coefficient that is or
+    rounds to 0 makes the zero monomial of degree 0, which, like the zero
+    polynomial, absorbs every later factor, even inf.
+    """
+
     def __init__(self, tokens, modes: int):
         self.tokens = tokens
         self.i = 0
         self.modes = modes
+        unit_key = ((0, 0),) * modes
+        self.unit = (_ONE, unit_key, 0)
+        self.zero = (0j, unit_key, 0)
+        self.ladders = {
+            (kind, i): (_ONE, unit_key[:i] + (pair,) + unit_key[i + 1 :], 1)
+            for i in range(modes)
+            for kind, pair in (("ad", (1, 0)), ("a", (0, 1)))
+        }
 
-    def peek(self):
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
 
-    def take(self, kind=None):
+    def take(self, kind: str):
         tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
+        if tok[0] != kind:
             raise ParseError(f"expected {kind}, found {tok[0]!r}", tok[2])
         self.i += 1
         return tok
+
+    # -- term values ---------------------------------------------------------
+
+    def _term(self, poly: BosonPoly):
+        """The term value of a polynomial: a monomial unless it has more terms."""
+        terms = poly.terms
+        if len(terms) > 1:
+            return poly
+        if not terms:
+            return self.zero
+        ((key, coeff),) = terms.items()
+        return (coeff, key, sum(c + a for c, a in key))
+
+    def _poly(self, value) -> BosonPoly:
+        if type(value) is tuple:
+            coeff, key, _ = value
+            return _canonical({key: coeff}, self.modes)
+        return value
+
+    def _product(self, left, right):
+        if (type(left) is tuple and not left[0]) or (type(right) is tuple and not right[0]):
+            return self.zero
+        if type(left) is tuple and type(right) is tuple:
+            c1, k1, d1 = left
+            c2, k2, d2 = right
+            if d1 + d2 <= DEFAULT_MAX_DEGREE:
+                key = []
+                for (p1, q1), (p2, q2) in zip(k1, k2):
+                    if q1 and p2:
+                        break  # a_i left of ad_i: contract through multiply
+                    key.append((p1 + p2, q1 + q2))
+                else:
+                    coeff = 0.0 + (c1 * c2) * 1.0
+                    return (coeff, tuple(key), d1 + d2) if coeff else self.zero
+        return self._term(multiply(self._poly(left), self._poly(right)))
+
+    @staticmethod
+    def _items(value):
+        if type(value) is tuple:
+            coeff, key, _ = value
+            return ((key, coeff),) if coeff else ()
+        return value.terms.items()
+
+    # -- grammar -------------------------------------------------------------
 
     def parse_expr(self) -> BosonPoly:
         # One dict for the whole sum keeps parsing linear in the term count.
         # It matches chained ``+``/``-`` on BosonPoly bit for bit: negation is
         # ``-c``, a sum that cancels to zero drops its key (a later term
         # re-appends it), and keys keep first-insertion order.
-        negate = self.peek()[0] == "minus"
+        negate = self.peek() == "minus"
         if negate:
-            self.take()
-        first = self.parse_term().terms
-        acc = {k: -c for k, c in first.items()} if negate else dict(first)
-        while self.peek()[0] in ("plus", "minus"):
-            negate = self.take()[0] == "minus"
-            for key, coeff in self.parse_term().terms.items():
+            self.i += 1
+        first = self._items(self.parse_term())
+        acc = {k: -c for k, c in first} if negate else dict(first)
+        while (kind := self.peek()) == "plus" or kind == "minus":
+            self.i += 1
+            negate = kind == "minus"
+            for key, coeff in self._items(self.parse_term()):
                 total = acc.get(key, 0.0) + (-coeff if negate else coeff)
                 if total != 0:
                     acc[key] = total
                 else:
                     acc.pop(key, None)
-        return BosonPoly(acc, self.modes)
+        return _canonical(acc, self.modes)
 
-    def parse_term(self) -> BosonPoly:
+    def parse_term(self):
         acc = self.parse_factor()
-        while self.peek()[0] == "star":
-            self.take()
-            acc = acc * self.parse_factor()
+        while self.peek() == "star":
+            self.i += 1
+            acc = self._product(acc, self.parse_factor())
         return acc
 
-    def parse_factor(self) -> BosonPoly:
+    def parse_factor(self):
         base = self.parse_atom()
-        if self.peek()[0] == "caret":
-            self.take()
-            kind, value, pos = self.take("num")
+        if self.peek() == "caret":
+            self.i += 1
+            _, value, pos = self.take("num")
             if value.imag != 0 or value.real != int(value.real) or value.real < 0:
                 raise ParseError("power must be a non-negative integer", pos)
-            power = int(value.real)
-            acc = BosonPoly.unit(self.modes)
-            for _ in range(power):
-                acc = acc * base
+            acc = self.unit
+            for _ in range(int(value.real)):
+                acc = self._product(acc, base)
             return acc
         return base
 
-    def parse_atom(self) -> BosonPoly:
-        kind, value, pos = self.peek()
+    def parse_atom(self):
+        kind, value, pos = self.tokens[self.i]
+        self.i += 1
         if kind == "num":
-            self.take()
-            return value * BosonPoly.unit(self.modes)
-        if kind == "ad":
-            self.take()
-            return BosonPoly.create(value, self.modes)
-        if kind == "a":
-            self.take()
-            return BosonPoly.annihilate(value, self.modes)
+            return (value * _ONE, self.unit[1], 0)
+        if kind == "ad" or kind == "a":
+            return self.ladders[kind, value]
         if kind == "lpar":
-            self.take()
-            inner = self.parse_expr()
+            inner = self._term(self.parse_expr())
             self.take("rpar")
             return inner
         if kind == "minus":
-            self.take()
-            return -self.parse_atom()
+            inner = self.parse_atom()
+            if type(inner) is tuple:
+                coeff, key, degree = inner
+                return (-coeff, key, degree)
+            return -inner
         raise ParseError(f"unexpected token {kind!r}", pos)
 
 

@@ -8,12 +8,15 @@ builder or quadrature check: one evaluates polynomials from raw ladder
 matrices, one is the per-state integer loop the array build replaced, and
 one forms the dense Kronecker product of the identity quadrature; the
 algebra oracles reorder with integers and ``Fraction`` and never call the
-package's product or transforms.
+package's product or transforms.  The reference parser builds every term
+from ``multiply`` products of validated polynomials, the path the package's
+monomial parser leaves.
 """
 
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +194,160 @@ def _fraction_cross_derivatives(terms, kappa: Fraction) -> dict:
             new_key = tuple(pair for pair, _ in combo)
             out[new_key] = out.get(new_key, 0.0) + coeff * float(weight)
     return out
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<ad>ad_(?P<ad_idx>\d+))
+    | (?P<a>a_(?P<a_idx>\d+))
+    | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?P<num_imag>i)?
+    | (?P<iunit>i)
+    | (?P<plus>\+) | (?P<minus>-) | (?P<star>\*) | (?P<caret>\^)
+    | (?P<lpar>\() | (?P<rpar>\))
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text: str) -> list:
+    from cspi.expr import ParseError
+
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup if m.lastgroup != "num_imag" else "num"
+        if kind == "ad":
+            tokens.append(("ad", int(m.group("ad_idx")), pos))
+        elif kind == "a":
+            tokens.append(("a", int(m.group("a_idx")), pos))
+        elif kind == "num":
+            value = float(m.group("num"))
+            imaginary = m.group("num_imag")
+            tokens.append(("num", complex(0.0, value) if imaginary else complex(value, 0.0), pos))
+        elif kind == "iunit":
+            tokens.append(("num", 1j, pos))
+        elif kind != "ws":
+            tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent in which every atom is a BosonPoly and every ``*``
+    and power step is a ``BosonPoly`` product, i.e. a call of ``multiply``."""
+
+    def __init__(self, tokens, modes: int):
+        self.tokens, self.i, self.modes = tokens, 0, modes
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self, kind=None):
+        from cspi.expr import ParseError
+
+        tok = self.tokens[self.i]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[0]!r}", tok[2])
+        self.i += 1
+        return tok
+
+    def parse_expr(self):
+        from cspi import BosonPoly
+
+        negate = self.peek()[0] == "minus"
+        if negate:
+            self.take()
+        first = self.parse_term().terms
+        acc = {k: -c for k, c in first.items()} if negate else dict(first)
+        while self.peek()[0] in ("plus", "minus"):
+            negate = self.take()[0] == "minus"
+            for key, coeff in self.parse_term().terms.items():
+                total = acc.get(key, 0.0) + (-coeff if negate else coeff)
+                if total != 0:
+                    acc[key] = total
+                else:
+                    acc.pop(key, None)
+        return BosonPoly(acc, self.modes)
+
+    def parse_term(self):
+        acc = self.parse_factor()
+        while self.peek()[0] == "star":
+            self.take()
+            acc = acc * self.parse_factor()
+        return acc
+
+    def parse_factor(self):
+        from cspi import BosonPoly
+        from cspi.expr import ParseError
+
+        base = self.parse_atom()
+        if self.peek()[0] == "caret":
+            self.take()
+            _, value, pos = self.take("num")
+            if value.imag != 0 or value.real != int(value.real) or value.real < 0:
+                raise ParseError("power must be a non-negative integer", pos)
+            acc = BosonPoly.unit(self.modes)
+            for _ in range(int(value.real)):
+                acc = acc * base
+            return acc
+        return base
+
+    def parse_atom(self):
+        from cspi import BosonPoly
+        from cspi.expr import ParseError
+
+        kind, value, pos = self.peek()
+        if kind == "num":
+            self.take()
+            return value * BosonPoly.unit(self.modes)
+        if kind == "ad":
+            self.take()
+            return BosonPoly.create(value, self.modes)
+        if kind == "a":
+            self.take()
+            return BosonPoly.annihilate(value, self.modes)
+        if kind == "lpar":
+            self.take()
+            inner = self.parse_expr()
+            self.take("rpar")
+            return inner
+        if kind == "minus":
+            self.take()
+            return -self.parse_atom()
+        raise ParseError(f"unexpected token {kind!r}", pos)
+
+
+def _reference_parse_operator(text: str, modes: int | None = None):
+    """The parser as products of polynomials: the reference for ``parse_operator``.
+
+    A regex match per token, then one ``multiply`` per ``*`` and per power
+    step, with every atom a validated BosonPoly; only the sum of the terms
+    shares one dict.  Same grammar, errors and positions as the package's
+    monomial parser, which must give the same term lists bit for bit.
+    """
+    from cspi.expr import ParseError
+
+    tokens = _reference_tokenize(text)
+    max_idx = max((tok[1] for tok in tokens if tok[0] in ("ad", "a")), default=-1)
+    inferred = max(max_idx + 1, 1)
+    if modes is None:
+        modes = inferred
+    elif modes < inferred:
+        raise ParseError(f"expression uses mode {max_idx}, beyond modes={modes}", 0)
+    parser = _ReferenceParser(tokens, modes)
+    poly = parser.parse_expr()
+    parser.take("end")
+    return poly
+
+
+@pytest.fixture(scope="session")
+def reference_parse_operator():
+    return _reference_parse_operator
 
 
 @pytest.fixture

@@ -241,6 +241,23 @@ def test_oversized_dense_build_exit_2(argv, capsys, forbid_state_enumeration):
     assert err.startswith("error: ") and "GiB budget" in err
 
 
+def test_order_verify_degree_beyond_n_max_exit_2(capsys, forbid_state_enumeration):
+    # the block n <= n_max - degree that --verify compares would be empty:
+    # refused, naming --n-max and the degree, before any Fock state exists
+    forbid_state_enumeration()
+    argv = ["order", "--expr", "ad_0^3*a_0^3", "--target", "weyl", "--verify", "--n-max", "4"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "degree 6 > --n-max 4" in err
+
+
+def test_order_verify_degree_equal_to_n_max(capsys):
+    argv = ["order", "--expr", "ad_0^2*a_0^2", "--target", "weyl", "--verify", "--n-max", "4"]
+    assert main(argv) == 0  # the block is the vacuum alone
+    row = capsys.readouterr().out.strip().splitlines()[-1]
+    assert float(row.split(",")[-1]) <= 1e-10
+
+
 def test_prefactor_report(capsys):
     code = main(["prefactor", "--N", "1001,10001", "--b", "4"])
     out = capsys.readouterr()

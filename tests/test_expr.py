@@ -3,8 +3,11 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cspi import BosonPoly, multiply
+import cspi.expr
+from cspi import BosonPoly, DegreeCapError, multiply
 from cspi.expr import ParseError, format_operator, parse_operator
 
 
@@ -51,6 +54,13 @@ def test_parse_operator_products_reorder():
         ("a_0^1.5", 4),
         ("(a_0", 4),
         ("a_0^-2", 4),
+        ("a_0^ad_1", 4),
+        ("(a_0 ad_1)", 5),
+        ("2 a_0", 2),
+        ("ad_0 3.5i", 5),
+        ("ad_0^2 i", 7),
+        ("a_0 (", 4),
+        ("a_0\t\n$", 5),
     ],
 )
 def test_parse_errors_carry_position(text, position):
@@ -97,3 +107,104 @@ def test_large_operator_parses_and_round_trips(waves):
     assert len(parsed.terms) == len(keys)
     assert parsed == poly
     assert format_operator(parsed) == text
+
+
+# -- the monomial parser against the multiply-based reference -----------------
+
+# zeros, products that underflow to 0 (1e-200 * 1e-200), overflow (1e200^2)
+# and inf itself (1e400); the imaginary suffix is drawn separately
+NUMBERS = ["0", "0.0", "1", "2", "0.5", "1.5", "3.25", ".75", "2.5e3", "1e-200", "1e200", "1e400"]
+POWERS = [""] * 6 + ["^0", "^1", "^2", "^3", "^4", "^9", "^17"]
+JUNK = ["$", "*", "^", ")", "(", "^-1", "^1.5", "++", " "]
+
+
+def _draw_atom(draw, depth: int) -> str:
+    kind = draw(st.integers(0, 9))
+    if kind < 5 or (kind >= 8 and depth == 0):
+        return f"{draw(st.sampled_from(['ad', 'a']))}_{draw(st.integers(0, 2))}"
+    if kind == 5:
+        return draw(st.sampled_from(NUMBERS)) + draw(st.sampled_from(["", "", "i"]))
+    if kind == 6:
+        return "i"
+    if kind == 7:
+        return "-" + _draw_atom(draw, depth)
+    return f"({_draw_expression(draw, depth - 1)})"
+
+
+def _draw_expression(draw, depth: int) -> str:
+    pieces = [draw(st.sampled_from(["", "", "-"]))]
+    for term in range(draw(st.integers(1, 3))):
+        if term:
+            pieces.append(draw(st.sampled_from([" + ", " - ", "+", "-"])))
+        for factor in range(draw(st.integers(1, 3))):
+            if factor:
+                pieces.append("*")
+            pieces.append(_draw_atom(draw, depth) + draw(st.sampled_from(POWERS)))
+    return "".join(pieces)
+
+
+@st.composite
+def operator_texts(draw):
+    """Texts of the grammar, two parentheses deep; one in eight gets a stray
+    character anywhere, which may split a token."""
+    text = _draw_expression(draw, 2)
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(JUNK)) + text[at:]
+    return text
+
+
+def _outcome(parse, text, modes):
+    """Term list with keys in order and signed zeros visible, or the refusal."""
+    try:
+        p = parse(text, modes)
+    except ParseError as exc:
+        return ("ParseError", exc.position, str(exc))
+    except Exception as exc:  # the type is the contract, whatever it is
+        return (type(exc).__name__, str(exc))
+    return repr((p.modes, [(key, (c.real, c.imag)) for key, c in p.terms.items()]))
+
+
+@settings(max_examples=300)
+@given(operator_texts(), st.sampled_from([None, 3]))
+@example("ad_0^17", None)
+@example("ad_0^9*a_0^8", None)
+@example("0*ad_0^10*ad_0^10", None)
+@example("1e-200*1e-200*ad_0^10*ad_0^10", None)
+@example("1e400*0*ad_0 + 0*1e400i", None)
+@example("a_0^2*ad_0^3", None)
+@example("(ad_1 + a_1)^4 - a_0*(0.5-1.5i)*ad_0^2", None)
+@example("0*ad_0 + a_0 + ad_0", None)
+@example("0 + a_0 + 1", None)
+@example("2*-a_0*-(ad_0)^0 ", 2)
+def test_parse_matches_multiply_reference(reference_parse_operator, text, modes):
+    assert _outcome(parse_operator, text, modes) == _outcome(reference_parse_operator, text, modes)
+
+
+def test_parse_edge_cases():
+    for text in ("ad_0^17", "ad_0^9*a_0^8"):
+        with pytest.raises(DegreeCapError):
+            parse_operator(text)
+    # a coefficient that is or rounds to 0 is the zero operator, of degree 0
+    assert parse_operator("0*ad_0^10*ad_0^10") == BosonPoly.zero(1)
+    assert parse_operator("1e-200*1e-200*ad_0^10*ad_0^10") == BosonPoly.zero(1)
+    # a^2 ad^3 = sum_k C(2,k) C(3,k) k! ad^(3-k) a^(2-k)
+    p = parse_operator("a_0^2*ad_0^3")
+    assert list(p.terms.items()) == [(((3, 2),), 1.0), (((2, 1),), 6.0), (((1, 0),), 6.0)]
+
+
+def test_monomial_terms_skip_multiply(monkeypatch, waves):
+    calls = []
+
+    def counting(p, q, *args):
+        calls.append(len(p.terms) * len(q.terms))
+        return multiply(p, q, *args)
+
+    monkeypatch.setattr(cspi.expr, "multiply", counting)
+    keys = [((c0, a0), (c1, a1)) for c0, a0, c1, a1 in itertools.product(range(4), repeat=4)]
+    poly = BosonPoly(dict(zip(keys, waves(len(keys), salt=0.3))), 2)
+    assert parse_operator(format_operator(poly)) == poly
+    assert calls == []
+    parse_operator("a_0^2*ad_0^3")  # one contraction
+    parse_operator("(ad_1 + a_1)^2")  # a two-term factor: unit * f, then f * f
+    assert calls == [1, 2, 4]
