@@ -12,13 +12,14 @@ Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config/parse error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import Ordering, quantize, to_ordered_form
+from .algebra import BosonPoly, Ordering, SymbolPoly, quantize, to_ordered_form
 from .continuum import ORDERING_SHIFT, CutoffSpec, cutoff_dFdA, prefactor_log_closed, prefactor_log_empirical
 from .discrete import (
     MatsubaraGrid,
@@ -27,7 +28,7 @@ from .discrete import (
     weyl_discrete_logZ_quadratic,
 )
 from .errors import EvenSliceCountError, SingularityError
-from .expr import ParseError, format_symbol, parse_operator
+from .expr import ParseError, format_operator, format_symbol, parse_operator
 from .flow import remaining_gaussian_logZ, run_flow
 from .fock import (
     FockBasis,
@@ -244,12 +245,27 @@ def _require_ordering(name: str | None) -> Ordering:
     return _ORDERING_NAMES[name]
 
 
+def _require_finite(what: str, terms, describe) -> None:
+    """Refuse the first term whose coefficient overflowed to inf or nan."""
+    for key, coeff in terms.items():
+        if not cmath.isfinite(coeff):
+            raise ConfigError(f"{what} term {describe({key: coeff})} has a non-finite coefficient")
+
+
 def cmd_order(cfg: RunConfig):
     if cfg.expr is None:
         raise ConfigError("order needs an operator expression (--expr or config 'expr')")
     target = _require_ordering(cfg.target)
     poly = parse_operator(cfg.expr)
+    _require_finite(
+        "operator", poly.terms, lambda term: format_operator(BosonPoly(term, poly.modes))
+    )
     symbol = to_ordered_form(poly, target)
+    _require_finite(
+        f"{target.value} symbol",
+        symbol.terms,
+        lambda term: format_symbol(SymbolPoly(term, symbol.modes, target)),
+    )
     row = [cfg.expr, target.value, format_symbol(symbol)]
     checks = []
     if cfg.verify:
@@ -498,9 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser of :func:`main`, built once per process; parsing leaves it unchanged
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args)
         columns, rows, checks = _RUNNERS[args.command](cfg)

@@ -6,7 +6,9 @@ omega_l = 2 pi l / beta (smooth windows would change the high-frequency
 bookkeeping these sums are about).  The normal-order cutoff series lands on
 (1/2) coth(beta A / 2) -- off by the constant the exact answer subtracts --
 while the Weyl shift of -1/2 makes it exact; the difference between
-orderings is b-independent.
+orderings is b-independent.  The cutoff sum is evaluated in closed form,
+as that limit minus its tail beyond b, which is the imaginary part of the
+digamma function (DLMF 5.5.2, 5.11.2); its cost does not grow with b.
 """
 
 from __future__ import annotations
@@ -46,20 +48,59 @@ class CutoffSpec:
         return 2.0 * np.pi * ell / self.beta
 
 
+#: B_2k / 2k, k = 1 .. 8: the asymptotic series of digamma (DLMF 5.11.2)
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, -3617 / 8160)
+
+
+def _im_psi(b: int, a: float) -> float:
+    """Im psi(b + 1 + i a) for a >= 0, which is a * sum_{l>b} 1/(l^2 + a^2).
+
+    The recurrence psi(z) = psi(z + 1) - 1/z (DLMF 5.5.2) adds the terms
+    a/(K^2 + a^2) from K = b + 1 while |K + i a| < 20; the rest is
+    arg z - Im[1/(2z) + sum_k B_2k / (2k z^2k)] at z = K + i a (DLMF 5.11.2).
+    Every part is positive or alternates with terms shrinking by 1/|z|^2, so
+    nothing cancels, down to a -> 0.
+    """
+    K, head = b + 1, 0.0
+    while K * K + a * a < 400.0:
+        head += a / (K * K + a * a)
+        K += 1
+    z = complex(K, a)
+    w = 1.0 / (z * z)
+    series = 0.0
+    for coeff in reversed(_PSI_SERIES):
+        series = series * w + coeff
+    return head + math.atan2(a, K) - (0.5 / z + series * w).imag
+
+
 def cutoff_dFdA(model: QuadraticModel, spec: CutoffSpec, ordering: Ordering) -> float:
     """Re sum_{|l|<=b} 1/(i beta omega_l + beta A) plus the ordering shift.
 
-    Each +-l pair adds the real 2x / (x^2 + (2 pi l)^2) with x = beta A,
-    written as 2 / (x + (2 pi l)^2 / x) so that x^2 cannot overflow; pairs
-    are summed from l = b down, then l = 0 adds 1/x.  The tail beyond b
-    falls off like 1/b, so the normal-order value approaches
-    (1/2) coth(beta A / 2) and the Weyl value approaches the exact derivative.
+    With x = beta A and a = |x| / 2 pi the sum is odd in x, and for x > 0
+
+        (1/2) coth(x/2) - (x / 2 pi^2) sum_{l>b} 1/(l^2 + a^2)
+            = (1/2) coth(x/2) - Im psi(b + 1 + i a) / pi,
+
+    the b -> infinity limit minus its tail, in O(1) operations.  The tail
+    falls off like 1/b, so the normal-order value approaches (1/2) coth(x/2)
+    and the Weyl value approaches the exact derivative.  Below b = a the
+    tail is close to (1/2) coth(x/2) and the difference loses digits, so
+    there the sum is added directly, in fewer than a terms: each +-l pair is
+    the real 2 / (x + (2 pi l)^2 / x), so that x^2 cannot overflow, from
+    l = b down, then l = 0 adds 1/x.
     """
     if model.A == 0:
         raise SingularityError("cutoff dF/dA has a pole at A = 0")
     bA = model.beta * model.A
-    ell = np.arange(spec.b, 0, -1)
-    total = float(np.sum(2.0 / (bA + (2.0 * np.pi * ell) ** 2 / bA))) + 1.0 / bA
+    a = abs(bA) / (2.0 * math.pi)
+    if spec.b < a:
+        ell = np.arange(spec.b, 0, -1)
+        total = float(np.sum(2.0 / (bA + (2.0 * np.pi * ell) ** 2 / bA))) + 1.0 / bA
+    else:
+        half = 0.5 * abs(bA)
+        # |x| = 5e-324 halves to 0, where the sum (about 1/x) overflows anyway
+        coth_half = 0.5 / math.tanh(half) if half else math.inf
+        total = math.copysign(coth_half - _im_psi(spec.b, a) / math.pi, bA)
     if not math.isfinite(total):
         raise NumericalError(f"cutoff sum is not finite: {total}")
     return total + ORDERING_SHIFT[ordering]

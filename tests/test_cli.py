@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cspi
+from cspi import cli
 from cspi.cli import main
 
 
@@ -44,6 +45,40 @@ def test_order_parse_error_exit_2(capsys):
 
 def test_order_unknown_target_exit_2():
     assert main(["order", "--expr", "a_0", "--target", "sideways"]) == 2
+
+
+@pytest.mark.parametrize(
+    "expr, target, message",
+    [
+        ("1e400*ad_0*a_0", "weyl", "operator term (nan-nani)*ad_0*a_0"),
+        ("2^2000*ad_0*a_0", "normal", "operator term (nan-nani)*ad_0*a_0"),
+        ("1e308*ad_0^4*a_0^4", "weyl", "weyl symbol term -inf*zbar_0^3*z_0^3"),
+    ],
+)
+def test_order_non_finite_coefficient_exit_2(expr, target, message, capsys):
+    assert main(["order", "--expr", expr, "--target", target]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message} has a non-finite coefficient\n"
+
+
+def test_order_overflow_times_zero_is_zero(capsys):
+    assert main(["order", "--expr", "1e400*0*ad_0", "--target", "weyl"]) == 0
+    assert capsys.readouterr().out == "expr,target,symbol\n1e400*0*ad_0,weyl,0.0\n"
+
+
+def test_parser_built_once_keeps_help_and_usage_errors(capsys, monkeypatch):
+    # the parser built at import serves every call; help exits 0 and usage errors 2 each time
+    monkeypatch.setattr(cli, "build_parser", None)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["cutoff", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cspi cutoff")
+        with pytest.raises(SystemExit) as exc:
+            main(["cutoff", "--bogus", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_free_energy_sweep_and_even_N_warning(tmp_path, capsys):

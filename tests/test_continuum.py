@@ -68,6 +68,57 @@ def test_cutoff_matches_paired_sum(beta_A, paired_frequency_sum):
         assert abs(value - oracle) <= 8 * np.finfo(float).eps * abs(oracle), (b, value, oracle)
 
 
+def _cutoff_reference(b, beta_A):
+    """40-digit sign(x) [coth(|x|/2)/2 - Im psi(b + 1 + i|x|/2pi)/pi], x = beta A."""
+    with mpmath.workdps(40):
+        x = abs(mpmath.mpf(beta_A))
+        tail = mpmath.im(mpmath.digamma(b + 1 + 1j * x / (2 * mpmath.pi))) / mpmath.pi
+        return math.copysign(float(mpmath.coth(x / 2) / 2 - tail), beta_A)
+
+
+def _eps_error(value, reference):
+    return abs(value - reference) / (np.finfo(float).eps * abs(reference))
+
+
+def test_cutoff_reference_matches_direct_mpmath_sum():
+    for beta_A in (0.25, -2.25, 30.0, 1e4):
+        for b in (0, 1, 7, 100):
+            with mpmath.workdps(40):
+                terms = [1 / (2j * mpmath.pi * ell + beta_A) for ell in range(-b, b + 1)]
+                direct = float(mpmath.re(mpmath.fsum(terms)))
+            assert _eps_error(_cutoff_reference(b, beta_A), direct) <= 1.0, (beta_A, b)
+
+
+@pytest.mark.parametrize(
+    "beta_A", [0.25, 1.0, 2.25, 30.0, 1e4, -0.25, -1.0, -2.25, -30.0, -1e4, 1e-8, 700.0]
+)
+def test_cutoff_closed_form_against_mpmath(beta_A):
+    model = QuadraticModel(A=beta_A, beta=1.0)
+    for b in (0, 1, 2, 3, 7, 19, 20, 21, 100, 111, 112, 12345, 10**5, 10**6, 10**7):
+        value = cutoff_dFdA(model, CutoffSpec(b, 1.0), Ordering.NORMAL)
+        assert _eps_error(value, _cutoff_reference(b, beta_A)) <= 4, (b, value)
+
+
+@pytest.mark.parametrize("beta_A", [1e4, -1e4])
+def test_cutoff_regime_boundary(beta_A):
+    # below b = |beta A| / 2 pi the direct head sum is used, from it on the closed form
+    a = abs(beta_A) / (2 * math.pi)
+    model = QuadraticModel(A=beta_A, beta=1.0)
+    for b in (math.floor(a), math.ceil(a)):
+        value = cutoff_dFdA(model, CutoffSpec(b, 1.0), Ordering.NORMAL)
+        assert _eps_error(value, _cutoff_reference(b, beta_A)) <= 4, (b, value)
+
+
+def test_cutoff_cost_independent_of_b(monkeypatch):
+    # b = 1e12 terms could not be summed; the closed form builds no array at all
+    def no_arange(*args, **kwargs):
+        raise AssertionError("the closed form must not build a frequency array")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    value = cutoff_dFdA(MODEL, CutoffSpec(10**12, 1.0), Ordering.NORMAL)
+    assert _eps_error(value, _cutoff_reference(10**12, 1.0)) <= 4
+
+
 def test_cutoff_tail_scales_like_inverse_b():
     # tail beyond b is sum 2 beta A / ((2 pi l)^2 + (beta A)^2) <= C / b
     coth_half = 0.5 / math.tanh(0.5)
