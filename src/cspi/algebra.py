@@ -28,7 +28,9 @@ import itertools
 import math
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DegreeCapError, ModeMismatchError
 
@@ -38,8 +40,11 @@ MonomialKey = tuple[tuple[int, int], ...]
 #: reordering is combinatorial; refuse blowups beyond this total degree
 DEFAULT_MAX_DEGREE = 16
 
-#: slices per block in :meth:`SymbolPoly.evaluate`; bounds its working memory
+#: most slices per block of a half-monomial table (see :func:`_table_blocks`)
 EVAL_BLOCK = 8192
+
+#: a half-monomial table narrows its block to stay within this many bytes
+TABLE_BYTES = 16 * 2**20
 
 
 class Ordering(Enum):
@@ -82,6 +87,81 @@ def _canonical(terms: Mapping[MonomialKey, complex], modes: int, ordering=None):
     poly._modes = modes
     poly._terms = {key: coeff for key, coeff in terms.items() if coeff != 0}
     return poly
+
+
+def _halves(key: MonomialKey) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The exponent vectors (p, q) of the monomial zbar^p z^q."""
+    return tuple(c for c, _ in key), tuple(a for _, a in key)
+
+
+def _table_recipe(exponents: Iterable[tuple[int, ...]]):
+    """Rows of a half-monomial table holding every given exponent vector.
+
+    The rows are closed under dropping one power of the last variable an
+    exponent vector uses, so each row is filled by one step, in row order:
+    ``None`` is the zero vector (a row of ones), an ``int`` i copies path
+    variable i (a unit vector), and a pair ``(a, b)`` multiplies rows a and
+    b.  Returns ``row`` (exponent vector -> row index) and the steps.
+    """
+    row: dict[tuple[int, ...], int] = {}
+    steps: list = []
+
+    def add(e, step):
+        row[e] = len(steps)
+        steps.append(step)
+
+    for e in exponents:
+        if not any(e):
+            if e not in row:
+                add(e, None)
+            continue
+        chain = []
+        while any(e) and e not in row:
+            i = max(j for j, k in enumerate(e) if k)
+            rest = e[:i] + (e[i] - 1,) + e[i + 1 :]
+            chain.append((e, i, rest))
+            e = rest
+        for e, i, rest in reversed(chain):
+            if not any(rest):
+                add(e, i)
+                continue
+            unit = tuple(int(j == i) for j in range(len(e)))
+            if unit not in row:
+                add(unit, i)
+            add(e, (row[rest], row[unit]))
+    return row, steps
+
+
+def _table_blocks(variables: Sequence, steps: list, shift: int = 0):
+    """Fill a half-monomial table block by block; yields (lo, width, table).
+
+    ``variables`` are the path's variables, each a length-n array over the
+    slices, and ``steps`` come from :func:`_table_recipe`.  Table column j
+    holds slice (lo + j) mod n for j < width + shift, so with ``shift`` = 1
+    the extra column carries the next block's first slice (z_n = z_0 at the
+    end).  One table is allocated per call and refilled for every block;
+    its width is at most :data:`EVAL_BLOCK` and is narrowed so that the
+    table stays within :data:`TABLE_BYTES`, but never below one slice.
+    """
+    n = len(variables[0])
+    cap = TABLE_BYTES // (np.dtype(complex).itemsize * max(len(steps), 1)) - shift
+    block = max(1, min(EVAL_BLOCK, n, cap))
+    table = np.ones((len(steps), block + shift), dtype=complex)
+    for lo in range(0, n, block):
+        width = min(block, n - lo)
+        columns = width + shift
+        for r, step in enumerate(steps):
+            if step is None:
+                continue
+            if isinstance(step, int):
+                source = variables[step]
+                table[r, :width] = source[lo : lo + width]
+                if shift:
+                    table[r, width] = source[(lo + width) % n]
+            else:
+                a, b = step
+                np.multiply(table[a, :columns], table[b, :columns], out=table[r, :columns])
+        yield lo, width, table
 
 
 class BosonPoly:
@@ -278,15 +358,13 @@ class SymbolPoly:
         for batch evaluation over many path slices; a vector returns a
         Python ``complex``.
 
-        The slices are taken :data:`EVAL_BLOCK` rows at a time, so the
-        working memory does not grow with the batch.  For each block,
-        per-mode power tables ``zbar_i^k`` and ``z_i^k`` (k up to the largest
-        exponent of that variable in the symbol) are built by repeated
-        multiplication.  Each term is then its coefficient times at most
-        2 * modes contiguous table rows, accumulated in term order.
+        Each term c zbar^p z^q is c X_p Y_q, with the half-monomials
+        X_p = prod_i zbar_i^(p_i) of ``conjugated`` and Y_q of ``plain``
+        taken from one table (see :func:`_table_blocks`), a block of slices
+        at a time, and accumulated in term order.  The working memory is the
+        output, a table of at most :data:`TABLE_BYTES` (unless a single
+        slice of it is larger) and one block-long buffer.
         """
-        import numpy as np
-
         zb = np.asarray(conjugated, dtype=complex)
         z = np.asarray(plain, dtype=complex)
         if zb.shape != z.shape or zb.ndim == 0 or zb.shape[-1] != self._modes:
@@ -295,46 +373,59 @@ class SymbolPoly:
                 f"{self._modes} modes"
             )
         batch = zb.shape[:-1]
-        sides = (zb.reshape(-1, self._modes), z.reshape(-1, self._modes))
-        # a variable is (side, mode), side 0 = zbar and 1 = z; top = largest exponent
-        top: dict[tuple[int, int], int] = {}
-        plan = []
-        for key, coeff in self._terms.items():
-            factors = [
-                ((side, i), k)
-                for i, pair in enumerate(key)
-                for side, k in enumerate(pair)
-                if k
-            ]
-            for v, k in factors:
-                top[v] = max(top.get(v, 0), k)
-            plan.append((coeff, factors))
-
-        n = sides[0].shape[0]
-        total = np.zeros(n, dtype=complex)
-        buffer = np.empty(min(n, EVAL_BLOCK), dtype=complex)
-        for lo in range(0, n, EVAL_BLOCK):
-            rows = min(EVAL_BLOCK, n - lo)
-            tables = {}  # tables[v][k - 1] = v^k over the block
-            for (side, i), k_max in top.items():
-                table = np.empty((k_max, rows), dtype=complex)
-                table[0] = sides[side][lo : lo + rows, i]
-                for k in range(1, k_max):
-                    np.multiply(table[k - 1], table[0], out=table[k])
-                tables[side, i] = table
-            acc = total[lo : lo + rows]
-            term = buffer[:rows]
-            for coeff, factors in plan:
-                if not factors:
-                    acc += coeff
-                    continue
-                (v, k), *rest = factors
-                np.multiply(tables[v][k - 1], coeff, out=term)
-                for v, k in rest:
-                    term *= tables[v][k - 1]
-                acc += term
+        zb, z = zb.reshape(-1, self._modes), z.reshape(-1, self._modes)
+        # one variable per column of zbar, then of z
+        none = (0,) * self._modes
+        halves = [(p + none, none + q) for p, q in map(_halves, self._terms)]
+        row, steps = _table_recipe(e for pair in halves for e in pair)
+        plan = [(row[x], row[y], c) for (x, y), c in zip(halves, self._terms.values())]
+        total = np.zeros(z.shape[0], dtype=complex)
+        term = np.empty(min(z.shape[0], EVAL_BLOCK), dtype=complex)
+        for lo, width, table in _table_blocks([*zb.T, *z.T], steps):
+            acc, buffer = total[lo : lo + width], term[:width]
+            for x, y, coeff in plan:
+                np.multiply(table[x, :width], coeff, out=buffer)
+                buffer *= table[y, :width]
+                acc += buffer
         total = total.reshape(batch)
         return total if total.shape else complex(total)
+
+    def path_sum(self, path, shift: int) -> complex:
+        """Sum of sym(conj z_l, z_{(l + shift) mod N}) over a periodic path.
+
+        ``path`` holds the plain values z, shape ``(N, modes)``; ``shift``
+        is 1 for the cross-slice coupling of the normal-order action and 0
+        for the equal-slice anti-normal and symmetric orders.  Since the
+        conjugated argument is the conjugate of the path itself, each term
+        c zbar^p z^q sums to c vdot(Y_p, Y_q shifted by ``shift``) over the
+        half-monomials Y_e = prod_i z_i^(e_i) of the path alone: one
+        read-only dot per term and block, no array of per-slice values.
+
+        The table (see :func:`_table_blocks`) holds one row per exponent
+        vector in use and narrows its block so that it stays within
+        :data:`TABLE_BYTES` (16 MiB), never below one slice: a 3-mode
+        symbol with every half-monomial up to degree 16 needs 969 rows and
+        so blocks of about a thousand slices.  Raises ``ValueError`` for a
+        ``shift`` other than 0 or 1 and :class:`ModeMismatchError` for a
+        path that is not ``(N, modes)``.
+        """
+        if shift not in (0, 1):
+            raise ValueError(f"shift must be 0 or 1, got {shift!r}")
+        z = np.asarray(path, dtype=complex)
+        if z.ndim != 2 or z.shape[1] != self._modes:
+            raise ModeMismatchError(
+                f"path shape {z.shape} is not (N, {self._modes})"
+            )
+        shift = int(shift)
+        halves = [_halves(key) for key in self._terms]
+        row, steps = _table_recipe(e for pair in halves for e in pair)
+        pairs = [(row[p], row[q]) for p, q in halves]
+        dots = [0j] * len(pairs)
+        for _, width, table in _table_blocks(list(z.T), steps, shift):
+            conjugated, plain = table[:, :width], table[:, shift : width + shift]
+            for t, (p, q) in enumerate(pairs):
+                dots[t] += np.vdot(conjugated[p], plain[q])
+        return complex(sum(c * d for c, d in zip(self._terms.values(), dots)))
 
     def equals(self, other: "SymbolPoly", tol: float = 0.0) -> bool:
         if (

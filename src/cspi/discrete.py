@@ -5,7 +5,9 @@ the normal-order action couples adjacent slices through H(z_l^dag, z_{l+1}),
 the anti-normal action uses equal-slice arguments of the anti-normal symbol,
 and the symmetric-order action replaces the kinetic difference with the
 tan(omega/2)-weighted frequency sum (and exists only for odd N, where the
-underlying determinant 2^{1-N} is nonzero).
+underlying determinant 2^{1-N} is nonzero).  Each takes its Hamiltonian sum
+over the slices from :meth:`SymbolPoly.path_sum`, with shift 1 for the
+normal order and 0 for the other two, without per-slice symbol values.
 
 The harmonic lattice Gaussians are closed forms, O(1) in N: factoring
 z^N - 1 over the N-th roots of unity sums their frequency sums exactly (the
@@ -16,6 +18,7 @@ log domain (2^{N-1} overflows doubles near N ~ 2100).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,7 @@ class MatsubaraGrid:
     beta: float
 
     def __post_init__(self):
+        operator.index(self.N)  # TypeError for a non-integral slice count
         if self.N < 1:
             raise ValueError(f"slice count must be >= 1, got {self.N}")
         if not 0 < self.beta < math.inf:
@@ -147,9 +151,8 @@ def action_normal(path: DiscretePath, H: SymbolPoly, grid: MatsubaraGrid) -> com
     """
     _check_action_args(path, H, grid, Ordering.NORMAL)
     z = _time_values(path)
-    z_next = np.roll(z, -1, axis=0)
-    kinetic = np.sum(np.conj(z) * (z - z_next))
-    hamiltonian = grid.delta * np.sum(H.evaluate(np.conj(z), z_next))
+    kinetic = np.sum(np.conj(z) * (z - np.roll(z, -1, axis=0)))
+    hamiltonian = grid.delta * H.path_sum(z, 1)
     return complex(-(kinetic + hamiltonian))
 
 
@@ -157,9 +160,8 @@ def action_antinormal(path: DiscretePath, h: SymbolPoly, grid: MatsubaraGrid) ->
     """- sum_l [ z_l^dag (z_l - z_{l+1}) + Delta h(z_l^dag, z_l) ];  equal-slice h."""
     _check_action_args(path, h, grid, Ordering.ANTINORMAL)
     z = _time_values(path)
-    z_next = np.roll(z, -1, axis=0)
-    kinetic = np.sum(np.conj(z) * (z - z_next))
-    hamiltonian = grid.delta * np.sum(h.evaluate(np.conj(z), z))
+    kinetic = np.sum(np.conj(z) * (z - np.roll(z, -1, axis=0)))
+    hamiltonian = grid.delta * h.path_sum(z, 0)
     return complex(-(kinetic + hamiltonian))
 
 
@@ -171,7 +173,7 @@ def action_weyl(path: DiscretePath, HW: SymbolPoly, grid: MatsubaraGrid) -> comp
     z_freq = _frequency_values(path)
     half_tan = np.tan(grid.frequencies() / 2.0)
     berry = 2j * np.sum(np.abs(z_freq) ** 2 * half_tan[:, np.newaxis])
-    hamiltonian = grid.delta * np.sum(HW.evaluate(np.conj(z_time), z_time))
+    hamiltonian = grid.delta * HW.path_sum(z_time, 0)
     return complex(berry - hamiltonian)
 
 
@@ -190,6 +192,7 @@ def berry_determinant_log(N: int, modes: int = 1) -> BerryDeterminant:
     even N contains omega = pi, whose factor vanishes and kills the
     symmetric-order construction.
     """
+    N, modes = operator.index(N), operator.index(modes)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if modes < 1:
@@ -197,9 +200,6 @@ def berry_determinant_log(N: int, modes: int = 1) -> BerryDeterminant:
     if N % 2 == 0:
         return BerryDeterminant(None, True)
     return BerryDeterminant((1 - N) * modes * math.log(2.0), False)
-
-
-
 
 
 def _finite(value: float, what: str) -> float:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from cspi import (
     symmetrize,
     to_ordered_form,
 )
-from cspi.algebra import EVAL_BLOCK
+from cspi.algebra import EVAL_BLOCK, TABLE_BYTES
 
 A_OP = BosonPoly.annihilate(0)
 AD_OP = BosonPoly.create(0)
@@ -377,6 +378,7 @@ def test_symbol_evaluation_constant_and_zero():
     assert np.array_equal(zero.evaluate(zb, z), np.zeros(5, dtype=complex))
     assert zero.evaluate(zb[0], z[0]) == 0
     assert type(zero.evaluate(zb[0], z[0])) is complex
+    assert constant.evaluate(zb[:0], z[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize(
@@ -387,3 +389,76 @@ def test_symbol_evaluation_mode_mismatch(zb_shape, z_shape):
     symbol = SymbolPoly({((1, 1), (0, 0)): 1.0}, 2, Ordering.NORMAL)
     with pytest.raises(ModeMismatchError):
         symbol.evaluate(np.ones(zb_shape), np.ones(z_shape))
+
+
+# -- sums over a periodic path ---------------------------------------------------
+
+
+def _assert_path_sum_matches_oracle(symbol, z, shift):
+    """path_sum against the per-term oracle summed over slices, to 1e-12 of the
+    sum of the term magnitudes over all slices."""
+    abs_symbol = SymbolPoly(
+        {k: abs(c) for k, c in symbol.terms.items()}, symbol.modes, symbol.ordering
+    )
+    z_shifted = np.roll(z, -shift, axis=0)
+    magnitude = np.sum(_evaluate_per_term(abs_symbol, np.abs(z), np.abs(z_shifted)).real)
+    expected = np.sum(_evaluate_per_term(symbol, np.conj(z), z_shifted))
+    value = symbol.path_sum(z, shift)
+    assert type(value) is complex
+    assert abs(value - expected) <= 1e-12 * magnitude
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("modes", [1, 2, 3])
+@pytest.mark.parametrize(
+    "slices", [1, 2, 1000, EVAL_BLOCK, EVAL_BLOCK + 1, 2 * EVAL_BLOCK + 37]
+)
+def test_path_sum_matches_per_term_oracle(modes, slices, shift):
+    rng = np.random.default_rng(1000 * modes + 10 * (slices % 97) + shift)
+    for degree in (1, 4, 8):
+        symbol = _random_symbol(rng, modes, degree)
+        _assert_path_sum_matches_oracle(symbol, _random_args(rng, (slices, modes))[0], shift)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_path_sum_table_capped(shift):
+    # every half-monomial of 3 modes up to degree 16: 969 table rows, which
+    # at full blocks of EVAL_BLOCK slices would take 127 MB
+    rng = np.random.default_rng(16 + shift)
+    terms = {}
+    for exps in itertools.product(range(17), repeat=3):
+        if sum(exps) == 16:
+            terms[tuple((e, 0) for e in exps)] = complex(*rng.normal(size=2))
+            terms[tuple((0, e) for e in exps)] = complex(*rng.normal(size=2))
+    symbol = SymbolPoly(terms, 3, Ordering.NORMAL)
+    z = 0.5 * _random_args(rng, (2 * EVAL_BLOCK + 37, 3))[0]
+    tracemalloc.start()
+    try:
+        symbol.path_sum(z, shift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= TABLE_BYTES + 2**20
+    _assert_path_sum_matches_oracle(symbol, z, shift)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_path_sum_constant_and_zero(shift):
+    z = _random_args(np.random.default_rng(9), (2 * EVAL_BLOCK + 37, 2))[0]
+    constant = SymbolPoly({((0, 0), (0, 0)): 1.5 - 2.0j}, 2, Ordering.NORMAL)
+    assert constant.path_sum(z, shift) == (1.5 - 2.0j) * len(z)
+    zero = SymbolPoly({}, 2, Ordering.NORMAL)
+    assert zero.path_sum(z, shift) == 0
+    assert type(zero.path_sum(z, shift)) is complex
+
+
+def test_path_sum_refusals():
+    symbol = SymbolPoly({((1, 1), (0, 0)): 1.0}, 2, Ordering.NORMAL)
+    z = np.ones((4, 2), dtype=complex)
+    with pytest.raises(ValueError):
+        symbol.path_sum(z, 2)
+    with pytest.raises(ValueError):
+        symbol.path_sum(z, -1)
+    for shape in [(4, 3), (4,), (2, 4, 2)]:
+        with pytest.raises(ModeMismatchError):
+            symbol.path_sum(np.ones(shape), 0)

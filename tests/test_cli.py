@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cspi
-from cspi import cli
+from cspi import BosonPoly, cli
 from cspi.cli import main
 
 
@@ -276,21 +276,33 @@ def test_oversized_dense_build_exit_2(argv, capsys, forbid_state_enumeration):
     assert err.startswith("error: ") and "GiB budget" in err
 
 
-def test_order_verify_degree_beyond_n_max_exit_2(capsys, forbid_state_enumeration):
-    # the block n <= n_max - degree that --verify compares would be empty:
-    # refused, naming --n-max and the degree, before any Fock state exists
-    forbid_state_enumeration()
+def test_order_verify_degree_beyond_n_max(capsys):
+    # both matrices are exact on the whole truncated space, so --verify
+    # compares all 5 states also when the degree exceeds --n-max
     argv = ["order", "--expr", "ad_0^3*a_0^3", "--target", "weyl", "--verify", "--n-max", "4"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "degree 6 > --n-max 4" in err
+    assert main(argv) == 0
+    row = capsys.readouterr().out.strip().splitlines()[-1]
+    assert float(row.split(",")[-1]) == 0.0
 
 
 def test_order_verify_degree_equal_to_n_max(capsys):
     argv = ["order", "--expr", "ad_0^2*a_0^2", "--target", "weyl", "--verify", "--n-max", "4"]
-    assert main(argv) == 0  # the block is the vacuum alone
+    assert main(argv) == 0
     row = capsys.readouterr().out.strip().splitlines()[-1]
     assert float(row.split(",")[-1]) <= 1e-10
+
+
+def test_order_verify_sees_a_wrong_round_trip_above_the_vacuum(capsys, monkeypatch):
+    # an error in n a on every state but the vacuum, which alone lies in the
+    # block n <= n_max - degree
+    quantize = cli.quantize
+    number = BosonPoly({((1, 1),): 1.0}, 1)
+    monkeypatch.setattr(cli, "quantize", lambda symbol: quantize(symbol) + 1e-3 * number)
+    argv = ["order", "--expr", "ad_0^2*a_0^2", "--target", "weyl", "--verify", "--n-max", "4"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert float(out.out.strip().splitlines()[-1].split(",")[-1]) == pytest.approx(4e-3)
+    assert "round_trip_residual: FAIL" in out.err
 
 
 def test_prefactor_report(capsys):

@@ -52,6 +52,9 @@ def test_grid_basics():
     for beta in (math.inf, math.nan):
         with pytest.raises(ValueError):
             MatsubaraGrid(3, beta)
+    with pytest.raises(TypeError):
+        MatsubaraGrid(10.5, 1.0)
+    assert MatsubaraGrid(np.int64(5), 2.0).delta == pytest.approx(0.4)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 9])
@@ -218,6 +221,18 @@ def test_action_tag_mismatch_refused(waves):
         action_weyl(path, _symbol(Ordering.ANTINORMAL), grid)
 
 
+def test_actions_sum_the_hamiltonian_without_per_slice_values(waves, monkeypatch):
+    def per_slice(*args):
+        raise AssertionError("an action evaluated the symbol slice by slice")
+
+    monkeypatch.setattr(SymbolPoly, "evaluate", per_slice)
+    test_action_normal_three_slice_oracle(waves)
+    test_action_normal_quartic_oracle(waves)
+    test_action_antinormal_equal_slice(waves)
+    test_action_weyl_against_slice_oracle(waves)
+    test_action_weyl_single_frequency_path()
+
+
 @pytest.mark.parametrize("shift", [1, 2, 4])
 def test_actions_cyclic_shift_invariant(waves, shift):
     N = 7
@@ -246,6 +261,11 @@ def test_berry_determinant_closed_values():
     assert berry_determinant_log(5, modes=3).log_value == pytest.approx(
         3 * (1 - 5) * math.log(2.0)
     )
+    assert berry_determinant_log(np.int64(3)).log_value == pytest.approx(math.log(0.25))
+    with pytest.raises(TypeError):
+        berry_determinant_log(10.5)
+    with pytest.raises(TypeError):
+        berry_determinant_log(5, modes=1.5)
 
 
 def test_berry_determinant_against_direct_product():
