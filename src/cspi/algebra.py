@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -55,10 +56,15 @@ class Ordering(Enum):
     WEYL = "weyl"
 
 
+#: kappa of each ordering's transform (module docstring; Cahill & Glauber's
+#: s = 1 + 2 kappa), also the constant its symbol adds to a cutoff sum
+KAPPA = {Ordering.NORMAL: 0.0, Ordering.ANTINORMAL: -1.0, Ordering.WEYL: -0.5}
+
+
 def _validated_terms(terms: Mapping[MonomialKey, complex], modes: int) -> dict:
     clean: dict[MonomialKey, complex] = {}
     for key, coeff in terms.items():
-        key = tuple((int(c), int(a)) for c, a in key)
+        key = tuple((operator.index(c), operator.index(a)) for c, a in key)
         if len(key) != modes:
             raise ModeMismatchError(
                 f"monomial key {key} has {len(key)} modes, expected {modes}"
@@ -79,12 +85,9 @@ def _canonical(terms: Mapping[MonomialKey, complex], modes: int, ordering=None):
     already Python complex: it skips :func:`_validated_terms` but still drops
     exact-zero coefficients.
     """
-    if ordering is None:
-        poly = object.__new__(BosonPoly)
-    else:
-        poly = object.__new__(SymbolPoly)
-        poly._ordering = ordering
+    poly = object.__new__(BosonPoly if ordering is None else SymbolPoly)
     poly._modes = modes
+    poly._ordering = ordering
     poly._terms = {key: coeff for key, coeff in terms.items() if coeff != 0}
     return poly
 
@@ -164,21 +167,113 @@ def _table_blocks(variables: Sequence, steps: list, shift: int = 0):
         yield lo, width, table
 
 
-class BosonPoly:
-    """Polynomial in bosonic creation/annihilation operators, normal form.
+class _Poly:
+    """Immutable term map shared by operators and their symbols.
 
-    Immutable.  ``terms`` maps a :data:`MonomialKey` to a complex
-    coefficient; terms with coefficient exactly zero are never stored
-    (comparisons own the epsilons, storage does not).
+    ``terms`` maps a :data:`MonomialKey` to a complex coefficient; terms
+    with coefficient exactly zero are never stored (comparisons own the
+    epsilons, storage does not).  ``_ordering`` is None for an operator and
+    the symbol's :class:`Ordering` otherwise; polynomials with different
+    tags never compare equal or add.
     """
 
-    __slots__ = ("_terms", "_modes")
+    __slots__ = ("_terms", "_modes", "_ordering")
 
-    def __init__(self, terms: Mapping[MonomialKey, complex], modes: int = 1):
+    def __init__(
+        self, terms: Mapping[MonomialKey, complex], modes: int, ordering: Ordering | None
+    ):
+        modes = operator.index(modes)
         if modes < 1:
             raise ValueError("modes must be a positive integer")
-        self._modes = int(modes)
-        self._terms = _validated_terms(terms, self._modes)
+        self._modes = modes
+        self._ordering = ordering
+        self._terms = _validated_terms(terms, modes)
+
+    @property
+    def terms(self) -> Mapping[MonomialKey, complex]:
+        return MappingProxyType(self._terms)
+
+    @property
+    def modes(self) -> int:
+        return self._modes
+
+    def degree(self) -> int:
+        """Largest total degree among stored monomials (0 for the zero poly)."""
+        if not self._terms:
+            return 0
+        return max(sum(c + a for c, a in key) for key in self._terms)
+
+    def _self_adjoint(self, tol: float) -> bool:
+        """coeff(p, q) == conj(coeff(q, p)) within ``tol`` for every stored key."""
+        for key, coeff in self._terms.items():
+            swapped = tuple((a, c) for c, a in key)
+            if abs(self._terms.get(swapped, 0.0) - coeff.conjugate()) > tol:
+                return False
+        return True
+
+    def equals(self, other, tol: float = 0.0) -> bool:
+        """Term-by-term comparison with absolute tolerance ``tol``."""
+        if (
+            not isinstance(other, _Poly)
+            or self._modes != other._modes
+            or self._ordering is not other._ordering
+        ):
+            return False
+        for key in self._terms.keys() | other._terms.keys():
+            if abs(self._terms.get(key, 0.0) - other._terms.get(key, 0.0)) > tol:
+                return False
+        return True
+
+    def __add__(self, other):
+        # a number adds to an operator as a multiple of the unit, not to a symbol
+        if self._ordering is None and isinstance(other, (int, float, complex)):
+            other = other * BosonPoly.unit(self._modes)
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._modes != other._modes or self._ordering is not other._ordering:
+            raise ModeMismatchError("cannot add polynomials with different modes/tags")
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            out[key] = out.get(key, 0.0) + coeff
+        return _canonical(out, self._modes, self._ordering)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return _canonical(
+                {k: complex(other * c) for k, c in self._terms.items()},
+                self._modes,
+                self._ordering,
+            )
+        if self._ordering is None and isinstance(other, BosonPoly):
+            return multiply(self, other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return self.__mul__(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _Poly)
+            and self._modes == other._modes
+            and self._ordering is other._ordering
+            and self._terms == other._terms
+        )
+
+    def __hash__(self):
+        return hash((self._modes, self._ordering, frozenset(self._terms.items())))
+
+
+class BosonPoly(_Poly):
+    """Polynomial in bosonic creation/annihilation operators, normal form."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[MonomialKey, complex], modes: int = 1):
+        super().__init__(terms, modes, None)
 
     # -- constructors ------------------------------------------------------
 
@@ -204,22 +299,6 @@ class BosonPoly:
         key = tuple((0, 1) if i == mode else (0, 0) for i in range(modes))
         return cls({key: 1.0}, modes)
 
-    # -- views -------------------------------------------------------------
-
-    @property
-    def terms(self) -> Mapping[MonomialKey, complex]:
-        return MappingProxyType(self._terms)
-
-    @property
-    def modes(self) -> int:
-        return self._modes
-
-    def degree(self) -> int:
-        """Largest total degree among stored monomials (0 for the zero poly)."""
-        if not self._terms:
-            return 0
-        return max(sum(c + a for c, a in key) for key in self._terms)
-
     def adjoint(self) -> "BosonPoly":
         """Formal adjoint; swaps exponents per mode, conjugates coefficients.
 
@@ -233,33 +312,8 @@ class BosonPoly:
         return _canonical(out, self._modes)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return self.equals(self.adjoint(), tol)
-
-    def equals(self, other: "BosonPoly", tol: float = 0.0) -> bool:
-        """Term-by-term comparison with absolute tolerance ``tol``."""
-        if not isinstance(other, BosonPoly) or self._modes != other._modes:
-            return False
-        for key in self._terms.keys() | other._terms.keys():
-            delta = self._terms.get(key, 0.0) - other._terms.get(key, 0.0)
-            if abs(delta) > tol:
-                return False
-        return True
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = other * BosonPoly.unit(self._modes)
-        if not isinstance(other, BosonPoly):
-            return NotImplemented
-        if self._modes != other._modes:
-            raise ModeMismatchError("cannot add polynomials on different mode counts")
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            out[key] = out.get(key, 0.0) + coeff
-        return _canonical(out, self._modes)
-
-    __radd__ = __add__
+        """``self.equals(self.adjoint(), tol)``, without building the adjoint."""
+        return self._self_adjoint(tol)
 
     def __neg__(self):
         return _canonical({k: -c for k, c in self._terms.items()}, self._modes)
@@ -270,37 +324,13 @@ class BosonPoly:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return _canonical(
-                {k: complex(other * c) for k, c in self._terms.items()}, self._modes
-            )
-        if isinstance(other, BosonPoly):
-            return multiply(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BosonPoly)
-            and self._modes == other._modes
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self._modes, frozenset(self._terms.items())))
-
     def __repr__(self):
         from .expr import format_operator
 
         return f"BosonPoly({format_operator(self)!r}, modes={self._modes})"
 
 
-class SymbolPoly:
+class SymbolPoly(_Poly):
     """Classical polynomial in conjugate-pair variables, tagged by ordering.
 
     The key layout mirrors :class:`BosonPoly`: per mode a pair
@@ -308,7 +338,7 @@ class SymbolPoly:
     which quantization map reproduces the originating operator.
     """
 
-    __slots__ = ("_terms", "_modes", "_ordering")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -316,38 +346,17 @@ class SymbolPoly:
         modes: int = 1,
         ordering: Ordering = Ordering.NORMAL,
     ):
-        if modes < 1:
-            raise ValueError("modes must be a positive integer")
         if not isinstance(ordering, Ordering):
             raise TypeError(f"ordering must be an Ordering, got {ordering!r}")
-        self._modes = int(modes)
-        self._ordering = ordering
-        self._terms = _validated_terms(terms, self._modes)
-
-    @property
-    def terms(self) -> Mapping[MonomialKey, complex]:
-        return MappingProxyType(self._terms)
-
-    @property
-    def modes(self) -> int:
-        return self._modes
+        super().__init__(terms, modes, ordering)
 
     @property
     def ordering(self) -> Ordering:
         return self._ordering
 
-    def degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(c + a for c, a in key) for key in self._terms)
-
     def is_self_conjugate(self, tol: float = 1e-12) -> bool:
         """coeff(p, q) == conj(coeff(q, p)); holds for Hermitian originals."""
-        for key, coeff in self._terms.items():
-            swapped = tuple((a, c) for c, a in key)
-            if abs(self._terms.get(swapped, 0.0) - coeff.conjugate()) > tol:
-                return False
-        return True
+        return self._self_adjoint(tol)
 
     def evaluate(self, conjugated, plain):
         """Evaluate the symbol on given variable values.
@@ -426,50 +435,6 @@ class SymbolPoly:
             for t, (p, q) in enumerate(pairs):
                 dots[t] += np.vdot(conjugated[p], plain[q])
         return complex(sum(c * d for c, d in zip(self._terms.values(), dots)))
-
-    def equals(self, other: "SymbolPoly", tol: float = 0.0) -> bool:
-        if (
-            not isinstance(other, SymbolPoly)
-            or self._modes != other._modes
-            or self._ordering is not other._ordering
-        ):
-            return False
-        for key in self._terms.keys() | other._terms.keys():
-            if abs(self._terms.get(key, 0.0) - other._terms.get(key, 0.0)) > tol:
-                return False
-        return True
-
-    def __add__(self, other):
-        if not isinstance(other, SymbolPoly):
-            return NotImplemented
-        if self._modes != other._modes or self._ordering is not other._ordering:
-            raise ModeMismatchError("cannot add symbols with different modes/tags")
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            out[key] = out.get(key, 0.0) + coeff
-        return _canonical(out, self._modes, self._ordering)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return _canonical(
-                {k: complex(other * c) for k, c in self._terms.items()},
-                self._modes,
-                self._ordering,
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymbolPoly)
-            and self._modes == other._modes
-            and self._ordering is other._ordering
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self._modes, self._ordering, frozenset(self._terms.items())))
 
     def __repr__(self):
         from .expr import format_symbol
@@ -594,9 +559,6 @@ def symmetrize(
 # ordering transforms
 # ---------------------------------------------------------------------------
 
-_SYMBOL_KAPPA = {Ordering.NORMAL: 0.0, Ordering.WEYL: -0.5, Ordering.ANTINORMAL: -1.0}
-
-
 def _apply_cross_derivatives(
     terms: Mapping[MonomialKey, complex], kappa: float
 ) -> Mapping[MonomialKey, complex]:
@@ -623,7 +585,7 @@ def to_ordered_form(p: BosonPoly, target: Ordering) -> SymbolPoly:
     """
     if not isinstance(target, Ordering):
         raise TypeError(f"target must be an Ordering, got {target!r}")
-    terms = _apply_cross_derivatives(p.terms, _SYMBOL_KAPPA[target])
+    terms = _apply_cross_derivatives(p.terms, KAPPA[target])
     return _canonical(terms, p.modes, target)
 
 
@@ -634,5 +596,5 @@ def quantize(s: SymbolPoly) -> BosonPoly:
     cross-derivative sign, then monomials map directly:
     ``zbar^p z^q -> ad^p a^q``.
     """
-    terms = _apply_cross_derivatives(s.terms, -_SYMBOL_KAPPA[s.ordering])
+    terms = _apply_cross_derivatives(s.terms, -KAPPA[s.ordering])
     return _canonical(terms, s.modes)

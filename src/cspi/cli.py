@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import BosonPoly, Ordering, SymbolPoly, quantize, to_ordered_form
-from .continuum import ORDERING_SHIFT, CutoffSpec, cutoff_dFdA, prefactor_log_closed, prefactor_log_empirical
+from .algebra import KAPPA, BosonPoly, Ordering, SymbolPoly, quantize, to_ordered_form
+from .continuum import CutoffSpec, cutoff_dFdA, prefactor_log_closed, prefactor_log_empirical
 from .discrete import (
     MatsubaraGrid,
     normal_discrete_dFdA,
@@ -42,12 +42,6 @@ from .fock import (
 class ConfigError(ValueError):
     """Bad run configuration (missing/ill-typed keys, invalid sweeps)."""
 
-
-_ORDERING_NAMES = {
-    "normal": Ordering.NORMAL,
-    "antinormal": Ordering.ANTINORMAL,
-    "weyl": Ordering.WEYL,
-}
 
 _COMMANDS = ("order", "free-energy", "cutoff", "prefactor", "flow", "identity-check")
 
@@ -102,31 +96,65 @@ class RunConfig:
         return d
 
 
-def _as_int_list(value, key: str) -> list[int]:
+def _as_int(value) -> int:
+    """An int, an integral float or an integer string; a fraction or a bool is refused."""
+    number = int(value) if isinstance(value, str) else value
+    if isinstance(number, bool) or not float(number).is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(number)
+
+
+def _as_int_list(value) -> list[int]:
     if isinstance(value, str):
         value = [v for v in value.split(",") if v]
     if not isinstance(value, (list, tuple)):
         value = [value]
-    try:  # a fraction or a bool is refused, not truncated
-        values = [int(v) if isinstance(v, str) else v for v in value]
-        integral = all(not isinstance(v, bool) and float(v).is_integer() for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be an integer or list of integers") from exc
-    if not integral:
-        raise ConfigError(f"{key} must be an integer or list of integers, got {value!r}")
-    out = [int(v) for v in values]
-    if not out:
-        raise ConfigError(f"sweep list {key} must be non-empty")
-    return out
+    if not value:
+        raise ValueError("sweep list must be non-empty")
+    return [_as_int(v) for v in value]
 
 
-def _as_str_list(value, key: str) -> list[str]:
+def _as_str_list(value) -> list[str]:
     if isinstance(value, str):
         value = [v for v in value.split(",") if v]
     out = [str(v) for v in value]
     if not out:
-        raise ConfigError(f"list {key} must be non-empty")
+        raise ValueError("list must be non-empty")
     return out
+
+
+def _as_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _as_window(value) -> tuple[int, int]:
+    lo, hi = (_as_int(v) for v in value)
+    return lo, hi
+
+
+#: (config key and flag dest, RunConfig field, converter); an absent flag is
+#: None (so ``--verify`` defaults to None), and a given one overrides the file
+_SETTINGS = (
+    ("A", "A", float),
+    ("beta", "beta", float),
+    ("N", "N_values", _as_int_list),
+    ("b", "b_values", _as_int_list),
+    ("ordering", "orderings", _as_str_list),
+    ("expr", "expr", str),
+    ("target", "target", str),
+    ("verify", "verify", _as_bool),
+    ("n_max", "n_max", _as_int),
+    ("radial", "radial_nodes", _as_int),
+    ("angular", "angular_nodes", _as_int),
+    ("margin", "margin", _as_int),
+    ("modes", "modes", _as_int),
+    ("b_floor", "b_floor", _as_int),
+    ("fit_window", "fit_window", _as_window),
+    ("tol", "tol", float),
+    ("out", "out", str),
+)
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -143,81 +171,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a JSON object")
 
+    flags = {key: value for key, value in vars(args).items() if value is not None}
     cfg = RunConfig(command=args.command)
-    try:
-        if "A" in raw:
-            cfg.A = float(raw["A"])
-        if "beta" in raw:
-            cfg.beta = float(raw["beta"])
-        if "N" in raw:
-            cfg.N_values = _as_int_list(raw["N"], "N")
-        if "b" in raw:
-            cfg.b_values = _as_int_list(raw["b"], "b")
-        if "ordering" in raw:
-            cfg.orderings = _as_str_list(raw["ordering"], "ordering")
-        if "expr" in raw:
-            cfg.expr = str(raw["expr"])
-        if "target" in raw:
-            cfg.target = str(raw["target"])
-        if "verify" in raw:
-            cfg.verify = bool(raw["verify"])
-        if "n_max" in raw:
-            cfg.n_max = int(raw["n_max"])
-        if "radial" in raw:
-            cfg.radial_nodes = int(raw["radial"])
-        if "angular" in raw:
-            cfg.angular_nodes = int(raw["angular"])
-        if "margin" in raw:
-            cfg.margin = int(raw["margin"])
-        if "modes" in raw:
-            cfg.modes = int(raw["modes"])
-        if "b_floor" in raw:
-            cfg.b_floor = int(raw["b_floor"])
-        if "fit_window" in raw:
-            lo, hi = (int(v) for v in raw["fit_window"])
-            cfg.fit_window = (lo, hi)
-        if "tol" in raw:
-            cfg.tol = float(raw["tol"])
-        if "out" in raw:
-            cfg.out = str(raw["out"])
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad config value: {exc}") from exc
-
-    # flag overrides
-    if args.A is not None:
-        cfg.A = args.A
-    if args.beta is not None:
-        cfg.beta = args.beta
-    if args.N is not None:
-        cfg.N_values = _as_int_list(args.N, "N")
-    if args.b is not None:
-        cfg.b_values = _as_int_list(args.b, "b")
-    if args.out is not None:
-        cfg.out = args.out
-    if getattr(args, "expr", None) is not None:
-        cfg.expr = args.expr
-    if getattr(args, "target", None) is not None:
-        cfg.target = args.target
-    if getattr(args, "verify", False):
-        cfg.verify = True
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "ordering", None) is not None:
-        cfg.orderings = _as_str_list(args.ordering, "ordering")
-    if getattr(args, "b_floor", None) is not None:
-        cfg.b_floor = args.b_floor
-    if getattr(args, "n_max", None) is not None:
-        cfg.n_max = args.n_max
-    if getattr(args, "radial", None) is not None:
-        cfg.radial_nodes = args.radial
-    if getattr(args, "angular", None) is not None:
-        cfg.angular_nodes = args.angular
-    if getattr(args, "margin", None) is not None:
-        cfg.margin = args.margin
-    if getattr(args, "modes", None) is not None:
-        cfg.modes = args.modes
+    for key, name, convert in _SETTINGS:
+        for source in (raw, flags):
+            if key in source:
+                try:
+                    setattr(cfg, name, convert(source[key]))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad value for {key}: {exc}") from exc
     return cfg
 
 
@@ -238,11 +200,11 @@ def _fmt(value) -> str:
 
 
 def _require_ordering(name: str | None) -> Ordering:
-    if name is None or name not in _ORDERING_NAMES:
-        raise ConfigError(
-            f"target/ordering must be one of {sorted(_ORDERING_NAMES)}, got {name!r}"
-        )
-    return _ORDERING_NAMES[name]
+    try:
+        return Ordering(name)
+    except ValueError:
+        names = sorted(o.value for o in Ordering)
+        raise ConfigError(f"target/ordering must be one of {names}, got {name!r}") from None
 
 
 def _require_finite(what: str, terms, describe) -> None:
@@ -335,7 +297,7 @@ def cmd_cutoff(cfg: RunConfig):
     def point(item):
         b, ordering = item
         value = cutoff_dFdA(model, CutoffSpec(b, cfg.beta), ordering)
-        limit = coth_half + ORDERING_SHIFT[ordering]
+        limit = coth_half + KAPPA[ordering]
         return [b, ordering.value, value, abs(value - limit)]
 
     points = [(b, o) for o in orderings for b in cfg.b_values]
@@ -491,7 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "order":
             p.add_argument("--expr", help="operator expression, e.g. 'ad_0*a_0'")
             p.add_argument("--target", help="normal | antinormal | weyl")
-            p.add_argument("--verify", action="store_true", help="report Fock round-trip residual")
+            p.add_argument(
+                "--verify", action="store_true", default=None, help="report Fock round-trip residual"
+            )
             p.add_argument("--n-max", dest="n_max", type=int, help="verification cap")
         if name == "cutoff":
             p.add_argument("--ordering", help="ordering(s), comma separated")

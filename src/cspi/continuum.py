@@ -18,16 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Ordering
+from .algebra import KAPPA, Ordering
 from .errors import EvenSliceCountError, NumericalError, SingularityError
 from .fock import QuadraticModel
-
-#: constant added to the cutoff frequency sum by each ordering's symbol shift
-ORDERING_SHIFT = {
-    Ordering.NORMAL: 0.0,
-    Ordering.ANTINORMAL: -1.0,
-    Ordering.WEYL: -0.5,
-}
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,7 @@ def _im_psi(b: int, a: float) -> float:
 
 
 def cutoff_dFdA(model: QuadraticModel, spec: CutoffSpec, ordering: Ordering) -> float:
-    """Re sum_{|l|<=b} 1/(i beta omega_l + beta A) plus the ordering shift.
+    """Re sum_{|l|<=b} 1/(i beta omega_l + beta A) plus the ordering's kappa.
 
     With x = beta A and a = |x| / 2 pi the sum is odd in x, and for x > 0
 
@@ -103,7 +96,7 @@ def cutoff_dFdA(model: QuadraticModel, spec: CutoffSpec, ordering: Ordering) -> 
         total = math.copysign(coth_half - _im_psi(spec.b, a) / math.pi, bA)
     if not math.isfinite(total):
         raise NumericalError(f"cutoff sum is not finite: {total}")
-    return total + ORDERING_SHIFT[ordering]
+    return total + KAPPA[ordering]
 
 
 def prefactor_log_closed(b: int, beta: float, modes: int = 1) -> float:

@@ -300,6 +300,83 @@ def test_adjoint_and_hermiticity():
     assert mixed.adjoint() == BosonPoly({((0, 2),): 1.0 - 2.0j}, 1)
 
 
+def _near_hermitian(rng, modes):
+    """P + P^dagger plus a perturbation of size 1e-13 .. 1e-11 on some terms."""
+    keys = list(itertools.product(itertools.product(range(3), repeat=2), repeat=modes))
+    picked = rng.choice(len(keys), size=4, replace=False)
+    P = BosonPoly({keys[i]: complex(*rng.normal(size=2)) for i in picked}, modes)
+    H = dict((P + P.adjoint()).terms)
+    for key in list(H)[: rng.integers(0, 3)]:
+        H[key] += complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-13, -11)
+    return BosonPoly(H, modes)
+
+
+def test_is_hermitian_agrees_with_adjoint_comparison():
+    verdicts = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        poly = _near_hermitian(rng, int(rng.integers(1, 4)))
+        symbol = SymbolPoly(poly.terms, poly.modes, Ordering.WEYL)
+        for tol in (0.0, 1e-13, 1e-12, 1e-11, 1e-10):
+            expected = poly.equals(poly.adjoint(), tol)
+            assert poly.is_hermitian(tol) is expected
+            assert symbol.is_self_conjugate(tol) is expected
+        verdicts.add(poly.is_hermitian())
+    assert verdicts == {True, False}
+
+
+def test_strict_constructors():
+    # a fractional exponent or mode count was truncated: this became ad_0 on 1 mode
+    with pytest.raises(TypeError):
+        BosonPoly({((1.5, 0.7),): 1.0}, modes=1.9)
+    with pytest.raises(TypeError):
+        BosonPoly({((1.5, 0),): 1.0}, modes=1)
+    with pytest.raises(TypeError):
+        BosonPoly({((1, 0),): 1.0}, modes=1.0)
+    with pytest.raises(TypeError):
+        SymbolPoly({((1, 1),): 1.0}, modes=1.5, ordering=Ordering.WEYL)
+    with pytest.raises(ValueError):
+        BosonPoly({}, modes=0)
+    poly = BosonPoly({((np.int64(1), np.int32(0)), (np.uint8(0), 2)): 1.0}, modes=np.int64(2))
+    assert poly == BosonPoly({((1, 0), (0, 2)): 1.0}, 2)
+    assert type(poly.modes) is int
+    assert all(type(e) is int for key in poly.terms for pair in key for e in pair)
+
+
+def test_operator_and_symbol_never_mix():
+    terms = {((1, 1),): 1.0, ((0, 0),): 0.5}
+    op = BosonPoly(terms, 1)
+    normal = SymbolPoly(terms, 1, Ordering.NORMAL)
+    weyl = SymbolPoly(terms, 1, Ordering.WEYL)
+    assert op != normal and normal != op
+    assert not op.equals(normal) and not normal.equals(op)
+    for left, right in ((op, normal), (normal, op)):
+        with pytest.raises(TypeError):
+            left + right
+    assert normal != weyl and not normal.equals(weyl, tol=1.0)
+    with pytest.raises(ModeMismatchError):
+        normal + weyl
+    with pytest.raises(TypeError):
+        -normal
+    with pytest.raises(TypeError):
+        normal + 1
+    with pytest.raises(TypeError):
+        1 + normal
+    with pytest.raises(TypeError):
+        normal * op
+
+
+def test_equal_polynomials_hash_equal():
+    for make in (
+        lambda terms: BosonPoly(terms, 2),
+        lambda terms: SymbolPoly(terms, 2, Ordering.ANTINORMAL),
+    ):
+        a = make({((1, 0), (0, 1)): 2.0, ((0, 0), (0, 0)): 0.5})
+        b = make({((0, 0), (0, 0)): 0.5 + 0.0j, ((1, 0), (0, 1)): 2})
+        assert a == b and hash(a) == hash(b)
+        assert a + a == 2 * a and hash(a + a) == hash(a * 2)
+
+
 def test_symbol_evaluation_batched(waves):
     symbol = SymbolPoly({((1, 1),): 2.0, ((0, 0),): -0.5}, 1, Ordering.NORMAL)
     z = waves(4, salt=1.0).reshape(4, 1)

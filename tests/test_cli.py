@@ -150,6 +150,47 @@ def test_integral_float_sweep_config_accepted(tmp_path, capsys):
     assert "\n1001,normal-discrete" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("identity-check", {"n_max": 2.9, "modes": 1.5, "margin": 0.9}, "n_max"),
+        ("identity-check", {"radial": 8.5}, "radial"),
+        ("identity-check", {"angular": True}, "angular"),
+        ("identity-check", {"margin": 0.9}, "margin"),
+        ("identity-check", {"modes": 1.5}, "modes"),
+        ("flow", {"b_floor": 40.9}, "b_floor"),
+        ("flow", {"fit_window": [50, 500.5]}, "fit_window"),
+        ("order", {"expr": "ad_0*a_0", "target": "weyl", "verify": "false"}, "verify"),
+        ("order", {"expr": "ad_0*a_0", "target": "weyl", "verify": 1}, "verify"),
+    ],
+)
+def test_non_integral_or_non_boolean_setting_exit_2(tmp_path, capsys, command, config, key):
+    # these ran with the value truncated, or with "false" taken as true
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: bad value for {key}: ")
+
+
+def test_integral_float_settings_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n_max": 2.0, "radial": 64.0, "margin": 0, "modes": 1.0}))
+    assert main(["identity-check", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("n_max,radial,angular,margin,deviation\n2,64,64,0,")
+
+
+@pytest.mark.parametrize(
+    "file_verify, flag, expected", [(True, [], True), (False, ["--verify"], True), (False, [], False)]
+)
+def test_verify_from_file_and_flag(tmp_path, capsys, file_verify, flag, expected):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"expr": "ad_0*a_0", "target": "weyl", "verify": file_verify}))
+    assert main(["order", "--config", str(cfg), *flag]) == 0
+    assert capsys.readouterr().out.startswith("expr,target,symbol,residual\n") is expected
+
+
 def test_bad_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
