@@ -46,14 +46,7 @@ from .errors import (
     SingularityError,
 )
 from .expr import ParseError, format_operator, format_symbol, parse_operator
-from .flow import (
-    FlowResult,
-    FlowState,
-    initial_state,
-    remaining_gaussian_logZ,
-    renorm_step,
-    run_flow,
-)
+from .flow import FlowResult, FlowState, run_flow
 from .fock import (
     FockBasis,
     QuadraticModel,
@@ -103,9 +96,6 @@ __all__ = [
     "parse_operator",
     "FlowResult",
     "FlowState",
-    "initial_state",
-    "remaining_gaussian_logZ",
-    "renorm_step",
     "run_flow",
     "FockBasis",
     "QuadraticModel",

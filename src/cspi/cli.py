@@ -15,21 +15,16 @@ import argparse
 import cmath
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import KAPPA, BosonPoly, Ordering, SymbolPoly, quantize, to_ordered_form
 from .continuum import CutoffSpec, cutoff_dFdA, prefactor_log_closed, prefactor_log_empirical
-from .discrete import (
-    MatsubaraGrid,
-    normal_discrete_dFdA,
-    weyl_discrete_dFdA,
-    weyl_discrete_logZ_quadratic,
-)
+from .discrete import MatsubaraGrid, normal_discrete_dFdA, weyl_discrete_dFdA
 from .errors import EvenSliceCountError, SingularityError
 from .expr import ParseError, format_operator, format_symbol, parse_operator
-from .flow import remaining_gaussian_logZ, run_flow
+from .flow import run_flow
 from .fock import (
     FockBasis,
     QuadraticModel,
@@ -65,7 +60,7 @@ class RunConfig:
     margin: int = 2
     modes: int = 1
     b_floor: int = 40
-    fit_window: tuple[int, int] = (50, 500)
+    fit_window: tuple[int, int] | None = None  # None: [50, min(500, top shell // 4)]
     tol: float | None = None
     out: str | None = None
 
@@ -207,6 +202,17 @@ def _require_ordering(name: str | None) -> Ordering:
         raise ConfigError(f"target/ordering must be one of {names}, got {name!r}") from None
 
 
+def _sweep_checks(errs: list, nonincreasing: str, final: str, bound: float, bound_text: str):
+    """A sweep's verdicts: its errors never grow, and the last one is within bound."""
+    checks = []
+    if len(errs) > 1:
+        mono = all(b <= a for a, b in zip(errs, errs[1:]))
+        checks.append((nonincreasing, mono, f"errors {errs}"))
+    if errs:
+        checks.append((final, errs[-1] <= bound, f"{errs[-1]:.3e} <= {bound_text}"))
+    return checks
+
+
 def _require_finite(what: str, terms, describe) -> None:
     """Refuse the first term whose coefficient overflowed to inf or nan."""
     for key, coeff in terms.items():
@@ -276,19 +282,21 @@ def cmd_free_energy(cfg: RunConfig):
     checks = []
     for method in ("normal-discrete", "weyl-discrete"):
         errs = [row[3] for row in rows if row[1] == method and row[4] == ""]
-        if len(errs) > 1:
-            mono = all(b <= a for a, b in zip(errs, errs[1:]))
-            checks.append((f"{method}_error_nonincreasing", mono, f"errors {errs}"))
-        if errs:
-            ok = errs[-1] <= tol * abs(exact)  # fails, not divides, when exact underflows to 0
-            checks.append((f"{method}_final_rel_error", ok, f"{errs[-1]:.3e} <= {tol:g} * |exact|"))
+        # tol * |exact|: fails, not divides, when exact underflows to 0
+        names = (f"{method}_error_nonincreasing", f"{method}_final_rel_error")
+        checks += _sweep_checks(errs, *names, tol * abs(exact), f"{tol:g} * |exact|")
     return ["N", "method", "dFdA", "abs_error", "note"], rows, checks
 
 
 def cmd_cutoff(cfg: RunConfig):
     if not cfg.b_values:
         raise ConfigError("cutoff needs a sweep list of b values")
-    orderings = [_require_ordering(name) for name in cfg.orderings]
+    orderings = []
+    for name in cfg.orderings:
+        ordering = _require_ordering(name)
+        if ordering in orderings:
+            raise ConfigError(f"ordering {ordering.value!r} is listed more than once")
+        orderings.append(ordering)
     model = QuadraticModel(cfg.A, cfg.beta)
     exact = exact_dFdA(model)
     coth_half = exact + 0.5  # (1/2) coth(beta A / 2)
@@ -306,12 +314,8 @@ def cmd_cutoff(cfg: RunConfig):
     checks = []
     for ordering in orderings:
         errs = [row[3] for row in rows if row[1] == ordering.value]
-        if len(errs) > 1:
-            mono = all(b <= a for a, b in zip(errs, errs[1:]))
-            checks.append((f"{ordering.value}_error_nonincreasing", mono, f"errors {errs}"))
-        checks.append(
-            (f"{ordering.value}_final_error", errs[-1] <= tol, f"{errs[-1]:.3e} <= {tol:g}")
-        )
+        names = (f"{ordering.value}_error_nonincreasing", f"{ordering.value}_final_error")
+        checks += _sweep_checks(errs, *names, tol, f"{tol:g}")
     return ["b", "ordering", "dFdA", "abs_error"], rows, checks
 
 
@@ -329,26 +333,23 @@ def cmd_prefactor(cfg: RunConfig):
 
     rows = [point(N) for N in cfg.N_values]
     rels = [row[4] for row in rows]
-    checks = [("final_rel_difference", rels[-1] <= tol, f"{rels[-1]:.3e} <= {tol:g}")]
-    if len(rels) > 1:
-        mono = all(y <= x for x, y in zip(rels, rels[1:]))
-        checks.append(("rel_difference_nonincreasing", mono, f"{rels}"))
+    names = ("rel_difference_nonincreasing", "final_rel_difference")
+    checks = _sweep_checks(rels, *names, tol, f"{tol:g}")[::-1]  # final value reported first
     return ["N", "b", "log_empirical", "log_closed", "rel_difference"], rows, checks
 
 
 def cmd_flow(cfg: RunConfig):
     N = cfg.N_values[0] if cfg.N_values else 10001
     model = QuadraticModel(cfg.A, cfg.beta)
-    grid = MatsubaraGrid(N, cfg.beta)
-    result = run_flow(model, grid, cfg.b_floor, cfg.modes)
+    result = run_flow(model, MatsubaraGrid(N, cfg.beta), cfg.b_floor, cfg.modes)
+    if result.conservation_residuals is None:
+        raise SingularityError("the flow's conservation check needs A > 0 (omega = 0 diverges)")
+    max_residual = float(result.conservation_residuals.max())
 
-    # conservation: log_c plus remaining Gaussian logZ must stay at full logZ
-    full = cfg.modes * weyl_discrete_logZ_quadratic(grid, model)
-    # after step i the shells |n| <= shells[i] - 1 remain
-    remaining = remaining_gaussian_logZ(replace(result.final, shell=result.shells - 1))
-    residuals = np.abs(result.log_c_series + remaining - full)
-    max_residual = float(residuals.max())
-
+    if cfg.fit_window is None:
+        # near the top shell (N-1)/2, tan(pi n / N) is far from pi n / N and
+        # the corrections leave their 1/shell^2 law
+        cfg.fit_window = (50, min(500, (N - 1) // 8))
     lo, hi = cfg.fit_window
     window = (result.shells >= max(lo, cfg.b_floor + 1)) & (result.shells <= hi)
     if window.sum() < 2:

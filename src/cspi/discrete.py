@@ -75,8 +75,8 @@ class MatsubaraGrid:
 class DiscretePath:
     """Periodic complex path: N slices x M modes, in time or frequency form.
 
-    Frequency rows follow DFT order; ``amplitude(n)`` addresses the signed
-    frequency index.  Periodicity (z_N = z_0) is implicit in all slice
+    Frequency rows follow DFT order: row ``n % N`` holds the signed
+    frequency index n.  Periodicity (z_N = z_0) is implicit in all slice
     arithmetic via cyclic indexing.
     """
 
@@ -98,12 +98,6 @@ class DiscretePath:
     @property
     def modes(self) -> int:
         return self.values.shape[1]
-
-    def amplitude(self, n: int) -> np.ndarray:
-        """Fourier amplitude vector at signed frequency index n."""
-        if self.domain != "frequency":
-            raise ValueError("amplitude() needs a frequency-domain path")
-        return self.values[n % self.slices]
 
 
 def dft(path: DiscretePath) -> DiscretePath:

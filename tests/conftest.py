@@ -10,7 +10,8 @@ one forms the dense Kronecker product of the identity quadrature; the
 algebra oracles reorder with integers and ``Fraction`` and never call the
 package's product or transforms.  The reference parser builds every term
 from ``multiply`` products of validated polynomials, the path the package's
-monomial parser leaves.
+monomial parser leaves.  The flow's reference takes its shells one step at
+a time.
 """
 
 import functools
@@ -97,6 +98,33 @@ def _unchecked_model(A: float, beta: float):
     object.__setattr__(model, "A", A)
     object.__setattr__(model, "beta", beta)
     return model
+
+
+def _step_loop_flow(model, grid, b_floor: int, modes: int = 1):
+    """The frequency-shell flow one step at a time: the reference for ``run_flow``.
+
+    Starts at log c = (N-1) M ln 2 and integrates out one shell per step,
+    from the top one down to ``b_floor + 1``, each from its own one-entry
+    tangent table, with the same per-step Berry and correction logs and a
+    plain running float sum.  Returns the visited shells, the correction of
+    each step and log c after each step.
+    """
+    from cspi.flow import _half_tan
+
+    N = grid.N
+    c = grid.beta * model.A / N
+    log_c = (N - 1) * modes * math.log(2.0)
+    shells, corrections, log_c_series = [], [], []
+    for shell in range((N - 1) // 2, b_floor, -1):
+        half_tan = _half_tan(np.array([shell]), N)
+        tan_sq4 = 4.0 * half_tan * half_tan
+        (berry_log,) = -modes * np.log(tan_sq4)
+        (correction_log,) = -modes * np.log1p(c * c / tan_sq4)
+        log_c = float(log_c + berry_log + correction_log)
+        shells.append(shell)
+        corrections.append(float(abs(correction_log)) / grid.beta)
+        log_c_series.append(log_c)
+    return shells, corrections, log_c_series
 
 
 def _times_ladder(terms: dict, mode: int, creation: bool) -> dict:
@@ -444,6 +472,11 @@ def waves():
 @pytest.fixture
 def paired_frequency_sum():
     return _paired_frequency_sum
+
+
+@pytest.fixture
+def step_loop_flow():
+    return _step_loop_flow
 
 
 @pytest.fixture

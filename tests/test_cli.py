@@ -271,6 +271,43 @@ def test_flow_verdict_holds_at_scale(capsys):
     assert "check conservation: pass" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("N", [1001, 2001])
+def test_flow_default_fit_window_stays_below_the_pole(N, tmp_path, capsys):
+    # the default window [50, 500] reached the top shell at N = 1001, where
+    # tan(pi n / N) is far from pi n / N: slopes -3.81 and -2.21 failed the gate
+    out = tmp_path / "flow.json"
+    assert main(["flow", "--N", str(N), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["fit_window"] == [50, (N - 1) // 8]
+
+
+def test_flow_given_fit_window_used_as_given(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"fit_window": [50, 500]}))
+    out = tmp_path / "flow.json"
+    assert main(["flow", "--N", "1001", "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["config"]["fit_window"] == [50, 500]
+    assert "check correction_slope: FAIL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # beta A / N = 1e197: the correction logs overflow (it printed nan and exited 1)
+        (["flow", "--N", "1001", "--A", "1e200"], "flow step terms are not finite"),
+        (["flow", "--N", "1001", "--A", "0"], "needs A > 0"),
+        # each row was printed twice, and the doubled sweep failed its own monotonicity
+        (["cutoff", "--b", "10,100", "--ordering", "weyl,weyl"], "'weyl' is listed more than once"),
+        (["cutoff", "--b", "10", "--ordering", "normal,weyl,normal"], "'normal' is listed"),
+    ],
+)
+def test_flow_and_cutoff_input_errors_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and message in out.err
+    assert len(out.err.splitlines()) == 1
+
+
 def test_identity_check_report(capsys):
     code = main(["identity-check"])
     out = capsys.readouterr()

@@ -1,52 +1,20 @@
 """Frequency-shell renormalization: exactness, scaling, free-theory limit."""
 
 import math
-from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
 from cspi import (
     EvenSliceCountError,
-    FlowState,
     MatsubaraGrid,
     NumericalError,
     QuadraticModel,
-    initial_state,
-    remaining_gaussian_logZ,
-    renorm_step,
     run_flow,
     weyl_discrete_logZ_quadratic,
 )
-from cspi.flow import _compensated_cumsum
-
-
-def test_initial_state():
-    grid = MatsubaraGrid(11, 1.0)
-    state = initial_state(grid, QuadraticModel(A=1.0, beta=1.0))
-    assert state.shell == 5
-    assert state.log_c == pytest.approx(10 * math.log(2.0))
-    assert state.A_eff == 1.0
-    with pytest.raises(EvenSliceCountError):
-        initial_state(MatsubaraGrid(10, 1.0), QuadraticModel(A=1.0, beta=1.0))
-
-
-def test_free_theory_step_is_pure_berry_factor():
-    grid = MatsubaraGrid(101, 1.0)
-    state = initial_state(grid, QuadraticModel(A=0.0, beta=1.0))
-    advanced, correction = renorm_step(state)
-    assert correction == 0.0
-    half_tan = math.tan(math.pi * state.shell / 101)
-    assert advanced.log_c == state.log_c - math.log(4.0 * half_tan * half_tan)
-    assert advanced.shell == state.shell - 1
-
-
-def test_single_step_conserves_partition_function():
-    model = QuadraticModel(A=1.0, beta=1.0)
-    grid = MatsubaraGrid(101, 1.0)
-    full = weyl_discrete_logZ_quadratic(grid, model)
-    state, _ = renorm_step(initial_state(grid, model))
-    assert abs(state.log_c + remaining_gaussian_logZ(state) - full) < 1e-10
+from cspi.flow import _compensated_cumsum, _half_tan
 
 
 def test_conservation_at_every_shell():
@@ -78,6 +46,8 @@ def test_free_theory_flow_matches_shell_product():
         oracle -= math.log(4.0 * half_tan * half_tan)
     assert abs(result.final.log_c - oracle) <= 1e-12
     assert np.all(result.corrections == 0.0)
+    # the lattice log Z diverges at A = 0, so there is no conservation residual
+    assert result.conservation_residuals is None
 
 
 def test_correction_scaling_slope():
@@ -104,23 +74,26 @@ def test_quadratic_coefficient_does_not_flow():
     assert result.final.A_eff == 1.7
 
 
-def test_flow_validation():
+def test_flow_validation(unchecked_model):
     grid = MatsubaraGrid(101, 1.0)
     model = QuadraticModel(A=1.0, beta=1.0)
     with pytest.raises(ValueError):
         run_flow(model, grid, 50)  # b_floor == top shell
     with pytest.raises(ValueError):
         run_flow(model, grid, -1)
-    state = initial_state(grid, model)
-    exhausted = state
-    for _ in range(50):
-        exhausted, _ = renorm_step(exhausted)
     with pytest.raises(ValueError):
-        renorm_step(exhausted)
+        run_flow(model, grid, 10, modes=0)
+    with pytest.raises(EvenSliceCountError):
+        run_flow(model, MatsubaraGrid(100, 1.0), 10)
     # the pair-product check is explicit code, so it also holds under python -O
-    broken = FlowState(log_c=0.0, A_eff=math.nan, shell=5, grid=grid)
-    with pytest.raises(NumericalError):
-        renorm_step(broken)
+    with pytest.raises(NumericalError, match="pair products"):
+        run_flow(unchecked_model(math.nan, 1.0), grid, 10)
+
+
+def test_non_finite_flow_is_an_error():
+    # beta A / N = 1e197: c^2 overflows, and the correction logs with it
+    with pytest.raises(NumericalError, match="not finite"):
+        run_flow(QuadraticModel(A=1e200, beta=1.0), MatsubaraGrid(1001, 1.0), 40)
 
 
 def test_flow_shell_bookkeeping():
@@ -128,52 +101,45 @@ def test_flow_shell_bookkeeping():
     assert list(result.shells) == list(range(50, 10, -1))
     assert result.final.shell == 10
     assert result.corrections.shape == result.shells.shape
+    assert result.conservation_residuals.shape == result.shells.shape
 
 
-@pytest.mark.parametrize("N", [10**5 + 1, 10**6 + 1])
+@pytest.mark.parametrize("N", [10**5 + 1, 10**6 + 1, 2 * 10**6 + 1])
 @pytest.mark.parametrize("A, beta", [(0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5)])
 def test_conservation_gate_at_scale(N, A, beta):
     # the same 1e-9 gate as cspi flow; a plain float cumsum of the steps
-    # misses it from N ~ 8e4 on
-    model = QuadraticModel(A=A, beta=beta)
-    grid = MatsubaraGrid(N, beta)
-    result = run_flow(model, grid, b_floor=40)
-    full = weyl_discrete_logZ_quadratic(grid, model)
-    remaining = remaining_gaussian_logZ(replace(result.final, shell=result.shells - 1))
-    assert np.abs(result.log_c_series + remaining - full).max() <= 1e-9
-
-
-def test_remaining_logZ_array_matches_scalar():
-    model = QuadraticModel(A=1.2, beta=0.7)
-    state = initial_state(MatsubaraGrid(1001, 0.7), model, modes=2)
-    shells = np.array([0, 1, 17, 499, 500])
-    values = remaining_gaussian_logZ(replace(state, shell=shells))
-    for shell, value in zip(shells, values):
-        scalar = remaining_gaussian_logZ(replace(state, shell=int(shell)))
-        assert isinstance(scalar, float)
-        assert value == scalar
+    # misses it from N ~ 8e4 on, and np.tan's top-shell tangents from 2e6 on
+    result = run_flow(QuadraticModel(A=A, beta=beta), MatsubaraGrid(N, beta), b_floor=40)
+    assert result.conservation_residuals.max() <= 1e-9
 
 
 @pytest.mark.parametrize("N", [101, 1001])
-def test_run_flow_matches_step_loop(N):
-    # oracle: the single-step API iterated shell by shell
+def test_run_flow_matches_step_loop(N, step_loop_flow):
     model = QuadraticModel(A=1.3, beta=0.9)
     grid = MatsubaraGrid(N, 0.9)
     b_floor = 3
     result = run_flow(model, grid, b_floor, modes=2)
-    state = initial_state(grid, model, modes=2)
-    shells, corrections, log_c = [], [], []
-    while state.shell > b_floor:
-        shells.append(state.shell)
-        state, correction = renorm_step(state)
-        corrections.append(correction)
-        log_c.append(state.log_c)
+    shells, corrections, log_c = step_loop_flow(model, grid, b_floor, modes=2)
     assert np.array_equal(result.shells, shells)
     assert np.array_equal(result.corrections, corrections)
     assert np.abs(result.log_c_series - log_c).max() <= 1e-12
-    assert result.final.shell == state.shell
-    assert abs(result.final.log_c - state.log_c) <= 1e-12
-    assert (result.final.A_eff, result.final.modes) == (state.A_eff, state.modes)
+    assert result.final.shell == b_floor
+    assert abs(result.final.log_c - log_c[-1]) <= 1e-12
+    assert (result.final.A_eff, result.final.modes) == (model.A, 2)
+
+
+@pytest.mark.parametrize("N", [10**3 + 1, 10**6 + 1, 2 * 10**6 + 1, 10**7 + 1])
+def test_half_tan_against_mpmath(N):
+    # the top shells sit next to the pole, where np.tan(pi n / N) is ~N eps / pi
+    # off relative; also the lowest shells and both sides of the switch at N/4
+    top = (N - 1) // 2
+    n = np.concatenate(
+        [np.arange(1, 4), np.arange(N // 4 - 2, N // 4 + 3), np.arange(top - 15, top + 1)]
+    )
+    with mpmath.workdps(40):
+        exact = [mpmath.tan(mpmath.pi * int(k) / N) for k in n]
+        rel = [abs(mpmath.mpf(float(t)) / e - 1) for t, e in zip(_half_tan(n, N), exact)]
+    assert max(rel) <= 4 * np.finfo(float).eps
 
 
 def test_compensated_prefix_matches_fsum():
