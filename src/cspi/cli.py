@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import KAPPA, BosonPoly, Ordering, SymbolPoly, quantize, to_ordered_form
+from .algebra import KAPPA, Ordering, SymbolPoly, quantize, to_ordered_form
 from .continuum import CutoffSpec, cutoff_dFdA, prefactor_log_closed, prefactor_log_empirical
 from .discrete import MatsubaraGrid, normal_discrete_dFdA, weyl_discrete_dFdA
 from .errors import EvenSliceCountError, SingularityError
-from .expr import ParseError, format_operator, format_symbol, parse_operator
+from .expr import ParseError, format_symbol, parse_operator
 from .flow import run_flow
 from .fock import (
     FockBasis,
@@ -213,27 +213,16 @@ def _sweep_checks(errs: list, nonincreasing: str, final: str, bound: float, boun
     return checks
 
 
-def _require_finite(what: str, terms, describe) -> None:
-    """Refuse the first term whose coefficient overflowed to inf or nan."""
-    for key, coeff in terms.items():
-        if not cmath.isfinite(coeff):
-            raise ConfigError(f"{what} term {describe({key: coeff})} has a non-finite coefficient")
-
-
 def cmd_order(cfg: RunConfig):
     if cfg.expr is None:
         raise ConfigError("order needs an operator expression (--expr or config 'expr')")
     target = _require_ordering(cfg.target)
-    poly = parse_operator(cfg.expr)
-    _require_finite(
-        "operator", poly.terms, lambda term: format_operator(BosonPoly(term, poly.modes))
-    )
+    poly = parse_operator(cfg.expr)  # refuses a coefficient that overflowed
     symbol = to_ordered_form(poly, target)
-    _require_finite(
-        f"{target.value} symbol",
-        symbol.terms,
-        lambda term: format_symbol(SymbolPoly(term, symbol.modes, target)),
-    )
+    for key, coeff in symbol.terms.items():  # reordering can overflow finite coefficients
+        if not cmath.isfinite(coeff):
+            term = format_symbol(SymbolPoly({key: coeff}, symbol.modes, target))
+            raise ConfigError(f"{target.value} symbol term {term} has a non-finite coefficient")
     row = [cfg.expr, target.value, format_symbol(symbol)]
     checks = []
     if cfg.verify:
@@ -340,6 +329,7 @@ def cmd_prefactor(cfg: RunConfig):
 
 def cmd_flow(cfg: RunConfig):
     N = cfg.N_values[0] if cfg.N_values else 10001
+    cfg.N_values = [N]  # the config echoes the N that ran
     model = QuadraticModel(cfg.A, cfg.beta)
     result = run_flow(model, MatsubaraGrid(N, cfg.beta), cfg.b_floor, cfg.modes)
     if result.conservation_residuals is None:

@@ -16,6 +16,7 @@ holds exactly.
 
 from __future__ import annotations
 
+import cmath
 import re
 
 from .algebra import (
@@ -228,7 +229,11 @@ class _Parser:
 
 
 def parse_operator(text: str, modes: int | None = None) -> BosonPoly:
-    """Parse an operator expression; mode count defaults to 1 + max index."""
+    """Parse an operator expression; mode count defaults to 1 + max index.
+
+    A term whose coefficient overflowed to inf or nan is refused with
+    :class:`ParseError`, so no caller gets a nan operator.
+    """
     tokens = _tokenize(text)
     max_idx = max(
         (tok[1] for tok in tokens if tok[0] in ("ad", "a")), default=-1
@@ -241,6 +246,10 @@ def parse_operator(text: str, modes: int | None = None) -> BosonPoly:
     parser = _Parser(tokens, modes)
     poly = parser.parse_expr()
     parser.take("end")
+    for key, coeff in poly.terms.items():  # a coefficient that overflowed: 1e400, 2^2000
+        if not cmath.isfinite(coeff):
+            term = format_operator(BosonPoly({key: coeff}, modes))
+            raise ParseError(f"operator term {term} has a non-finite coefficient", 0)
     return poly
 
 

@@ -10,10 +10,11 @@ one forms the dense Kronecker product of the identity quadrature; the
 algebra oracles reorder with integers and ``Fraction`` and never call the
 package's product or transforms.  The reference parser builds every term
 from ``multiply`` products of validated polynomials, the path the package's
-monomial parser leaves.  The flow's reference takes its shells one step at
-a time.
+monomial parser leaves.  The flow has two references: one takes its shells
+one step at a time, the other takes them all at once as whole arrays.
 """
 
+import cmath
 import functools
 import itertools
 import math
@@ -125,6 +126,63 @@ def _step_loop_flow(model, grid, b_floor: int, modes: int = 1):
         corrections.append(float(abs(correction_log)) / grid.beta)
         log_c_series.append(log_c)
     return shells, corrections, log_c_series
+
+
+def _whole_array_cumsum(x: np.ndarray) -> np.ndarray:
+    """Compensated prefix sums of ``x`` over the whole array at once (Sum2 in prefix form)."""
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s))[:-1]
+    x_part = s - prev
+    err = (prev - (s - x_part)) + (x - x_part)
+    return s + np.cumsum(err)
+
+
+def _whole_array_flow(model, grid, b_floor: int, modes: int = 1):
+    """The frequency-shell flow over whole-array tables: the reference for ``run_flow``.
+
+    One tangent table of every shell, one compensated prefix sum of all the
+    steps and one of all the pair terms, each a full-length array.  Same
+    checks, messages and arithmetic as the streamed flow, which must match
+    it bit for bit.
+    """
+    from cspi import NumericalError, weyl_discrete_logZ_quadratic
+    from cspi.flow import FlowResult, FlowState, _half_tan
+
+    grid.require_odd("the frequency-shell flow")
+    if modes < 1:
+        raise ValueError(f"modes must be >= 1, got {modes}")
+    N = grid.N
+    top = (N - 1) // 2
+    if not 0 <= b_floor < top:
+        raise ValueError(f"need 0 <= b_floor < (N-1)/2 = {top}, got {b_floor}")
+    c = grid.beta * model.A / N
+    shells = np.arange(top, 0, -1)
+    half_tan = _half_tan(shells, N)
+    with np.errstate(over="ignore"):
+        pair = (c - 2j * half_tan) * (c + 2j * half_tan)
+    residue = (np.abs(pair.imag) / pair.real).max(initial=0.0)
+    if not residue < 1e-12:
+        raise NumericalError(f"conjugate pair products must be real, relative residue {residue}")
+
+    tan_sq4 = 4.0 * half_tan * half_tan
+    step_tan_sq4, shells = tan_sq4[: top - b_floor], shells[: top - b_floor]
+    correction_log = -modes * np.log1p(c * c / step_tan_sq4)
+    steps = -modes * np.log(step_tan_sq4) + correction_log
+    if not np.isfinite(steps).all():
+        raise NumericalError(f"flow step terms are not finite at beta A / N = {c:g}")
+    log_c_series = (N - 1) * modes * math.log(2.0) + _whole_array_cumsum(steps)
+    if not math.isfinite(log_c_series[-1]):
+        raise NumericalError(f"flow log c is not finite: {log_c_series[-1]}")
+
+    residuals = None
+    if model.A > 0:
+        prefix = np.concatenate(([0.0], _whole_array_cumsum(np.log(c * c + tan_sq4[::-1]))))
+        remaining = modes * (grid.beta * model.A / 2.0 - math.log(c) - prefix[shells - 1])
+        full = modes * weyl_discrete_logZ_quadratic(grid, model)
+        residuals = np.abs(log_c_series + remaining - full)
+
+    final = FlowState(float(log_c_series[-1]), model.A, b_floor, grid, modes)
+    return FlowResult(final, shells, np.abs(correction_log) / grid.beta, log_c_series, residuals)
 
 
 def _times_ladder(terms: dict, mode: int, creation: bool) -> dict:
@@ -356,9 +414,11 @@ def _reference_parse_operator(text: str, modes: int | None = None):
     A regex match per token, then one ``multiply`` per ``*`` and per power
     step, with every atom a validated BosonPoly; only the sum of the terms
     shares one dict.  Same grammar, errors and positions as the package's
-    monomial parser, which must give the same term lists bit for bit.
+    monomial parser, which must give the same term lists bit for bit, and
+    the same refusal of a term whose coefficient overflowed.
     """
-    from cspi.expr import ParseError
+    from cspi import BosonPoly
+    from cspi.expr import ParseError, format_operator
 
     tokens = _reference_tokenize(text)
     max_idx = max((tok[1] for tok in tokens if tok[0] in ("ad", "a")), default=-1)
@@ -370,6 +430,10 @@ def _reference_parse_operator(text: str, modes: int | None = None):
     parser = _ReferenceParser(tokens, modes)
     poly = parser.parse_expr()
     parser.take("end")
+    for key, coeff in poly.terms.items():
+        if not cmath.isfinite(coeff):
+            term = format_operator(BosonPoly({key: coeff}, modes))
+            raise ParseError(f"operator term {term} has a non-finite coefficient", 0)
     return poly
 
 
@@ -477,6 +541,16 @@ def paired_frequency_sum():
 @pytest.fixture
 def step_loop_flow():
     return _step_loop_flow
+
+
+@pytest.fixture
+def whole_array_flow():
+    return _whole_array_flow
+
+
+@pytest.fixture
+def whole_array_cumsum():
+    return _whole_array_cumsum
 
 
 @pytest.fixture

@@ -193,6 +193,26 @@ def test_parse_edge_cases():
     assert list(p.terms.items()) == [(((3, 2),), 1.0), (((2, 1),), 6.0), (((1, 0),), 6.0)]
 
 
+@pytest.mark.parametrize(
+    "text, term",
+    [
+        ("1e400*ad_0*a_0", "(nan-nani)*ad_0*a_0"),
+        ("2^2000*ad_0*a_0", "(nan-nani)*ad_0*a_0"),
+        ("a_0 + 1e308*ad_0 + 1e308*ad_0", "inf*ad_0"),  # finite terms whose sum overflows
+        ("1e400i", "(nan+infi)"),
+    ],
+)
+def test_parse_refuses_non_finite_coefficient(text, term):
+    with pytest.raises(ParseError) as exc:
+        parse_operator(text)
+    assert str(exc.value) == f"operator term {term} has a non-finite coefficient (at position 0)"
+
+
+def test_overflow_times_zero_parses_to_zero():
+    # the zero monomial absorbs the inf before any coefficient is checked
+    assert parse_operator("1e400*0*ad_0") == BosonPoly.zero(1)
+
+
 def test_monomial_terms_skip_multiply(monkeypatch, waves):
     calls = []
 

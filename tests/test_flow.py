@@ -1,6 +1,8 @@
 """Frequency-shell renormalization: exactness, scaling, free-theory limit."""
 
 import math
+import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,7 +16,7 @@ from cspi import (
     run_flow,
     weyl_discrete_logZ_quadratic,
 )
-from cspi.flow import _compensated_cumsum, _half_tan
+from cspi.flow import _SHELL_BLOCK, _half_tan, _Sum2
 
 
 def test_conservation_at_every_shell():
@@ -142,6 +144,14 @@ def test_half_tan_against_mpmath(N):
     assert max(rel) <= 4 * np.finfo(float).eps
 
 
+def _streamed_prefix(x, block):
+    """The compensated prefix sums of ``x``, fed to one ``_Sum2`` in blocks of ``block``."""
+    total, prefix = _Sum2(), np.empty(len(x))
+    for lo in range(0, len(x), block):
+        total.prefix(x[lo : lo + block], prefix[lo : lo + block])
+    return prefix
+
+
 def test_compensated_prefix_matches_fsum():
     # mixed signs, magnitudes 1e-8 .. 1e8: the sampled prefixes have condition
     # numbers sum|x| / |sum x| up to a few thousand, and a plain cumsum is
@@ -149,7 +159,7 @@ def test_compensated_prefix_matches_fsum():
     rng = np.random.default_rng(20261018)
     n = 50_000
     x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
-    prefix = _compensated_cumsum(x)
+    prefix = _streamed_prefix(x, 4999)  # blocks that the sampled prefixes straddle
     for i in range(0, n, 997):
         exact = math.fsum(x[: i + 1])
         assert abs(prefix[i] - exact) <= np.spacing(abs(exact))
@@ -162,3 +172,81 @@ def test_large_c_passes_pair_check():
     result = run_flow(model, MatsubaraGrid(101, 1.0), 5)
     assert np.all(np.isfinite(result.log_c_series))
     assert np.all(np.isfinite(result.corrections))
+
+
+@pytest.mark.parametrize("block", [1, 2, 997, 4999, 50_000])
+def test_streamed_prefix_matches_whole_array_sum(block, whole_array_cumsum):
+    # the carried state (running sum, running error) makes block edges invisible
+    rng = np.random.default_rng(7)
+    x = rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-8.0, 8.0, 50_000)
+    assert np.array_equal(_streamed_prefix(x, block), whole_array_cumsum(x))
+    in_place = x.copy()
+    _Sum2().prefix(in_place, in_place)
+    assert np.array_equal(in_place, whole_array_cumsum(x))
+
+
+_B = _SHELL_BLOCK
+_ORACLE_SIZES = [2 * _B + 1, 2 * _B + 3, 4 * _B + 83, 10**6 + 1]
+_ORACLE_FLOORS = [0, 40, _B - 1, _B, _B + 1]
+
+
+@pytest.mark.parametrize(
+    "N, b_floor",
+    [(N, b) for N in _ORACLE_SIZES for b in _ORACLE_FLOORS if b < (N - 1) // 2],
+)
+@pytest.mark.parametrize("A, modes", [(1.3, 1), (1.3, 2), (-0.7, 1)])
+def test_run_flow_matches_whole_array_oracle(N, b_floor, A, modes, whole_array_flow):
+    # block edges fall inside the steps, on the floor (b_floor = B - 1, B, B + 1)
+    # and next to the top shell; A < 0 has no conservation residual
+    model, grid = QuadraticModel(A=A, beta=0.9), MatsubaraGrid(N, 0.9)
+    result = run_flow(model, grid, b_floor, modes)
+    oracle = whole_array_flow(model, grid, b_floor, modes)
+    assert np.array_equal(result.shells, oracle.shells)
+    assert np.array_equal(result.corrections, oracle.corrections)
+    assert np.array_equal(result.log_c_series, oracle.log_c_series)
+    if A > 0:
+        assert np.array_equal(result.conservation_residuals, oracle.conservation_residuals)
+    else:
+        assert result.conservation_residuals is None and oracle.conservation_residuals is None
+    assert result.final == oracle.final
+
+
+def test_run_flow_memory_is_outputs_plus_blocks():
+    # the four returned arrays are the only ones that grow with N; everything
+    # else is a few blocks of shells, here allowed 32 float64 blocks (2 MB).
+    # The whole-array flow peaked at 88 MB, 56 MB over the outputs.
+    N = 2 * 10**6 + 1
+    model, grid = QuadraticModel(A=1.0, beta=1.0), MatsubaraGrid(N, 1.0)
+    allowance = 32 * 8 * _SHELL_BLOCK
+    tracemalloc.start()
+    try:
+        result = run_flow(model, grid, b_floor=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = (
+        result.shells, result.corrections, result.log_c_series, result.conservation_residuals
+    )
+    assert peak <= sum(a.nbytes for a in outputs) + allowance
+
+
+@pytest.mark.parametrize(
+    "A, beta",
+    [
+        (math.nan, 1.0),  # the pair products are not real
+        (1e200, 1.0),  # c^2 overflows: the steps are not finite
+        (1e157, 1.0),  # c^2 is finite but c^2 / 4 tan^2 overflows at the low shells
+    ],
+)
+def test_run_flow_errors_match_whole_array_oracle(A, beta, unchecked_model, whole_array_flow):
+    # same error, message and warnings as the whole-array flow, although the
+    # streamed flow forms every block's pair terms before any check
+    grid = MatsubaraGrid(4 * _SHELL_BLOCK + 83, beta)
+    outcomes = []
+    for flow in (run_flow, whole_array_flow):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError) as exc:
+                flow(unchecked_model(A, beta), grid, 40)
+        outcomes.append((str(exc.value), sorted({str(w.message) for w in caught})))
+    assert outcomes[0] == outcomes[1]
