@@ -6,6 +6,15 @@ a CSV table (stdout or ``--out file.csv``) or a JSON document
 the pass/fail verdict.  Verdicts and warnings go to stderr; the table is
 never polluted, so identical configs give byte-identical CSV.
 
+One table, ``_SETTINGS``, knows every setting: its config key, its
+``RunConfig`` field, its converter and the commands that read it.  A command
+has ``--config`` plus the flag (``--`` + key, ``_`` -> ``-``) of each setting
+it reads, and nothing else.  A config file may hold the key of any setting:
+one this command does not read is ignored, one that names no setting is an
+error.  The JSON config echoes the settings the command read, with the values
+it ran with (its verdict tolerance included).  ``_COMMANDS`` maps each command
+to its runner and its default tolerance.
+
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config/parse error.
 """
 
@@ -38,9 +47,6 @@ class ConfigError(ValueError):
     """Bad run configuration (missing/ill-typed keys, invalid sweeps)."""
 
 
-_COMMANDS = ("order", "free-energy", "cutoff", "prefactor", "flow", "identity-check")
-
-
 @dataclass
 class RunConfig:
     """Effective, merged configuration of a single run."""
@@ -61,34 +67,19 @@ class RunConfig:
     modes: int = 1
     b_floor: int = 40
     fit_window: tuple[int, int] | None = None  # None: [50, min(500, top shell // 4)]
-    tol: float | None = None
+    tol: float | None = None  # None: the command's default, set by load_config
     out: str | None = None
 
     def echo(self) -> dict:
-        d = {
+        """The settings this command read, with the values it ran with."""
+        return {
             "command": self.command,
-            "A": self.A,
-            "beta": self.beta,
-            "N": self.N_values,
-            "b": self.b_values,
+            **{
+                key: getattr(self, name)
+                for key, name, _, commands, _ in _SETTINGS
+                if self.command in commands and key != "out"
+            },
         }
-        if self.command == "order":
-            d.update(expr=self.expr, target=self.target, verify=self.verify, n_max=self.n_max)
-        if self.command == "cutoff":
-            d.update(ordering=self.orderings)
-        if self.command == "flow":
-            d.update(b_floor=self.b_floor, fit_window=list(self.fit_window), modes=self.modes)
-        if self.command == "identity-check":
-            d.update(
-                n_max=self.n_max,
-                radial=self.radial_nodes,
-                angular=self.angular_nodes,
-                margin=self.margin,
-                modes=self.modes,
-            )
-        if self.tol is not None:
-            d["tol"] = self.tol
-        return d
 
 
 def _as_int(value) -> int:
@@ -125,35 +116,14 @@ def _as_bool(value) -> bool:
 
 
 def _as_window(value) -> tuple[int, int]:
-    lo, hi = (_as_int(v) for v in value)
-    return lo, hi
-
-
-#: (config key and flag dest, RunConfig field, converter); an absent flag is
-#: None (so ``--verify`` defaults to None), and a given one overrides the file
-_SETTINGS = (
-    ("A", "A", float),
-    ("beta", "beta", float),
-    ("N", "N_values", _as_int_list),
-    ("b", "b_values", _as_int_list),
-    ("ordering", "orderings", _as_str_list),
-    ("expr", "expr", str),
-    ("target", "target", str),
-    ("verify", "verify", _as_bool),
-    ("n_max", "n_max", _as_int),
-    ("radial", "radial_nodes", _as_int),
-    ("angular", "angular_nodes", _as_int),
-    ("margin", "margin", _as_int),
-    ("modes", "modes", _as_int),
-    ("b_floor", "b_floor", _as_int),
-    ("fit_window", "fit_window", _as_window),
-    ("tol", "tol", float),
-    ("out", "out", str),
-)
+    window = _as_int_list(value)
+    if len(window) != 2:
+        raise ValueError(f"must be two integers lo,hi, got {value!r}")
+    return tuple(window)
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge the JSON config file (if any) with command-line overrides."""
+    """Merge the JSON config file (if any) with the flags, for the settings the command reads."""
     raw: dict = {}
     if args.config is not None:
         try:
@@ -165,10 +135,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a JSON object")
+        unknown = sorted(raw.keys() - {key for key, *_ in _SETTINGS})
+        if unknown:
+            raise ConfigError(f"config file keys that name no setting: {unknown}")
 
     flags = {key: value for key, value in vars(args).items() if value is not None}
-    cfg = RunConfig(command=args.command)
-    for key, name, convert in _SETTINGS:
+    cfg = RunConfig(command=args.command, tol=_COMMANDS[args.command][1])
+    for key, name, convert, commands, _ in _SETTINGS:
+        if args.command not in commands:
+            continue  # one file may serve several commands
         for source in (raw, flags):
             if key in source:
                 try:
@@ -202,6 +177,13 @@ def _require_ordering(name: str | None) -> Ordering:
         raise ConfigError(f"target/ordering must be one of {names}, got {name!r}") from None
 
 
+def _one(command: str, key: str, values: list[int], default: int) -> list[int]:
+    """A list setting that the command runs at one value; none given is the default."""
+    if len(values) > 1:
+        raise ConfigError(f"{command} runs one {key}, got {values}")
+    return values or [default]
+
+
 def _sweep_checks(errs: list, nonincreasing: str, final: str, bound: float, bound_text: str):
     """A sweep's verdicts: its errors never grow, and the last one is within bound."""
     checks = []
@@ -232,9 +214,10 @@ def cmd_order(cfg: RunConfig):
         H_original = hamiltonian_matrix(poly, basis)
         H_round_trip = hamiltonian_matrix(quantize(symbol), basis)
         residual = float(np.abs(H_original - H_round_trip).max())
-        tol = 1e-10 if cfg.tol is None else cfg.tol
         row.append(residual)
-        checks.append(("round_trip_residual", residual <= tol, f"{residual:.3e} <= {tol:g}"))
+        checks.append(
+            ("round_trip_residual", residual <= cfg.tol, f"{residual:.3e} <= {cfg.tol:g}")
+        )
         return ["expr", "target", "symbol", "residual"], [row], checks
     return ["expr", "target", "symbol"], [row], checks
 
@@ -244,7 +227,6 @@ def cmd_free_energy(cfg: RunConfig):
         raise ConfigError("free-energy needs a sweep list of N values")
     model = QuadraticModel(cfg.A, cfg.beta)
     exact = exact_dFdA(model)
-    tol = 1e-3 if cfg.tol is None else cfg.tol
 
     def point(item):
         method, N = item
@@ -273,7 +255,7 @@ def cmd_free_energy(cfg: RunConfig):
         errs = [row[3] for row in rows if row[1] == method and row[4] == ""]
         # tol * |exact|: fails, not divides, when exact underflows to 0
         names = (f"{method}_error_nonincreasing", f"{method}_final_rel_error")
-        checks += _sweep_checks(errs, *names, tol * abs(exact), f"{tol:g} * |exact|")
+        checks += _sweep_checks(errs, *names, cfg.tol * abs(exact), f"{cfg.tol:g} * |exact|")
     return ["N", "method", "dFdA", "abs_error", "note"], rows, checks
 
 
@@ -289,7 +271,6 @@ def cmd_cutoff(cfg: RunConfig):
     model = QuadraticModel(cfg.A, cfg.beta)
     exact = exact_dFdA(model)
     coth_half = exact + 0.5  # (1/2) coth(beta A / 2)
-    tol = 1e-3 if cfg.tol is None else cfg.tol
 
     def point(item):
         b, ordering = item
@@ -304,15 +285,15 @@ def cmd_cutoff(cfg: RunConfig):
     for ordering in orderings:
         errs = [row[3] for row in rows if row[1] == ordering.value]
         names = (f"{ordering.value}_error_nonincreasing", f"{ordering.value}_final_error")
-        checks += _sweep_checks(errs, *names, tol, f"{tol:g}")
+        checks += _sweep_checks(errs, *names, cfg.tol, f"{cfg.tol:g}")
     return ["b", "ordering", "dFdA", "abs_error"], rows, checks
 
 
 def cmd_prefactor(cfg: RunConfig):
     if not cfg.N_values:
         raise ConfigError("prefactor needs a sweep list of (odd) N values")
-    b = cfg.b_values[0] if cfg.b_values else 4
-    tol = 1e-2 if cfg.tol is None else cfg.tol
+    cfg.b_values = _one("prefactor", "b", cfg.b_values, 4)  # the config echoes the b that ran
+    b = cfg.b_values[0]
 
     def point(N):
         emp = prefactor_log_empirical(N, b, cfg.beta, cfg.modes)
@@ -323,13 +304,13 @@ def cmd_prefactor(cfg: RunConfig):
     rows = [point(N) for N in cfg.N_values]
     rels = [row[4] for row in rows]
     names = ("rel_difference_nonincreasing", "final_rel_difference")
-    checks = _sweep_checks(rels, *names, tol, f"{tol:g}")[::-1]  # final value reported first
+    checks = _sweep_checks(rels, *names, cfg.tol, f"{cfg.tol:g}")[::-1]  # final first
     return ["N", "b", "log_empirical", "log_closed", "rel_difference"], rows, checks
 
 
 def cmd_flow(cfg: RunConfig):
-    N = cfg.N_values[0] if cfg.N_values else 10001
-    cfg.N_values = [N]  # the config echoes the N that ran
+    cfg.N_values = _one("flow", "N", cfg.N_values, 10001)  # the config echoes the N that ran
+    N = cfg.N_values[0]
     model = QuadraticModel(cfg.A, cfg.beta)
     result = run_flow(model, MatsubaraGrid(N, cfg.beta), cfg.b_floor, cfg.modes)
     if result.conservation_residuals is None:
@@ -350,19 +331,18 @@ def cmd_flow(cfg: RunConfig):
         np.polyfit(np.log(result.shells[window]), np.log(result.corrections[window]), 1)[0]
     )
     accumulated = float(result.corrections.sum())
-    tol = 1e-2 if cfg.tol is None else cfg.tol
 
     rows = [
         ["correction_slope", slope, "-2 +- 0.2"],
         ["max_conservation_residual", max_residual, "<= 1e-9"],
-        ["accumulated_correction", accumulated, f"<= {tol:g}"],
+        ["accumulated_correction", accumulated, f"<= {cfg.tol:g}"],
         ["final_log_c", result.final.log_c, ""],
         ["final_A_eff", result.final.A_eff, ""],
     ]
     checks = [
         ("correction_slope", abs(slope + 2.0) <= 0.2, f"{slope:.4f} within -2 +- 0.2"),
         ("conservation", max_residual <= 1e-9, f"{max_residual:.3e} <= 1e-9"),
-        ("accumulated_correction", accumulated <= tol, f"{accumulated:.3e} <= {tol:g}"),
+        ("accumulated_correction", accumulated <= cfg.tol, f"{accumulated:.3e} <= {cfg.tol:g}"),
     ]
     return ["metric", "value", "threshold"], rows, checks
 
@@ -374,20 +354,45 @@ def cmd_identity_check(cfg: RunConfig):
     deviation = check_resolution_identity(
         basis, cfg.radial_nodes, cfg.angular_nodes, cfg.margin
     )
-    tol = 1e-6 if cfg.tol is None else cfg.tol
     rows = [[cfg.n_max, cfg.radial_nodes, cfg.angular_nodes, cfg.margin, deviation]]
-    checks = [("deviation", deviation <= tol, f"{deviation:.3e} <= {tol:g}")]
+    checks = [("deviation", deviation <= cfg.tol, f"{deviation:.3e} <= {cfg.tol:g}")]
     return ["n_max", "radial", "angular", "margin", "deviation"], rows, checks
 
 
-_RUNNERS = {
-    "order": cmd_order,
-    "free-energy": cmd_free_energy,
-    "cutoff": cmd_cutoff,
-    "prefactor": cmd_prefactor,
-    "flow": cmd_flow,
-    "identity-check": cmd_identity_check,
+#: every command: name -> (runner, default verdict tolerance)
+_COMMANDS = {
+    "order": (cmd_order, 1e-10),
+    "free-energy": (cmd_free_energy, 1e-3),
+    "cutoff": (cmd_cutoff, 1e-3),
+    "prefactor": (cmd_prefactor, 1e-2),
+    "flow": (cmd_flow, 1e-2),
+    "identity-check": (cmd_identity_check, 1e-6),
 }
+
+#: every setting: (config key, RunConfig field, converter, the commands that
+#: read it, help).  Its flag is "--" + key with "_" -> "-"; a file value and a
+#: flag string pass through the same converter, and a given flag overrides the
+#: file.  A list setting takes a comma-separated flag.  An absent flag is
+#: None, so ``--verify`` defaults to None.
+_SETTINGS = (
+    ("A", "A", float, ("free-energy", "cutoff", "flow"), "quadratic coefficient"),
+    ("beta", "beta", float, ("free-energy", "cutoff", "prefactor", "flow"), "inverse temperature"),
+    ("N", "N_values", _as_int_list, ("free-energy", "prefactor", "flow"), "slice count(s)"),
+    ("b", "b_values", _as_int_list, ("cutoff", "prefactor"), "cutoff(s)"),
+    ("ordering", "orderings", _as_str_list, ("cutoff",), "ordering(s)"),
+    ("expr", "expr", str, ("order",), "operator expression, e.g. 'ad_0*a_0'"),
+    ("target", "target", str, ("order",), "normal | antinormal | weyl"),
+    ("verify", "verify", _as_bool, ("order",), "report the Fock round-trip residual"),
+    ("n_max", "n_max", _as_int, ("order", "identity-check"), "occupancy cap per mode"),
+    ("radial", "radial_nodes", _as_int, ("identity-check",), "Gauss-Laguerre nodes in |z|^2"),
+    ("angular", "angular_nodes", _as_int, ("identity-check",), "uniform angular nodes"),
+    ("margin", "margin", _as_int, ("identity-check",), "top occupancies not compared"),
+    ("modes", "modes", _as_int, ("prefactor", "flow", "identity-check"), "number of modes"),
+    ("b_floor", "b_floor", _as_int, ("flow",), "lowest shell kept"),
+    ("fit_window", "fit_window", _as_window, ("flow",), "shells lo,hi of the slope fit"),
+    ("tol", "tol", float, _COMMANDS, "verdict tolerance (default per command)"),
+    ("out", "out", str, _COMMANDS, "output path (.csv or .json); default stdout CSV"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -433,32 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        # no abbreviations: free-energy has no --b, which must not read as --beta
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--A", type=float, help="quadratic coefficient")
-        p.add_argument("--beta", type=float, help="inverse temperature")
-        p.add_argument("--N", help="slice count(s), comma separated")
-        p.add_argument("--b", help="cutoff index/indices, comma separated")
-        p.add_argument("--out", help="output path (.csv or .json); default stdout CSV")
-        p.add_argument("--tol", type=float, help="verdict tolerance override")
-        if name == "order":
-            p.add_argument("--expr", help="operator expression, e.g. 'ad_0*a_0'")
-            p.add_argument("--target", help="normal | antinormal | weyl")
-            p.add_argument(
-                "--verify", action="store_true", default=None, help="report Fock round-trip residual"
-            )
-            p.add_argument("--n-max", dest="n_max", type=int, help="verification cap")
-        if name == "cutoff":
-            p.add_argument("--ordering", help="ordering(s), comma separated")
-        if name == "flow":
-            p.add_argument("--b-floor", dest="b_floor", type=int, help="lowest shell kept")
-            p.add_argument("--modes", type=int)
-        if name == "identity-check":
-            p.add_argument("--n-max", dest="n_max", type=int)
-            p.add_argument("--radial", type=int)
-            p.add_argument("--angular", type=int)
-            p.add_argument("--margin", type=int)
-            p.add_argument("--modes", type=int)
+        for key, _, convert, commands, text in _SETTINGS:
+            if name in commands:
+                switch = {"action": "store_true", "default": None} if convert is _as_bool else {}
+                p.add_argument("--" + key.replace("_", "-"), help=text, **switch)
     return parser
 
 
@@ -470,7 +456,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args)
-        columns, rows, checks = _RUNNERS[args.command](cfg)
+        columns, rows, checks = _COMMANDS[args.command][0](cfg)
     except (ConfigError, ParseError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -38,6 +38,11 @@ class QuadraticModel:
 #: :class:`FockBasis` builds dim x dim matrices, so larger bases are refused
 DENSE_BYTES_MAX = 2**30
 
+#: most Gauss-Laguerre nodes of the identity check: numpy's ``laggauss``
+#: weights overflow to NaN from 187 nodes on (numpy 2.4), and a count of
+#: n builds an n x n companion matrix, so a huge count would exhaust memory
+RADIAL_NODES_MAX = 186
+
 
 class FockBasis:
     """Occupancy-number basis with a per-mode cap.
@@ -250,7 +255,8 @@ def check_resolution_identity(
     carry a phase e^{i(m-n)phi} and die on the angular grid only when
     angular_nodes does not alias m - n to 0; under-resolved grids leave
     O(1) spurious entries.  Returns the max-norm deviation on the sub-block
-    of occupancies <= n_max - margin.
+    of occupancies <= n_max - margin.  ``radial_nodes`` outside
+    1..:data:`RADIAL_NODES_MAX` is refused before any node is computed.
 
     The quadrature matrix is the Kronecker product of the per-mode blocks
     E_i, and is never formed.  On the diagonal the deviation is
@@ -261,10 +267,19 @@ def check_resolution_identity(
     at S = {i} plus every j with o_j >= d_j, for some i.  A mode with a
     one-state block has o_i = 0.  Memory is sum_i (cap_i + 1)^2 plus dim.
     """
-    if radial_nodes < 1 or angular_nodes < 1:
+    radial_refused = (
+        f"radial must be 1 to {RADIAL_NODES_MAX} Gauss-Laguerre nodes (beyond, their"
+        f" weights leave the float range), got {radial_nodes}"
+    )
+    if not 1 <= radial_nodes <= RADIAL_NODES_MAX:
+        raise ValueError(radial_refused)
+    if angular_nodes < 1:
         raise ValueError("quadrature sizes must be >= 1")
     tops = basis._block_tops(margin)
-    t, wt = np.polynomial.laguerre.laggauss(radial_nodes)
+    with np.errstate(all="ignore"):
+        t, wt = np.polynomial.laguerre.laggauss(radial_nodes)
+    if not np.isfinite(wt).all():
+        raise ValueError(radial_refused)
     phi = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
 
     diagonal = np.ones(1, dtype=complex)

@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cspi
@@ -399,3 +401,223 @@ def test_prefactor_report(capsys):
     out = capsys.readouterr()
     assert code == 0
     assert out.out.startswith("N,b,log_empirical,log_closed,rel_difference\n")
+
+
+# ---------------------------------------------------------------------------
+# one settings table: each command's flags, file keys and config echo
+# ---------------------------------------------------------------------------
+
+#: the settings each command reads; a setting's flag is "--" + key, "_" -> "-"
+READS = {
+    "order": {"expr", "target", "verify", "n_max", "tol", "out"},
+    "free-energy": {"A", "beta", "N", "tol", "out"},
+    "cutoff": {"A", "beta", "b", "ordering", "tol", "out"},
+    "prefactor": {"beta", "N", "b", "modes", "tol", "out"},
+    "flow": {"A", "beta", "N", "modes", "b_floor", "fit_window", "tol", "out"},
+    "identity-check": {"n_max", "radial", "angular", "margin", "modes", "tol", "out"},
+}
+SETTINGS = set().union(*READS.values())
+
+#: a small run of each command
+SMALL = {
+    "order": ["--expr", "ad_0*a_0", "--target", "weyl"],
+    "free-energy": ["--N", "101"],
+    "cutoff": ["--b", "10"],
+    "prefactor": ["--N", "101"],
+    "flow": ["--N", "1001"],
+    "identity-check": ["--n-max", "2"],
+}
+
+#: a valid file value for every setting
+FILE_VALUES = {
+    "A": 2.0,
+    "beta": 3.0,
+    "N": [11],
+    "b": [5],
+    "ordering": ["weyl"],
+    "expr": "a_0",
+    "target": "normal",
+    "verify": True,
+    "n_max": 3,
+    "radial": 8,
+    "angular": 8,
+    "margin": 0,
+    "modes": 2,
+    "b_floor": 41,
+    "fit_window": [60, 90],
+    "tol": 0.5,
+    "out": "ignored.csv",
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _report(command, tmp_path, extra=()):
+    out = tmp_path / f"{command}.json"
+    assert main([command, *SMALL[command], *extra, "--out", str(out)]) in (0, 1)
+    return json.loads(out.read_text())
+
+
+def _config_echo(command, tmp_path, extra=()):
+    return _report(command, tmp_path, extra)["config"]
+
+
+def test_table_flags_match_the_settings_read():
+    assert set(cli._COMMANDS) == set(READS)
+    assert set(FILE_VALUES) == SETTINGS == {key for key, *_ in cli._SETTINGS}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_exactly_the_flags_read(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--config"} | {_flag(key) for key in READS[command]}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_config_echo_is_the_settings_read(command, tmp_path, capsys):
+    assert _config_echo(command, tmp_path).keys() == {"command"} | READS[command] - {"out"}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_flag_not_read_exits_2(command, capsys):
+    # order --N 7 and free-energy --b 3 used to be accepted and echoed, though
+    # never used; with abbreviations free-energy --b would be read as --beta
+    for key in sorted(SETTINGS - READS[command]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *SMALL[command], _flag(key), "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {_flag(key)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_unknown_file_key_exits_2_and_names_it(command, tmp_path, capsys):
+    # {"bta": 2} used to be dropped, and the run used beta = 1
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"bta": 2, "tol": 0.5}))
+    assert main([command, *SMALL[command], "--config", str(cfg)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: config file keys that name no setting: ['bta']\n"
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_file_key_of_another_command_is_ignored(command, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({k: FILE_VALUES[k] for k in SETTINGS - READS[command]}))
+    alone = _config_echo(command, tmp_path)
+    assert _config_echo(command, tmp_path, ["--config", str(cfg)]) == alone
+    assert capsys.readouterr().out == ""
+
+
+def test_file_values_of_every_read_setting_are_echoed(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({k: FILE_VALUES[k] for k in READS["flow"] - {"out", "N"}}))
+    config = _config_echo("flow", tmp_path, ["--config", str(cfg)])
+    assert config == {
+        "command": "flow",
+        "A": 2.0,
+        "beta": 3.0,
+        "N": [1001],
+        "modes": 2,
+        "b_floor": 41,
+        "fit_window": [60, 90],
+        "tol": 0.5,
+    }
+
+
+@pytest.mark.parametrize(
+    "command, tol", [("order", 1e-10), ("free-energy", 1e-3), ("identity-check", 1e-6)]
+)
+def test_config_echoes_the_tolerance_used(command, tol, tmp_path, capsys):
+    assert _config_echo(command, tmp_path)["tol"] == tol
+    assert _config_echo(command, tmp_path, ["--tol", "0.25"])["tol"] == 0.25
+
+
+def test_prefactor_modes_from_file_and_flag_are_echoed(tmp_path, capsys):
+    # {"modes": 3} tripled the log prefactor, and the report did not say so
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"modes": 3}))
+    one = _report("prefactor", tmp_path)
+    three = _report("prefactor", tmp_path, ["--config", str(cfg)])
+    assert (one["config"]["modes"], three["config"]["modes"]) == (1, 3)
+    log_closed = [float(doc["rows"][0][3]) for doc in (one, three)]
+    assert log_closed[1] == pytest.approx(3 * log_closed[0], rel=1e-15)
+    assert _config_echo("prefactor", tmp_path, ["--modes", "2"])["modes"] == 2
+
+
+def test_prefactor_echoes_the_b_it_ran(tmp_path, capsys):
+    # without --b it ran b = 4 and echoed "b": []
+    assert _config_echo("prefactor", tmp_path)["b"] == [4]
+    assert _config_echo("prefactor", tmp_path, ["--b", "6"])["b"] == [6]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["flow", "--N", "1001,2001"], None, "flow runs one N, got [1001, 2001]"),
+        (["flow"], {"N": [1001, 2001]}, "flow runs one N, got [1001, 2001]"),
+        (["prefactor", "--N", "101", "--b", "4,10"], None, "prefactor runs one b, got [4, 10]"),
+        (["prefactor", "--N", "101"], {"b": [4, 10]}, "prefactor runs one b, got [4, 10]"),
+    ],
+)
+def test_one_value_settings_refuse_a_list(argv, config, message, tmp_path, capsys):
+    # each used to run the first value alone and drop the rest without a word
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+def test_flow_fit_window_flag(tmp_path, capsys):
+    out = tmp_path / "flow.json"
+    argv = ["flow", "--N", "1001", "--fit-window", "50,500", "--out", str(out)]
+    assert main(argv) == 1  # as given from a file: the window reaches the top shell
+    assert json.loads(out.read_text())["config"]["fit_window"] == [50, 500]
+    assert "check correction_slope: FAIL" in capsys.readouterr().err
+    assert main(["flow", "--N", "1001", "--fit-window", "50"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad value for fit_window: ")
+
+
+@pytest.mark.parametrize("radial", ["187", "250"])
+def test_identity_check_radial_above_the_cap_exits_2(radial, capsys, recwarn):
+    # 250 was refused with "radial moments up to t^0 overflow float; lower n_max"
+    # after three numpy RuntimeWarnings; laggauss weights are NaN from 187 nodes on
+    assert main(["identity-check", "--n-max", "2", "--radial", radial]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: radial must be 1 to 186 Gauss-Laguerre nodes")
+    assert len(out.err.splitlines()) == 1
+    assert not recwarn.list
+
+
+def test_identity_check_huge_radial_refused_before_laggauss(monkeypatch, capsys):
+    # laggauss would build a 1e6 x 1e6 companion matrix
+    def laggauss(n):
+        raise AssertionError("laggauss called")
+
+    monkeypatch.setattr(np.polynomial.laguerre, "laggauss", laggauss)
+    assert main(["identity-check", "--radial", "1000000"]) == 2
+    assert "error: radial must be 1 to 186" in capsys.readouterr().err
+
+
+def test_identity_check_non_finite_weights_exit_2(monkeypatch, capsys, recwarn):
+    laggauss = np.polynomial.laguerre.laggauss
+
+    def nan_weights(n):
+        t, wt = laggauss(n)
+        np.divide(wt, 0.0 * wt, out=wt)  # warns, as numpy's own overflow does
+        return t, wt
+
+    monkeypatch.setattr(np.polynomial.laguerre, "laggauss", nan_weights)
+    assert main(["identity-check", "--radial", "64"]) == 2
+    assert "error: radial must be 1 to 186" in capsys.readouterr().err
+    assert not recwarn.list
