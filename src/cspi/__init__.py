@@ -17,7 +17,6 @@ from .algebra import (
     to_ordered_form,
 )
 from .continuum import (
-    CutoffSpec,
     cutoff_dFdA,
     prefactor_log_closed,
     prefactor_log_empirical,
@@ -67,7 +66,6 @@ __all__ = [
     "quantize",
     "symmetrize",
     "to_ordered_form",
-    "CutoffSpec",
     "cutoff_dFdA",
     "prefactor_log_closed",
     "prefactor_log_empirical",

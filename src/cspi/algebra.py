@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegreeCapError, ModeMismatchError
+from .errors import DegreeCapError, ModeMismatchError, _count
 
 #: per-mode pair (creation exponent, annihilation exponent), one per mode
 MonomialKey = tuple[tuple[int, int], ...]
@@ -182,10 +182,7 @@ class _Poly:
     def __init__(
         self, terms: Mapping[MonomialKey, complex], modes: int, ordering: Ordering | None
     ):
-        modes = operator.index(modes)
-        if modes < 1:
-            raise ValueError("modes must be a positive integer")
-        self._modes = modes
+        self._modes = modes = _count(modes, "modes", 1)
         self._ordering = ordering
         self._terms = _validated_terms(terms, modes)
 
@@ -283,20 +280,23 @@ class BosonPoly(_Poly):
 
     @classmethod
     def unit(cls, modes: int = 1) -> "BosonPoly":
-        return cls({((0, 0),) * modes: 1.0}, modes)
+        return cls({((0, 0),) * _count(modes, "modes", 1): 1.0}, modes)
 
     @classmethod
     def create(cls, mode: int = 0, modes: int | None = None) -> "BosonPoly":
-        """The creation operator ``ad_mode``."""
-        modes = mode + 1 if modes is None else modes
-        key = tuple((1, 0) if i == mode else (0, 0) for i in range(modes))
-        return cls({key: 1.0}, modes)
+        """The creation operator ``ad_mode``; ``modes`` defaults to ``mode + 1``."""
+        return cls._ladder((1, 0), mode, modes)
 
     @classmethod
     def annihilate(cls, mode: int = 0, modes: int | None = None) -> "BosonPoly":
-        """The annihilation operator ``a_mode``."""
-        modes = mode + 1 if modes is None else modes
-        key = tuple((0, 1) if i == mode else (0, 0) for i in range(modes))
+        """The annihilation operator ``a_mode``; ``modes`` defaults to ``mode + 1``."""
+        return cls._ladder((0, 1), mode, modes)
+
+    @classmethod
+    def _ladder(cls, pair: tuple[int, int], mode: int, modes: int | None) -> "BosonPoly":
+        modes = _count(mode, "mode", 0) + 1 if modes is None else _count(modes, "modes", 1)
+        mode = _count(mode, "mode", 0, modes - 1)
+        key = tuple(pair if i == mode else (0, 0) for i in range(modes))
         return cls({key: 1.0}, modes)
 
     def adjoint(self) -> "BosonPoly":
@@ -414,18 +414,16 @@ class SymbolPoly(_Poly):
         vector in use and narrows its block so that it stays within
         :data:`TABLE_BYTES` (16 MiB), never below one slice: a 3-mode
         symbol with every half-monomial up to degree 16 needs 969 rows and
-        so blocks of about a thousand slices.  Raises ``ValueError`` for a
-        ``shift`` other than 0 or 1 and :class:`ModeMismatchError` for a
-        path that is not ``(N, modes)``.
+        so blocks of about a thousand slices.  Raises ``TypeError`` or
+        ``ValueError`` for a ``shift`` other than the integer 0 or 1, and
+        :class:`ModeMismatchError` for a path that is not ``(N, modes)``.
         """
-        if shift not in (0, 1):
-            raise ValueError(f"shift must be 0 or 1, got {shift!r}")
+        shift = _count(shift, "shift", 0, 1)
         z = np.asarray(path, dtype=complex)
         if z.ndim != 2 or z.shape[1] != self._modes:
             raise ModeMismatchError(
                 f"path shape {z.shape} is not (N, {self._modes})"
             )
-        shift = int(shift)
         halves = [_halves(key) for key in self._terms]
         row, steps = _table_recipe(e for pair in halves for e in pair)
         pairs = [(row[p], row[q]) for p, q in halves]

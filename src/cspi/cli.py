@@ -23,13 +23,14 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import KAPPA, Ordering, SymbolPoly, quantize, to_ordered_form
-from .continuum import CutoffSpec, cutoff_dFdA, prefactor_log_closed, prefactor_log_empirical
+from .continuum import cutoff_dFdA, prefactor_log_closed, prefactor_log_empirical
 from .discrete import MatsubaraGrid, normal_discrete_dFdA, weyl_discrete_dFdA
 from .errors import EvenSliceCountError, SingularityError
 from .expr import ParseError, format_symbol, parse_operator
@@ -113,6 +114,12 @@ def _as_bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"must be true or false, got {value!r}")
     return value
+
+
+def _as_tol(value) -> float:
+    if not 0 <= float(value) < math.inf:
+        raise ValueError(f"must be finite and non-negative, got {value!r}")
+    return float(value)
 
 
 def _as_window(value) -> tuple[int, int]:
@@ -274,7 +281,7 @@ def cmd_cutoff(cfg: RunConfig):
 
     def point(item):
         b, ordering = item
-        value = cutoff_dFdA(model, CutoffSpec(b, cfg.beta), ordering)
+        value = cutoff_dFdA(model, b, ordering)
         limit = coth_half + KAPPA[ordering]
         return [b, ordering.value, value, abs(value - limit)]
 
@@ -348,8 +355,6 @@ def cmd_flow(cfg: RunConfig):
 
 
 def cmd_identity_check(cfg: RunConfig):
-    if cfg.margin < 0:
-        raise ConfigError(f"margin must be non-negative, got {cfg.margin}")
     basis = FockBasis(cfg.modes, cfg.n_max)
     deviation = check_resolution_identity(
         basis, cfg.radial_nodes, cfg.angular_nodes, cfg.margin
@@ -390,7 +395,7 @@ _SETTINGS = (
     ("modes", "modes", _as_int, ("prefactor", "flow", "identity-check"), "number of modes"),
     ("b_floor", "b_floor", _as_int, ("flow",), "lowest shell kept"),
     ("fit_window", "fit_window", _as_window, ("flow",), "shells lo,hi of the slope fit"),
-    ("tol", "tol", float, _COMMANDS, "verdict tolerance (default per command)"),
+    ("tol", "tol", _as_tol, _COMMANDS, "verdict tolerance (default per command)"),
     ("out", "out", str, _COMMANDS, "output path (.csv or .json); default stdout CSV"),
 )
 
@@ -440,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         # no abbreviations: free-energy has no --b, which must not read as --beta
         p = sub.add_parser(name, allow_abbrev=False)
+        p.set_defaults(command_error=p.error)  # reports under this command's usage line
         p.add_argument("--config", help="JSON config file")
         for key, _, convert, commands, text in _SETTINGS:
             if name in commands:
@@ -453,7 +459,9 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args, extra = _PARSER.parse_known_args(argv)
+    if extra:
+        args.command_error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = load_config(args)
         columns, rows, checks = _COMMANDS[args.command][0](cfg)

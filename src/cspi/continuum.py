@@ -3,42 +3,26 @@ normalization prefactor of the cutoff functional integral.
 
 The cutoff is a hard symmetric window |l| <= b on the continuum frequencies
 omega_l = 2 pi l / beta (smooth windows would change the high-frequency
-bookkeeping these sums are about).  The normal-order cutoff series lands on
-(1/2) coth(beta A / 2) -- off by the constant the exact answer subtracts --
-while the Weyl shift of -1/2 makes it exact; the difference between
-orderings is b-independent.  The cutoff sum is evaluated in closed form,
-as that limit minus its tail beyond b, which is the imaginary part of the
-digamma function (DLMF 5.5.2, 5.11.2); its cost does not grow with b.
+bookkeeping these sums are about); the window is the bare count b, and beta
+is the model's, so a sum depends on b and beta A alone.  The normal-order
+cutoff series lands on (1/2) coth(beta A / 2) -- off by the constant the
+exact answer subtracts -- while the Weyl shift of -1/2 makes it exact; the
+difference between orderings is b-independent.  The cutoff sum is evaluated
+in closed form, as that limit minus its tail beyond b, which is the
+imaginary part of the digamma function (DLMF 5.5.2, 5.11.2); its cost does
+not grow with b.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import KAPPA, Ordering
-from .errors import EvenSliceCountError, NumericalError, SingularityError
+from .errors import EvenSliceCountError, SingularityError
+from .errors import _count, _finite, _inverse_temperature
 from .fock import QuadraticModel
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Symmetric frequency window |l| <= b at inverse temperature beta."""
-
-    b: int
-    beta: float
-
-    def __post_init__(self):
-        if self.b < 0:
-            raise ValueError(f"cutoff index must be >= 0, got {self.b}")
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-
-    def frequencies(self) -> np.ndarray:
-        ell = np.arange(-self.b, self.b + 1)
-        return 2.0 * np.pi * ell / self.beta
 
 
 #: B_2k / 2k, k = 1 .. 8: the asymptotic series of digamma (DLMF 5.11.2)
@@ -66,7 +50,7 @@ def _im_psi(b: int, a: float) -> float:
     return head + math.atan2(a, K) - (0.5 / z + series * w).imag
 
 
-def cutoff_dFdA(model: QuadraticModel, spec: CutoffSpec, ordering: Ordering) -> float:
+def cutoff_dFdA(model: QuadraticModel, b: int, ordering: Ordering) -> float:
     """Re sum_{|l|<=b} 1/(i beta omega_l + beta A) plus the ordering's kappa.
 
     With x = beta A and a = |x| / 2 pi the sum is odd in x, and for x > 0
@@ -82,31 +66,26 @@ def cutoff_dFdA(model: QuadraticModel, spec: CutoffSpec, ordering: Ordering) -> 
     the real 2 / (x + (2 pi l)^2 / x), so that x^2 cannot overflow, from
     l = b down, then l = 0 adds 1/x.
     """
+    b = _count(b, "b", 0)
     if model.A == 0:
         raise SingularityError("cutoff dF/dA has a pole at A = 0")
     bA = model.beta * model.A
     a = abs(bA) / (2.0 * math.pi)
-    if spec.b < a:
-        ell = np.arange(spec.b, 0, -1)
+    if b < a:
+        ell = np.arange(b, 0, -1)
         total = float(np.sum(2.0 / (bA + (2.0 * np.pi * ell) ** 2 / bA))) + 1.0 / bA
     else:
         half = 0.5 * abs(bA)
         # |x| = 5e-324 halves to 0, where the sum (about 1/x) overflows anyway
         coth_half = 0.5 / math.tanh(half) if half else math.inf
-        total = math.copysign(coth_half - _im_psi(spec.b, a) / math.pi, bA)
-    if not math.isfinite(total):
-        raise NumericalError(f"cutoff sum is not finite: {total}")
-    return total + KAPPA[ordering]
+        total = math.copysign(coth_half - _im_psi(b, a) / math.pi, bA)
+    return _finite(total, "cutoff sum") + KAPPA[ordering]
 
 
 def prefactor_log_closed(b: int, beta: float, modes: int = 1) -> float:
     """log of the closed-form prefactor [beta^-(2b+1) (2 pi)^(2b) (b!)^2]^M."""
-    if b < 0:
-        raise ValueError(f"cutoff index must be >= 0, got {b}")
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    if modes < 1:
-        raise ValueError(f"modes must be >= 1, got {modes}")
+    b, modes = _count(b, "b", 0), _count(modes, "modes", 1)
+    _inverse_temperature(beta)
     return modes * (
         -(2 * b + 1) * math.log(beta)
         + 2 * b * math.log(2.0 * math.pi)
@@ -130,15 +109,11 @@ def prefactor_log_empirical(N: int, b: int, beta: float, modes: int = 1) -> floa
     whose terms approach ln((2 pi k)^2), those of the closed form, and which
     never subtracts the two numbers of size N ln 2 the O(N) product does.
     """
-    if N < 1 or N % 2 == 0:
+    if _count(N, "N", 1) % 2 == 0:
         raise EvenSliceCountError(f"shell product is defined for odd N, got {N}")
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    if modes < 1:
-        raise ValueError(f"modes must be >= 1, got {modes}")
-    B = (N - 1) // 2
-    if not 0 <= b <= B:
-        raise ValueError(f"need 0 <= b <= (N-1)/2 = {B}, got b={b}")
+    _inverse_temperature(beta)
+    modes = _count(modes, "modes", 1)
+    b = _count(b, "b", 0, (N - 1) // 2)
     scaled_tan = N * np.tan(np.pi * np.arange(1, b + 1) / N)
     if not np.all(np.isfinite(scaled_tan)) or np.any(scaled_tan == 0.0):
         raise SingularityError("tangent pole in the shell product")

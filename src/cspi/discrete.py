@@ -12,13 +12,13 @@ normal order and 0 for the other two, without per-slice symbol values.
 The harmonic lattice Gaussians are closed forms, O(1) in N: factoring
 z^N - 1 over the N-th roots of unity sums their frequency sums exactly (the
 O(N) paired sums live on in the tests as the oracle).  Products live in the
-log domain (2^{N-1} overflows doubles near N ~ 2100).
+log domain (2^{N-1} overflows doubles near N ~ 2100).  They depend on N and
+c = beta A / N alone, and refuse a grid and a model that state different betas.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +27,10 @@ from .algebra import Ordering, SymbolPoly
 from .errors import (
     EvenSliceCountError,
     ModeMismatchError,
-    NumericalError,
     OrderingTagError,
     SingularityError,
 )
+from .errors import _count, _finite, _inverse_temperature
 from .fock import QuadraticModel
 
 
@@ -42,11 +42,8 @@ class MatsubaraGrid:
     beta: float
 
     def __post_init__(self):
-        operator.index(self.N)  # TypeError for a non-integral slice count
-        if self.N < 1:
-            raise ValueError(f"slice count must be >= 1, got {self.N}")
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        _count(self.N, "N", 1)
+        _inverse_temperature(self.beta)
 
     @property
     def delta(self) -> float:
@@ -186,20 +183,17 @@ def berry_determinant_log(N: int, modes: int = 1) -> BerryDeterminant:
     even N contains omega = pi, whose factor vanishes and kills the
     symmetric-order construction.
     """
-    N, modes = operator.index(N), operator.index(modes)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if modes < 1:
-        raise ValueError(f"modes must be >= 1, got {modes}")
+    N, modes = _count(N, "N", 1), _count(modes, "modes", 1)
     if N % 2 == 0:
         return BerryDeterminant(None, True)
     return BerryDeterminant((1 - N) * modes * math.log(2.0), False)
 
 
-def _finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise NumericalError(f"{what} is not finite: {value}")
-    return value
+def _lattice_c(grid: MatsubaraGrid, model: QuadraticModel) -> float:
+    """c = beta A / N; a grid and a model that state different betas are refused."""
+    if grid.beta != model.beta:
+        raise ValueError(f"grid beta {grid.beta} differs from model beta {model.beta}")
+    return grid.beta * model.A / grid.N
 
 
 def normal_discrete_dFdA(grid: MatsubaraGrid, model: QuadraticModel) -> float:
@@ -214,7 +208,7 @@ def normal_discrete_dFdA(grid: MatsubaraGrid, model: QuadraticModel) -> float:
     if model.A == 0:
         raise SingularityError("normal-order dF/dA has a pole at A = 0")
     N = grid.N
-    c = grid.beta * model.A / N
+    c = _lattice_c(grid, model)
     q = 1.0 - c
     if 0 < c < 1:
         log_q = math.log1p(-c)
@@ -252,7 +246,7 @@ def weyl_discrete_dFdA(grid: MatsubaraGrid, model: QuadraticModel) -> float:
     if model.A == 0:
         raise SingularityError("symmetric-order dF/dA has a pole at A = 0")
     N = grid.N
-    c = grid.beta * model.A / N
+    c = _lattice_c(grid, model)
     s = abs(c)
     r_prev, one_minus_r_N = _weyl_powers(s, N)
     tail = 4.0 * r_prev / ((2.0 + s) ** 2 * one_minus_r_N)
@@ -308,7 +302,7 @@ def weyl_discrete_logZ_quadratic(grid: MatsubaraGrid, model: QuadraticModel) -> 
             "the frequency-domain Gaussian needs A > 0 (omega = 0 diverges otherwise)"
         )
     N = grid.N
-    c = grid.beta * model.A / N
+    c = _lattice_c(grid, model)
     if c < 2:
         N_log_r = N * (math.log1p(-c / 2.0) - math.log1p(c / 2.0))
         r_N = math.exp(N_log_r)

@@ -9,7 +9,8 @@ Grammar (whitespace-insensitive)::
 
 ``ad_k`` / ``a_k`` are the creation/annihilation operators of mode ``k``
 (k >= 0).  A trailing ``i`` on a number makes it imaginary, so a complex
-coefficient is written e.g. ``(1.5-2.0i)``.  ``format_operator`` emits
+coefficient is written e.g. ``(1.5-2.0i)``.  A power is an integer from 0 to
+:data:`MAX_POWER`.  ``format_operator`` emits
 floats with ``repr`` so that ``parse_operator(format_operator(p)) == p``
 holds exactly.
 """
@@ -27,6 +28,11 @@ from .algebra import (
     _canonical,
     multiply,
 )
+from .errors import _count
+
+#: largest exponent of ``^``: a power is one product per unit of its exponent
+#: (bit for bit the factor written out), so a larger one would be unbounded work
+MAX_POWER = 10_000
 
 
 class ParseError(ValueError):
@@ -200,8 +206,8 @@ class _Parser:
         if self.peek() == "caret":
             self.i += 1
             _, value, pos = self.take("num")
-            if value.imag != 0 or value.real != int(value.real) or value.real < 0:
-                raise ParseError("power must be a non-negative integer", pos)
+            if value.imag != 0 or not 0 <= value.real <= MAX_POWER or value.real % 1:
+                raise ParseError(f"power must be an integer from 0 to {MAX_POWER}", pos)
             acc = self.unit
             for _ in range(int(value.real)):
                 acc = self._product(acc, base)
@@ -235,14 +241,10 @@ def parse_operator(text: str, modes: int | None = None) -> BosonPoly:
     :class:`ParseError`, so no caller gets a nan operator.
     """
     tokens = _tokenize(text)
-    max_idx = max(
-        (tok[1] for tok in tokens if tok[0] in ("ad", "a")), default=-1
-    )
-    inferred = max(max_idx + 1, 1)
-    if modes is None:
-        modes = inferred
-    elif modes < inferred:
-        raise ParseError(f"expression uses mode {max_idx}, beyond modes={modes}", 0)
+    inferred = 1 + max((tok[1] for tok in tokens if tok[0] in ("ad", "a")), default=0)
+    modes = inferred if modes is None else _count(modes, "modes", 1)
+    if modes < inferred:
+        raise ParseError(f"expression uses mode {inferred - 1}, beyond modes={modes}", 0)
     parser = _Parser(tokens, modes)
     poly = parser.parse_expr()
     parser.take("end")

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import MatsubaraGrid, weyl_discrete_logZ_quadratic
-from .errors import NumericalError
+from .discrete import MatsubaraGrid, _lattice_c, weyl_discrete_logZ_quadratic
+from .errors import NumericalError, _count, _finite
 from .fock import QuadraticModel
 
 
@@ -142,13 +142,11 @@ def run_flow(
     sum 1/shell^2, so it vanishes in the double limit 1 << b << B.
     """
     grid.require_odd("the frequency-shell flow")
-    if modes < 1:
-        raise ValueError(f"modes must be >= 1, got {modes}")
+    modes = _count(modes, "modes", 1)
     N = grid.N
     top = (N - 1) // 2
-    if not 0 <= b_floor < top:
-        raise ValueError(f"need 0 <= b_floor < (N-1)/2 = {top}, got {b_floor}")
-    c = grid.beta * model.A / N
+    b_floor = _count(b_floor, "b_floor", 0, top - 1)
+    c = _lattice_c(grid, model)
     conserved = model.A > 0  # else the zero mode makes the lattice log Z diverge
     steps = top - b_floor
     shells = np.arange(top, b_floor, -1)  # the flow's order
@@ -213,8 +211,7 @@ def run_flow(
             residual += log_c
             residual -= full
             np.abs(residual, out=residual)
-    if not math.isfinite(log_c_series[-1]):
-        raise NumericalError(f"flow log c is not finite: {log_c_series[-1]}")
+    final_log_c = _finite(float(log_c_series[-1]), "flow log c")
 
-    final = FlowState(float(log_c_series[-1]), model.A, b_floor, grid, modes)
+    final = FlowState(final_log_c, model.A, b_floor, grid, modes)
     return FlowResult(final, shells, corrections, log_c_series, residuals)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import BosonPoly
 from .errors import ModeMismatchError, NonHermitianError, SingularityError
+from .errors import _count, _inverse_temperature
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,7 @@ class QuadraticModel:
     def __post_init__(self):
         if not math.isfinite(self.A):
             raise ValueError(f"A must be finite, got {self.A}")
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        _inverse_temperature(self.beta)
         if not math.isfinite(self.A * self.beta):
             raise ValueError(f"A * beta must be finite, got {self.A} * {self.beta}")
 
@@ -62,13 +62,11 @@ class FockBasis:
     """
 
     def __init__(self, modes: int, n_max: int | Sequence[int]):
-        if modes < 1:
-            raise ValueError("modes must be a positive integer")
-        caps = (n_max,) * modes if isinstance(n_max, int) else tuple(n_max)
+        modes = _count(modes, "modes", 1)
+        caps = (n_max,) * modes if np.ndim(n_max) == 0 else tuple(n_max)
         if len(caps) != modes:
             raise ModeMismatchError(f"{len(caps)} caps given for {modes} modes")
-        if any(c < 0 for c in caps):
-            raise ValueError("occupancy caps must be non-negative")
+        caps = tuple(_count(c, "n_max", 0) for c in caps)
         dim = math.prod(c + 1 for c in caps)
         dense_bytes = dim * dim * np.dtype(complex).itemsize
         if dense_bytes > DENSE_BYTES_MAX:
@@ -93,9 +91,7 @@ class FockBasis:
 
     def _block_tops(self, margin: int) -> np.ndarray:
         """Per-mode top occupancy of the block ``n <= cap - margin``."""
-        if margin < 0:
-            raise ValueError(f"margin must be non-negative, got {margin}")
-        tops = np.array(self.n_max) - margin
+        tops = np.array(self.n_max) - _count(margin, "margin", 0)
         if tops.min() < 0:
             raise ValueError(f"margin {margin} leaves no states in the block")
         return tops
@@ -178,8 +174,7 @@ def hamiltonian_matrix(p: BosonPoly, basis: FockBasis) -> np.ndarray:
 def partition_function(H: np.ndarray, beta: float) -> float:
     """Tr exp(-beta H) by Hermitian eigendecomposition; strictly positive."""
     H = np.asarray(H)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _inverse_temperature(beta)
     if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):
         raise ValueError("Hamiltonian matrix contains non-finite entries")
     scale = max(1.0, float(np.abs(H).max()))
@@ -271,10 +266,9 @@ def check_resolution_identity(
         f"radial must be 1 to {RADIAL_NODES_MAX} Gauss-Laguerre nodes (beyond, their"
         f" weights leave the float range), got {radial_nodes}"
     )
-    if not 1 <= radial_nodes <= RADIAL_NODES_MAX:
+    if _count(radial_nodes, "radial", 1) > RADIAL_NODES_MAX:
         raise ValueError(radial_refused)
-    if angular_nodes < 1:
-        raise ValueError("quadrature sizes must be >= 1")
+    _count(angular_nodes, "angular", 1)
     tops = basis._block_tops(margin)
     with np.errstate(all="ignore"):
         t, wt = np.polynomial.laguerre.laggauss(radial_nodes)

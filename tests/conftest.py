@@ -369,14 +369,14 @@ class _ReferenceParser:
 
     def parse_factor(self):
         from cspi import BosonPoly
-        from cspi.expr import ParseError
+        from cspi.expr import MAX_POWER, ParseError
 
         base = self.parse_atom()
         if self.peek()[0] == "caret":
             self.take()
             _, value, pos = self.take("num")
-            if value.imag != 0 or value.real != int(value.real) or value.real < 0:
-                raise ParseError("power must be a non-negative integer", pos)
+            if value.imag != 0 or not 0 <= value.real <= MAX_POWER or value.real % 1:
+                raise ParseError(f"power must be an integer from 0 to {MAX_POWER}", pos)
             acc = BosonPoly.unit(self.modes)
             for _ in range(int(value.real)):
                 acc = acc * base

@@ -11,7 +11,6 @@ import pytest
 
 from cspi import (
     BosonPoly,
-    CutoffSpec,
     FockBasis,
     MatsubaraGrid,
     Ordering,
@@ -131,14 +130,14 @@ def test_c5_continuum_discrepancy():
     coth_half = 0.5 / math.tanh(0.5)
     bs = [10**3, 10**4, 10**5]
     errors = [
-        abs(cutoff_dFdA(model, CutoffSpec(b, 1.0), Ordering.NORMAL) - coth_half)
+        abs(cutoff_dFdA(model, b, Ordering.NORMAL) - coth_half)
         for b in bs
     ]
     slope = float(np.polyfit(np.log(bs), np.log(errors), 1)[0])
     shift_exact = all(
         abs(
-            cutoff_dFdA(model, CutoffSpec(b, 1.0), Ordering.WEYL)
-            - cutoff_dFdA(model, CutoffSpec(b, 1.0), Ordering.NORMAL)
+            cutoff_dFdA(model, b, Ordering.WEYL)
+            - cutoff_dFdA(model, b, Ordering.NORMAL)
             + 0.5
         )
         < 1e-14

@@ -337,6 +337,14 @@ def test_strict_constructors():
         SymbolPoly({((1, 1),): 1.0}, modes=1.5, ordering=Ordering.WEYL)
     with pytest.raises(ValueError):
         BosonPoly({}, modes=0)
+    with pytest.raises(TypeError, match="modes"):
+        BosonPoly({}, modes=True)
+    # a mode outside 0..modes-1 gave the unit operator
+    for ladder in (BosonPoly.create, BosonPoly.annihilate):
+        for mode in (-1, 2, 5):
+            with pytest.raises(ValueError, match="mode must be in 0..1"):
+                ladder(mode, modes=2)
+        assert ladder(np.int64(1), modes=np.int64(2)) == ladder(1, 2)
     poly = BosonPoly({((np.int64(1), np.int32(0)), (np.uint8(0), 2)): 1.0}, modes=np.int64(2))
     assert poly == BosonPoly({((1, 0), (0, 2)): 1.0}, 2)
     assert type(poly.modes) is int
@@ -536,6 +544,9 @@ def test_path_sum_refusals():
         symbol.path_sum(z, 2)
     with pytest.raises(ValueError):
         symbol.path_sum(z, -1)
+    for shift in (1.0, True, 0.5):
+        with pytest.raises(TypeError, match="shift"):
+            symbol.path_sum(z, shift)
     for shape in [(4, 3), (4,), (2, 4, 2)]:
         with pytest.raises(ModeMismatchError):
             symbol.path_sum(np.ones(shape), 0)

@@ -495,6 +495,44 @@ def test_flag_not_read_exits_2(command, capsys):
 
 
 @pytest.mark.parametrize("command", sorted(READS))
+def test_flag_not_read_reported_under_the_command_usage(command, capsys):
+    # it was reported under the top-level "usage: cspi [-h] {order,...}" line,
+    # which does not show the flags the command has
+    with pytest.raises(SystemExit) as exc:
+        main([command, *SMALL[command], "--bogus", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: cspi {command} [-h] [--config CONFIG]")
+    assert err.endswith(f"cspi {command}: error: unrecognized arguments: --bogus 3\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cutoff", "--b", "10", "--tol", "nan"],
+        ["identity-check", "--n-max", "2", "--tol", "-1"],
+        ["free-energy", "--N", "101", "--tol", "inf"],
+        ["order", "--expr", "ad_0*a_0", "--target", "weyl", "--verify", "--tol=-inf"],
+    ],
+)
+def test_tol_must_be_finite_and_non_negative(argv, capsys):
+    # nan, -1 and -inf failed every check (exit 1) and inf passed every one
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: bad value for tol: must be finite and non-negative")
+    assert len(out.err.splitlines()) == 1
+
+
+def test_tol_from_file_checked_and_zero_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tol": -1e-3}))
+    assert main(["identity-check", "--n-max", "2", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad value for tol: ")
+    assert main(["order", "--expr", "ad_0*a_0", "--target", "weyl", "--verify", "--tol", "0"]) == 0
+
+
+@pytest.mark.parametrize("command", sorted(READS))
 def test_unknown_file_key_exits_2_and_names_it(command, tmp_path, capsys):
     # {"bta": 2} used to be dropped, and the run used beta = 1
     cfg = tmp_path / "run.json"

@@ -54,6 +54,8 @@ def test_grid_basics():
             MatsubaraGrid(3, beta)
     with pytest.raises(TypeError):
         MatsubaraGrid(10.5, 1.0)
+    with pytest.raises(TypeError, match="N must be an integer"):
+        MatsubaraGrid(True, 1.0)  # was a grid of N = 1
     assert MatsubaraGrid(np.int64(5), 2.0).delta == pytest.approx(0.4)
 
 

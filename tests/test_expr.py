@@ -208,6 +208,20 @@ def test_parse_refuses_non_finite_coefficient(text, term):
     assert str(exc.value) == f"operator term {term} has a non-finite coefficient (at position 0)"
 
 
+def test_power_cap(reference_parse_operator):
+    # one product per unit of the exponent: 2^1000000 took 1.6 s before its
+    # non-finite refusal, and 1^1000000 as long to give 1.0
+    assert cspi.expr.MAX_POWER == 10_000
+    for parse in (parse_operator, reference_parse_operator):
+        for text, position in [("1^1000000", 2), ("2^10001", 2), ("ad_0*1^1e400", 7)]:
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert exc.value.position == position
+            assert "power must be an integer from 0 to 10000" in str(exc.value)
+        assert parse("1^10000*ad_0") == BosonPoly.create(0)
+        assert parse("0.5^0") == BosonPoly.unit(1)
+
+
 def test_overflow_times_zero_parses_to_zero():
     # the zero monomial absorbs the inf before any coefficient is checked
     assert parse_operator("1e400*0*ad_0") == BosonPoly.zero(1)
