@@ -6,16 +6,19 @@ a CSV table (stdout or ``--out file.csv``) or a JSON document
 the pass/fail verdict.  Verdicts and warnings go to stderr; the table is
 never polluted, so identical configs give byte-identical CSV.
 
-One table, ``_SETTINGS``, knows every setting: its config key, its
-``RunConfig`` field, its converter and the commands that read it.  A command
-has ``--config`` plus the flag (``--`` + key, ``_`` -> ``-``) of each setting
-it reads, and nothing else.  A config file may hold the key of any setting:
-one this command does not read is ignored, one that names no setting is an
-error.  The JSON config echoes the settings the command read, with the values
-it ran with (its verdict tolerance included).  ``_COMMANDS`` maps each command
-to its runner and its default tolerance.
+One table, ``_SETTINGS``, is the whole description of every setting: its
+config key, its converter, its default, the commands that read it and its
+help.  A command has ``--config`` plus the flag (``--`` + key, ``_`` -> ``-``)
+of each setting it reads, and nothing else.  A config file may hold the key
+of any setting: one this command does not read is ignored, one that names no
+setting is an error.  The run's config is a namespace of ``command`` and
+exactly the settings the command reads, under their keys; the JSON config
+echoes it, without ``out``, with the values the command ran with (its
+verdict tolerance included).  ``_COMMANDS`` maps each command to its runner
+and its default tolerance.
 
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config/parse error.
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config/parse error or
+a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,41 +51,6 @@ class ConfigError(ValueError):
     """Bad run configuration (missing/ill-typed keys, invalid sweeps)."""
 
 
-@dataclass
-class RunConfig:
-    """Effective, merged configuration of a single run."""
-
-    command: str
-    A: float = 1.0
-    beta: float = 1.0
-    N_values: list[int] = field(default_factory=list)
-    b_values: list[int] = field(default_factory=list)
-    orderings: list[str] = field(default_factory=lambda: ["normal", "antinormal", "weyl"])
-    expr: str | None = None
-    target: str | None = None
-    verify: bool = False
-    n_max: int = 8
-    radial_nodes: int = 64
-    angular_nodes: int = 64
-    margin: int = 2
-    modes: int = 1
-    b_floor: int = 40
-    fit_window: tuple[int, int] | None = None  # None: [50, min(500, top shell // 4)]
-    tol: float | None = None  # None: the command's default, set by load_config
-    out: str | None = None
-
-    def echo(self) -> dict:
-        """The settings this command read, with the values it ran with."""
-        return {
-            "command": self.command,
-            **{
-                key: getattr(self, name)
-                for key, name, _, commands, _ in _SETTINGS
-                if self.command in commands and key != "out"
-            },
-        }
-
-
 def _as_int(value) -> int:
     """An int, an integral float or an integer string; a fraction or a bool is refused."""
     number = int(value) if isinstance(value, str) else value
@@ -101,10 +69,25 @@ def _as_int_list(value) -> list[int]:
     return [_as_int(v) for v in value]
 
 
+def _as_float(value) -> float:
+    """A float from a number or a numeric string; a bool is refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
 def _as_str_list(value) -> list[str]:
     if isinstance(value, str):
         value = [v for v in value.split(",") if v]
-    out = [str(v) for v in value]
+    if not isinstance(value, list):  # a JSON object would give its keys
+        raise ValueError(f"must be a list of strings, got {value!r}")
+    out = [_as_str(v) for v in value]
     if not out:
         raise ValueError("list must be non-empty")
     return out
@@ -117,9 +100,10 @@ def _as_bool(value) -> bool:
 
 
 def _as_tol(value) -> float:
-    if not 0 <= float(value) < math.inf:
+    tol = _as_float(value)
+    if not 0 <= tol < math.inf:
         raise ValueError(f"must be finite and non-negative, got {value!r}")
-    return float(value)
+    return tol
 
 
 def _as_window(value) -> tuple[int, int]:
@@ -129,8 +113,8 @@ def _as_window(value) -> tuple[int, int]:
     return tuple(window)
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge the JSON config file (if any) with the flags, for the settings the command reads."""
+def load_config(args: argparse.Namespace) -> SimpleNamespace:
+    """``command`` and each setting it reads: the default, then the file, then the flag."""
     raw: dict = {}
     if args.config is not None:
         try:
@@ -147,16 +131,18 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file keys that name no setting: {unknown}")
 
     flags = {key: value for key, value in vars(args).items() if value is not None}
-    cfg = RunConfig(command=args.command, tol=_COMMANDS[args.command][1])
-    for key, name, convert, commands, _ in _SETTINGS:
+    cfg = SimpleNamespace(command=args.command)
+    for key, convert, default, commands, _ in _SETTINGS:
         if args.command not in commands:
             continue  # one file may serve several commands
+        value = _COMMANDS[args.command][1] if key == "tol" else default
         for source in (raw, flags):
             if key in source:
                 try:
-                    setattr(cfg, name, convert(source[key]))
-                except (TypeError, ValueError) as exc:
+                    value = convert(source[key])
+                except (TypeError, ValueError, OverflowError) as exc:  # 10**400 for a float
                     raise ConfigError(f"bad value for {key}: {exc}") from exc
+        setattr(cfg, key, value)
     return cfg
 
 
@@ -184,7 +170,7 @@ def _require_ordering(name: str | None) -> Ordering:
         raise ConfigError(f"target/ordering must be one of {names}, got {name!r}") from None
 
 
-def _one(command: str, key: str, values: list[int], default: int) -> list[int]:
+def _one(command: str, key: str, values, default: int) -> list[int]:
     """A list setting that the command runs at one value; none given is the default."""
     if len(values) > 1:
         raise ConfigError(f"{command} runs one {key}, got {values}")
@@ -202,7 +188,7 @@ def _sweep_checks(errs: list, nonincreasing: str, final: str, bound: float, boun
     return checks
 
 
-def cmd_order(cfg: RunConfig):
+def cmd_order(cfg: SimpleNamespace):
     if cfg.expr is None:
         raise ConfigError("order needs an operator expression (--expr or config 'expr')")
     target = _require_ordering(cfg.target)
@@ -229,8 +215,8 @@ def cmd_order(cfg: RunConfig):
     return ["expr", "target", "symbol"], [row], checks
 
 
-def cmd_free_energy(cfg: RunConfig):
-    if not cfg.N_values:
+def cmd_free_energy(cfg: SimpleNamespace):
+    if not cfg.N:
         raise ConfigError("free-energy needs a sweep list of N values")
     model = QuadraticModel(cfg.A, cfg.beta)
     exact = exact_dFdA(model)
@@ -249,8 +235,8 @@ def cmd_free_energy(cfg: RunConfig):
         except SingularityError as exc:
             return [N, method, "", "", f"singular: {exc}"]
 
-    points = [("normal-discrete", N) for N in cfg.N_values]
-    points += [("weyl-discrete", N) for N in cfg.N_values]
+    points = [("normal-discrete", N) for N in cfg.N]
+    points += [("weyl-discrete", N) for N in cfg.N]
     rows = [["", "exact", exact, 0.0, ""]] + [point(item) for item in points]
 
     for row in rows:
@@ -266,15 +252,15 @@ def cmd_free_energy(cfg: RunConfig):
     return ["N", "method", "dFdA", "abs_error", "note"], rows, checks
 
 
-def cmd_cutoff(cfg: RunConfig):
-    if not cfg.b_values:
+def cmd_cutoff(cfg: SimpleNamespace):
+    if not cfg.b:
         raise ConfigError("cutoff needs a sweep list of b values")
-    orderings = []
-    for name in cfg.orderings:
+    chosen = []
+    for name in cfg.ordering:
         ordering = _require_ordering(name)
-        if ordering in orderings:
+        if ordering in chosen:
             raise ConfigError(f"ordering {ordering.value!r} is listed more than once")
-        orderings.append(ordering)
+        chosen.append(ordering)
     model = QuadraticModel(cfg.A, cfg.beta)
     exact = exact_dFdA(model)
     coth_half = exact + 0.5  # (1/2) coth(beta A / 2)
@@ -285,22 +271,22 @@ def cmd_cutoff(cfg: RunConfig):
         limit = coth_half + KAPPA[ordering]
         return [b, ordering.value, value, abs(value - limit)]
 
-    points = [(b, o) for o in orderings for b in cfg.b_values]
+    points = [(b, o) for o in chosen for b in cfg.b]
     rows = [point(item) for item in points]
 
     checks = []
-    for ordering in orderings:
+    for ordering in chosen:
         errs = [row[3] for row in rows if row[1] == ordering.value]
         names = (f"{ordering.value}_error_nonincreasing", f"{ordering.value}_final_error")
         checks += _sweep_checks(errs, *names, cfg.tol, f"{cfg.tol:g}")
     return ["b", "ordering", "dFdA", "abs_error"], rows, checks
 
 
-def cmd_prefactor(cfg: RunConfig):
-    if not cfg.N_values:
+def cmd_prefactor(cfg: SimpleNamespace):
+    if not cfg.N:
         raise ConfigError("prefactor needs a sweep list of (odd) N values")
-    cfg.b_values = _one("prefactor", "b", cfg.b_values, 4)  # the config echoes the b that ran
-    b = cfg.b_values[0]
+    cfg.b = _one("prefactor", "b", cfg.b, 4)  # the config echoes the b that ran
+    b = cfg.b[0]
 
     def point(N):
         emp = prefactor_log_empirical(N, b, cfg.beta, cfg.modes)
@@ -308,16 +294,16 @@ def cmd_prefactor(cfg: RunConfig):
         rel = abs(emp - closed) / abs(closed) if closed != 0 else abs(emp - closed)
         return [N, b, emp, closed, rel]
 
-    rows = [point(N) for N in cfg.N_values]
+    rows = [point(N) for N in cfg.N]
     rels = [row[4] for row in rows]
     names = ("rel_difference_nonincreasing", "final_rel_difference")
     checks = _sweep_checks(rels, *names, cfg.tol, f"{cfg.tol:g}")[::-1]  # final first
     return ["N", "b", "log_empirical", "log_closed", "rel_difference"], rows, checks
 
 
-def cmd_flow(cfg: RunConfig):
-    cfg.N_values = _one("flow", "N", cfg.N_values, 10001)  # the config echoes the N that ran
-    N = cfg.N_values[0]
+def cmd_flow(cfg: SimpleNamespace):
+    cfg.N = _one("flow", "N", cfg.N, 10001)  # the config echoes the N that ran
+    N = cfg.N[0]
     model = QuadraticModel(cfg.A, cfg.beta)
     result = run_flow(model, MatsubaraGrid(N, cfg.beta), cfg.b_floor, cfg.modes)
     if result.conservation_residuals is None:
@@ -354,12 +340,10 @@ def cmd_flow(cfg: RunConfig):
     return ["metric", "value", "threshold"], rows, checks
 
 
-def cmd_identity_check(cfg: RunConfig):
+def cmd_identity_check(cfg: SimpleNamespace):
     basis = FockBasis(cfg.modes, cfg.n_max)
-    deviation = check_resolution_identity(
-        basis, cfg.radial_nodes, cfg.angular_nodes, cfg.margin
-    )
-    rows = [[cfg.n_max, cfg.radial_nodes, cfg.angular_nodes, cfg.margin, deviation]]
+    deviation = check_resolution_identity(basis, cfg.radial, cfg.angular, cfg.margin)
+    rows = [[cfg.n_max, cfg.radial, cfg.angular, cfg.margin, deviation]]
     checks = [("deviation", deviation <= cfg.tol, f"{deviation:.3e} <= {cfg.tol:g}")]
     return ["n_max", "radial", "angular", "margin", "deviation"], rows, checks
 
@@ -374,29 +358,31 @@ _COMMANDS = {
     "identity-check": (cmd_identity_check, 1e-6),
 }
 
-#: every setting: (config key, RunConfig field, converter, the commands that
-#: read it, help).  Its flag is "--" + key with "_" -> "-"; a file value and a
-#: flag string pass through the same converter, and a given flag overrides the
-#: file.  A list setting takes a comma-separated flag.  An absent flag is
-#: None, so ``--verify`` defaults to None.
+#: every setting: (config key, converter, default, the commands that read it,
+#: help).  Its flag is "--" + key with "_" -> "-"; a file value and a flag
+#: string pass through the same converter, which refuses a JSON value of the
+#: wrong type, and a given flag overrides the file.  A list setting takes a
+#: comma-separated flag.  ``tol`` defaults to the command's own tolerance.
+#: An absent flag is None, so ``--verify`` defaults to None.
 _SETTINGS = (
-    ("A", "A", float, ("free-energy", "cutoff", "flow"), "quadratic coefficient"),
-    ("beta", "beta", float, ("free-energy", "cutoff", "prefactor", "flow"), "inverse temperature"),
-    ("N", "N_values", _as_int_list, ("free-energy", "prefactor", "flow"), "slice count(s)"),
-    ("b", "b_values", _as_int_list, ("cutoff", "prefactor"), "cutoff(s)"),
-    ("ordering", "orderings", _as_str_list, ("cutoff",), "ordering(s)"),
-    ("expr", "expr", str, ("order",), "operator expression, e.g. 'ad_0*a_0'"),
-    ("target", "target", str, ("order",), "normal | antinormal | weyl"),
-    ("verify", "verify", _as_bool, ("order",), "report the Fock round-trip residual"),
-    ("n_max", "n_max", _as_int, ("order", "identity-check"), "occupancy cap per mode"),
-    ("radial", "radial_nodes", _as_int, ("identity-check",), "Gauss-Laguerre nodes in |z|^2"),
-    ("angular", "angular_nodes", _as_int, ("identity-check",), "uniform angular nodes"),
-    ("margin", "margin", _as_int, ("identity-check",), "top occupancies not compared"),
-    ("modes", "modes", _as_int, ("prefactor", "flow", "identity-check"), "number of modes"),
-    ("b_floor", "b_floor", _as_int, ("flow",), "lowest shell kept"),
-    ("fit_window", "fit_window", _as_window, ("flow",), "shells lo,hi of the slope fit"),
-    ("tol", "tol", _as_tol, _COMMANDS, "verdict tolerance (default per command)"),
-    ("out", "out", str, _COMMANDS, "output path (.csv or .json); default stdout CSV"),
+    ("A", _as_float, 1.0, ("free-energy", "cutoff", "flow"), "quadratic coefficient"),
+    ("beta", _as_float, 1.0, ("free-energy", "cutoff", "prefactor", "flow"), "inverse temperature"),
+    ("N", _as_int_list, (), ("free-energy", "prefactor", "flow"), "slice count(s)"),
+    ("b", _as_int_list, (), ("cutoff", "prefactor"), "cutoff(s)"),
+    ("ordering", _as_str_list, ("normal", "antinormal", "weyl"), ("cutoff",), "ordering(s)"),
+    ("expr", _as_str, None, ("order",), "operator expression, e.g. 'ad_0*a_0'"),
+    ("target", _as_str, None, ("order",), "normal | antinormal | weyl"),
+    ("verify", _as_bool, False, ("order",), "report the Fock round-trip residual"),
+    ("n_max", _as_int, 8, ("order", "identity-check"), "occupancy cap per mode"),
+    ("radial", _as_int, 64, ("identity-check",), "Gauss-Laguerre nodes in |z|^2"),
+    ("angular", _as_int, 64, ("identity-check",), "uniform angular nodes"),
+    ("margin", _as_int, 2, ("identity-check",), "top occupancies not compared"),
+    ("modes", _as_int, 1, ("prefactor", "flow", "identity-check"), "number of modes"),
+    ("b_floor", _as_int, 40, ("flow",), "lowest shell kept"),
+    # None: [50, min(500, top shell // 4)]
+    ("fit_window", _as_window, None, ("flow",), "shells lo,hi of the slope fit"),
+    ("tol", _as_tol, None, _COMMANDS, "verdict tolerance (default per command)"),
+    ("out", _as_str, None, _COMMANDS, "output path (.csv or .json); default stdout CSV"),
 )
 
 
@@ -405,21 +391,20 @@ _SETTINGS = (
 # ---------------------------------------------------------------------------
 
 
-def _emit(cfg: RunConfig, columns, rows, checks) -> None:
+def _emit(cfg: SimpleNamespace, columns, rows, checks, passed: bool) -> None:
     formatted = [[_fmt(v) for v in row] for row in rows]
     csv_text = ",".join(columns) + "\n"
     csv_text += "".join(",".join(row) + "\n" for row in formatted)
 
     if cfg.out and cfg.out.endswith(".json"):
         doc = {
-            "config": cfg.echo(),
+            "config": {key: value for key, value in vars(cfg).items() if key != "out"},
             "columns": columns,
             "rows": formatted,
             "checks": [
-                {"name": name, "passed": passed, "detail": detail}
-                for name, passed, detail in checks
+                {"name": name, "passed": ok, "detail": detail} for name, ok, detail in checks
             ],
-            "verdict": "pass" if all(p for _, p, _ in checks) else "fail",
+            "verdict": "pass" if passed else "fail",
         }
         with open(cfg.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
@@ -430,10 +415,9 @@ def _emit(cfg: RunConfig, columns, rows, checks) -> None:
     else:
         sys.stdout.write(csv_text)
 
-    for name, passed, detail in checks:
-        print(f"check {name}: {'pass' if passed else 'FAIL'} ({detail})", file=sys.stderr)
-    verdict = "pass" if all(p for _, p, _ in checks) else "fail"
-    print(f"verdict: {verdict}", file=sys.stderr)
+    for name, ok, detail in checks:
+        print(f"check {name}: {'pass' if ok else 'FAIL'} ({detail})", file=sys.stderr)
+    print(f"verdict: {'pass' if passed else 'fail'}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(command_error=p.error)  # reports under this command's usage line
         p.add_argument("--config", help="JSON config file")
-        for key, _, convert, commands, text in _SETTINGS:
+        for key, convert, _, commands, text in _SETTINGS:
             if name in commands:
                 switch = {"action": "store_true", "default": None} if convert is _as_bool else {}
                 p.add_argument("--" + key.replace("_", "-"), help=text, **switch)
@@ -468,8 +452,13 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(cfg, columns, rows, checks)
-    return 0 if all(p for _, p, _ in checks) else 1
+    passed = all(p for _, p, _ in checks)
+    try:
+        _emit(cfg, columns, rows, checks, passed)
+    except OSError as exc:  # a missing directory, or a directory as --out
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

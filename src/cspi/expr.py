@@ -113,11 +113,6 @@ class _Parser:
         unit_key = ((0, 0),) * modes
         self.unit = (_ONE, unit_key, 0)
         self.zero = (0j, unit_key, 0)
-        self.ladders = {
-            (kind, i): (_ONE, unit_key[:i] + (pair,) + unit_key[i + 1 :], 1)
-            for i in range(modes)
-            for kind, pair in (("ad", (1, 0)), ("a", (0, 1)))
-        }
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -219,8 +214,10 @@ class _Parser:
         self.i += 1
         if kind == "num":
             return (value * _ONE, self.unit[1], 0)
-        if kind == "ad" or kind == "a":
-            return self.ladders[kind, value]
+        if kind == "ad" or kind == "a":  # only the key this token names: O(modes)
+            unit_key = self.unit[1]
+            pair = (1, 0) if kind == "ad" else (0, 1)
+            return (_ONE, unit_key[:value] + (pair,) + unit_key[value + 1 :], 1)
         if kind == "lpar":
             inner = self._term(self.parse_expr())
             self.take("rpar")

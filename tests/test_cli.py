@@ -166,16 +166,40 @@ def test_integral_float_sweep_config_accepted(tmp_path, capsys):
         ("flow", {"fit_window": [50, 500.5]}, "fit_window"),
         ("order", {"expr": "ad_0*a_0", "target": "weyl", "verify": "false"}, "verify"),
         ("order", {"expr": "ad_0*a_0", "target": "weyl", "verify": 1}, "verify"),
+        ("free-energy", {"beta": True, "A": True}, "A"),
+        ("free-energy", {"beta": True}, "beta"),
+        ("cutoff", {"A": False}, "A"),
+        ("prefactor", {"beta": False}, "beta"),
+        ("order", {"expr": 5, "target": "weyl"}, "expr"),
+        ("order", {"expr": "ad_0*a_0", "target": 5}, "target"),
+        ("cutoff", {"ordering": ["weyl", True]}, "ordering"),
+        ("cutoff", {"ordering": {"weyl": 1}}, "ordering"),
+        ("cutoff", {"tol": True}, "tol"),
+        ("cutoff", {"out": 5}, "out"),
+        ("free-energy", {"beta": 10**400}, "beta"),
     ],
 )
 def test_non_integral_or_non_boolean_setting_exit_2(tmp_path, capsys, command, config, key):
-    # these ran with the value truncated, or with "false" taken as true
+    # these ran with the value truncated, "false" taken as true, true as 1.0,
+    # or the number 5 as the expression "5" and the output file "5"
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(f"error: bad value for {key}: ")
+
+
+@pytest.mark.parametrize("name", ["missing/x.csv", "missing/x.json", None])
+def test_unwritable_out_exits_2(name, tmp_path, capsys):
+    # a missing directory, or the directory itself (None), ended in a traceback and exit 1
+    path = tmp_path if name is None else tmp_path / name
+    assert main(["cutoff", "--b", "10", "--out", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: cannot write report: ")
+    assert len(out.err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_integral_float_settings_accepted(tmp_path, capsys):
@@ -428,6 +452,38 @@ SMALL = {
     "identity-check": ["--n-max", "2"],
 }
 
+#: the config that a small run (SMALL) of each command echoes: every value it
+#: ran with, defaults included
+ECHO = {
+    "order": {"expr": "ad_0*a_0", "target": "weyl", "verify": False, "n_max": 8, "tol": 1e-10},
+    "free-energy": {"A": 1.0, "beta": 1.0, "N": [101], "tol": 1e-3},
+    "cutoff": {
+        "A": 1.0,
+        "beta": 1.0,
+        "b": [10],
+        "ordering": ["normal", "antinormal", "weyl"],
+        "tol": 1e-3,
+    },
+    "prefactor": {"beta": 1.0, "N": [101], "b": [4], "modes": 1, "tol": 1e-2},
+    "flow": {
+        "A": 1.0,
+        "beta": 1.0,
+        "N": [1001],
+        "modes": 1,
+        "b_floor": 40,
+        "fit_window": [50, 125],
+        "tol": 1e-2,
+    },
+    "identity-check": {
+        "n_max": 2,
+        "radial": 64,
+        "angular": 64,
+        "margin": 2,
+        "modes": 1,
+        "tol": 1e-6,
+    },
+}
+
 #: a valid file value for every setting
 FILE_VALUES = {
     "A": 2.0,
@@ -480,7 +536,9 @@ def test_help_lists_exactly_the_flags_read(command, capsys):
 
 @pytest.mark.parametrize("command", sorted(READS))
 def test_config_echo_is_the_settings_read(command, tmp_path, capsys):
-    assert _config_echo(command, tmp_path).keys() == {"command"} | READS[command] - {"out"}
+    config = _config_echo(command, tmp_path)
+    assert config.keys() == {"command"} | READS[command] - {"out"}
+    assert config == {"command": command, **ECHO[command]}
 
 
 @pytest.mark.parametrize("command", sorted(READS))
