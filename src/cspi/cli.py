@@ -35,9 +35,9 @@ import numpy as np
 from .algebra import KAPPA, Ordering, SymbolPoly, quantize, to_ordered_form
 from .continuum import cutoff_dFdA, prefactor_log_closed, prefactor_log_empirical
 from .discrete import MatsubaraGrid, normal_discrete_dFdA, weyl_discrete_dFdA
-from .errors import EvenSliceCountError, SingularityError
+from .errors import EvenSliceCountError, SingularityError, _finite
 from .expr import ParseError, format_symbol, parse_operator
-from .flow import run_flow
+from .flow import _flow_blocks, _flow_inputs
 from .fock import (
     FockBasis,
     QuadraticModel,
@@ -305,32 +305,54 @@ def cmd_flow(cfg: SimpleNamespace):
     cfg.N = _one("flow", "N", cfg.N, 10001)  # the config echoes the N that ran
     N = cfg.N[0]
     model = QuadraticModel(cfg.A, cfg.beta)
-    result = run_flow(model, MatsubaraGrid(N, cfg.beta), cfg.b_floor, cfg.modes)
-    if result.conservation_residuals is None:
+    grid = MatsubaraGrid(N, cfg.beta)
+    b_floor, modes = _flow_inputs(model, grid, cfg.b_floor, cfg.modes)
+    if model.A <= 0:
         raise SingularityError("the flow's conservation check needs A > 0 (omega = 0 diverges)")
-    max_residual = float(result.conservation_residuals.max())
-
     if cfg.fit_window is None:
         # near the top shell (N-1)/2, tan(pi n / N) is far from pi n / N and
         # the corrections leave their 1/shell^2 law
         cfg.fit_window = (50, min(500, (N - 1) // 8))
     lo, hi = cfg.fit_window
-    window = (result.shells >= max(lo, cfg.b_floor + 1)) & (result.shells <= hi)
-    if window.sum() < 2:
+    fit_lo, fit_hi = max(lo, b_floor + 1), min(hi, (N - 1) // 2)
+    if fit_hi - fit_lo < 1:
         raise ConfigError(
             f"fit window [{lo}, {hi}] selects fewer than 2 shells above b_floor={cfg.b_floor}"
         )
-    slope = float(
-        np.polyfit(np.log(result.shells[window]), np.log(result.corrections[window]), 1)[0]
-    )
-    accumulated = float(result.corrections.sum())
+
+    # one walk up the shells, keeping a few numbers per block: the extremes
+    # of the residual before its shift (rounding is monotone, so the largest
+    # |residual - shift| is at one of them), the fit window's corrections and
+    # log c at the lowest step
+    window, residual_lo, residual_hi = [], math.inf, -math.inf
+    blocks = _flow_blocks(model, grid, b_floor, modes)
+    while True:
+        try:
+            first, corrections, log_c, residual = next(blocks)
+        except StopIteration as done:
+            log_c_shift, residual_shift = done.value
+            break
+        if first == b_floor + 1:
+            lowest_log_c = float(log_c[0])
+        residual_lo = min(residual_lo, float(residual.min()))
+        residual_hi = max(residual_hi, float(residual.max()))
+        if first <= fit_hi and first + len(corrections) > fit_lo:
+            window.append(corrections[max(fit_lo - first, 0) : fit_hi + 1 - first].copy())
+    max_residual = max(abs(residual_hi - residual_shift), abs(residual_lo - residual_shift))
+    final_log_c = _finite(lowest_log_c - log_c_shift, "flow log c")
+    # the flow's order, top shell first, as contiguous arrays
+    shells = np.arange(fit_hi, fit_lo - 1, -1)
+    corrections = np.concatenate([part[::-1] for part in reversed(window)])
+    slope = float(np.polyfit(np.log(shells), np.log(corrections), 1)[0])
+    # each correction is M log1p(c^2 / 4 tan^2) / beta, and the shift is M times their log1p sum
+    accumulated = log_c_shift / grid.beta
 
     rows = [
         ["correction_slope", slope, "-2 +- 0.2"],
         ["max_conservation_residual", max_residual, "<= 1e-9"],
         ["accumulated_correction", accumulated, f"<= {cfg.tol:g}"],
-        ["final_log_c", result.final.log_c, ""],
-        ["final_A_eff", result.final.A_eff, ""],
+        ["final_log_c", final_log_c, ""],
+        ["final_A_eff", model.A, ""],
     ]
     checks = [
         ("correction_slope", abs(slope + 2.0) <= 0.2, f"{slope:.4f} within -2 +- 0.2"),

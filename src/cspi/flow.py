@@ -15,16 +15,27 @@ correction and falls off like 1/shell^2.  The partition function is
 conserved at every step: log c plus the Gaussian log Z of the remaining
 shells stays equal to the full lattice log Z.
 
-Since the steps do not feed back into each other, :func:`run_flow` takes
-them as arrays over blocks of shells, each block from its own table of the
-shells' tangents.  log c after each step is a prefix sum of the step terms,
-and the remaining shells' log Z is read off a prefix sum of the pair terms
-of the same table.  Both prefix sums are compensated (the exact rounding
-error of every addition is summed alongside), because a plain float sum
-over 10^5 or more shells drifts past the 1e-9 conservation gate.  The
-compensated sums carry their state from one block to the next, so they
-come out bit for bit as over the whole array, while the working memory
-stays a few blocks: only the returned arrays grow with N.
+Since the steps do not feed back into each other, the flow is one walk up
+the shells in blocks, each block from its own table of the shells'
+tangents.  For odd N, prod_{k=1}^{B} tan(pi k / N) = sqrt(N) with
+B = (N - 1)/2, so the Berry logs of all shells add up to (N - 1) ln 2 + ln N
+and log c after the step at shell s is
+
+    M [sum_{k<s} ln(4 tan^2_k) - ln N]  -  M sum_{k>=s} log1p(c^2 / 4 tan^2_k),
+
+with c = beta A / N: an ascending prefix of the Berry logs, less a suffix of
+the corrections, and never a difference of two numbers of size N ln 2.  The
+remaining shells' log Z is an ascending prefix of the pair logs
+ln(c^2 + 4 tan^2) of the same table.  All three sums are compensated (the
+exact rounding error of every addition is summed alongside), because a
+plain float sum over 10^5 or more shells drifts past the 1e-9 conservation
+gate, and they carry their state from one block to the next, so they come
+out bit for bit as over the whole array.  The correction suffix is the
+total less its prefix, and the total is known only after the last block:
+each block's log c and conservation residual come out before their shift
+by it.  :func:`run_flow` returns every step and so holds O(N) arrays;
+``cspi flow`` keeps a few numbers per block, and its memory stays a few
+blocks at any N.
 """
 
 from __future__ import annotations
@@ -62,23 +73,28 @@ class FlowResult:
 
 
 def _half_tan(n: np.ndarray, N: int) -> np.ndarray:
-    """tan(pi n / N) for integer shells 0 < n < N/2, to about an ulp up to the pole.
+    """tan(pi n / N) for ascending integer shells 0 < n < N/2, to about an ulp up to the pole.
 
     Near pi/2 the rounding of the argument pi n / N is amplified by the
     pole, up to ~N eps / pi relative at the top shell.  Past N/4 the value
     is taken as 1 / tan(pi (N - 2n) / (2N)) instead, whose argument is small
-    and carries only its own relative rounding.
+    and carries only its own relative rounding.  The shells with 4n <= N
+    are a prefix of ``n``, and each part is formed as one contiguous array.
     """
-    low = 4 * n <= N
-    half_tan = np.empty(n.shape)
-    half_tan[low] = np.tan(np.pi * n[low] / N)
-    half_tan[~low] = 1.0 / np.tan(np.pi * (N - 2 * n[~low]) / (2 * N))
+    split = int(np.searchsorted(n, N // 4, side="right"))
+    half_tan = np.empty(len(n))
+    np.tan(np.pi * n[:split] / N, out=half_tan[:split])
+    np.divide(1.0, np.tan(np.pi * (N - 2 * n[split:]) / (2 * N)), out=half_tan[split:])
     return half_tan
 
 
-#: shells per block of the flow's passes: a float64 block is 64 KB, so the
+#: shells per block of the flow's walk: a float64 block is 64 KB, so the
 #: block's working arrays stay in a core's L2 cache
 _SHELL_BLOCK = 8192
+
+#: largest total size of the arrays :func:`run_flow` returns, in bytes; a
+#: flow over more shells is refused before anything is allocated
+FLOW_BYTES_MAX = 2**30
 
 
 class _Sum2:
@@ -100,20 +116,116 @@ class _Sum2:
         self.s = 0.0
         self.e = 0.0
 
-    def prefix(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Write the prefix sums through the block ``x`` into ``out``, which may be ``x``."""
+    def below(self, x: np.ndarray) -> np.ndarray:
+        """The sums of everything fed before each entry of the block ``x``; feeds ``x``.
+
+        The sum before x[i] is the prefix through x[i-1], and before x[0] the
+        last prefix of the blocks before.
+        """
         running = np.empty(len(x) + 1)
         running[0] = self.s
         running[1:] = x
-        np.cumsum(running, out=running)
+        running.cumsum(out=running)
         s, prev = running[1:], running[:-1]
         x_part = s - prev
-        err = prev - (s - x_part)
-        err += x - x_part
-        err[0] += self.e
-        np.cumsum(err, out=err)
+        err = np.empty(len(x) + 1)  # e, then the TwoSum error of each addition
+        err[0] = self.e
+        add_err = err[1:]
+        np.subtract(s, x_part, out=add_err)
+        np.subtract(prev, add_err, out=add_err)
+        np.subtract(x, x_part, out=x_part)
+        add_err += x_part
+        err.cumsum(out=err)
         self.s, self.e = running[-1], err[-1]
-        np.add(s, err, out=out)
+        return np.add(prev, err[:-1])
+
+    def prefix(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write the prefix sums through the block ``x`` into ``out``, which may be ``x``."""
+        below = self.below(x)
+        out[:-1] = below[1:]
+        out[-1] = self.total
+
+    @property
+    def total(self) -> float:
+        """The sum of everything fed so far: the last prefix."""
+        return float(self.s + self.e)
+
+
+def _flow_inputs(model: QuadraticModel, grid: MatsubaraGrid, b_floor, modes) -> tuple[int, int]:
+    """``b_floor`` and ``modes`` checked for a flow of ``model`` on ``grid``."""
+    grid.require_odd("the frequency-shell flow")
+    modes = _count(modes, "modes", 1)
+    b_floor = _count(b_floor, "b_floor", 0, (grid.N - 1) // 2 - 1)
+    _lattice_c(grid, model)  # refuses a grid and a model whose betas differ
+    return b_floor, modes
+
+
+def _flow_blocks(model: QuadraticModel, grid: MatsubaraGrid, b_floor: int, modes: int):
+    """Walk the shells upward once, in blocks; yield the steps, return the shifts.
+
+    The inputs come checked by :func:`_flow_inputs`.  Each block that holds
+    steps yields ``(first, corrections, log_c, residual)`` for its steps,
+    shells ``first, first + 1, ...`` in ascending order: the step's
+    correction, log c before its shift and the conservation residual before
+    its shift (``None`` for A <= 0).  The generator returns the shifts
+    ``(log_c_shift, residual_shift)``: log c after the step is
+    ``log_c - log_c_shift`` and the residual ``|residual - residual_shift|``.
+
+    The residual stands for log c + remaining log Z - full log Z.  The Berry
+    and pair prefixes, both of size N ln 2 at the top shells, are subtracted
+    first, so what is left of them is their own rounding, about an ulp of
+    N ln 2.  The three sums stay independent: the correction total comes
+    from the steps, never from the closed-form log Z, which would make the
+    residual zero by construction.
+    """
+    N = grid.N
+    top = (N - 1) // 2
+    c = _lattice_c(grid, model)
+    conserved = model.A > 0  # else the zero mode makes the lattice log Z diverge
+    log_N = math.log(N)
+    # after the step at shell s the shells |n| <= s - 1 remain; their log Z is
+    # beta A / 2 - ln c less their pair logs (the constant beta A / 2 per mode
+    # belongs to the Hamiltonian sum), and log c brings -ln N
+    remaining_const = grid.beta * model.A / 2.0 - math.log(c) - log_N if conserved else 0.0
+    berry_sum, pair_sum, correction_sum = _Sum2(), _Sum2(), _Sum2()
+    for lo in range(1, top + 1, _SHELL_BLOCK):
+        hi = min(lo + _SHELL_BLOCK, top + 1)
+        half_tan = _half_tan(np.arange(lo, hi, dtype=float), N)
+        with np.errstate(over="ignore"):  # an overflowing c^2 fails the step check below
+            imag = 2j * half_tan
+            pair = (c - imag) * (c + imag)  # exact Gaussian pair integral
+        # relative: numpy's complex product may round its two cross terms differently
+        residue = (np.abs(pair.imag) / pair.real).max(initial=0.0)
+        if not residue < 1e-12:
+            raise NumericalError(
+                f"conjugate pair products must be real, relative residue {residue}"
+            )
+        tan_sq4 = 4.0 * half_tan * half_tan
+        berry_log = np.log(tan_sq4)
+        first = max(lo, b_floor + 1)  # the block's lowest shell that is a step
+        step = slice(first - lo, None)
+        correction_log = np.log1p(c * c / tan_sq4[step])
+        if not (np.isfinite(berry_log[step]).all() and np.isfinite(correction_log).all()):
+            raise NumericalError(f"flow step terms are not finite at beta A / N = {c:g}")
+        berry_below = berry_sum.below(berry_log)[step]
+        pair_below = pair_sum.below(np.log(c * c + tan_sq4))[step] if conserved else None
+        if first >= hi:
+            continue  # the whole block is below the floor
+        correction_below = correction_sum.below(correction_log)
+        log_c = berry_below - log_N
+        log_c += correction_below
+        log_c *= modes
+        residual = None
+        if conserved:
+            residual = berry_below - pair_below
+            residual += correction_below
+            residual += remaining_const
+            residual *= modes
+        yield first, modes * correction_log / grid.beta, log_c, residual
+
+    log_c_shift = modes * correction_sum.total
+    full = modes * weyl_discrete_logZ_quadratic(grid, model) if conserved else None
+    return log_c_shift, (log_c_shift + full if conserved else None)
 
 
 def run_flow(
@@ -124,93 +236,53 @@ def run_flow(
 ) -> FlowResult:
     """Integrate out every shell from the top one down to ``b_floor + 1``.
 
-    The flow starts at log c = (N-1) M ln 2 with every shell present.  One
-    tangent per shell gives the per-step Berry and correction logs, and
-    ``log_c`` after each step is the start value plus a compensated prefix
-    sum of the steps, so the accumulated rounding stays at a few ulps of
-    log_c instead of growing with the number of shells.  The same tangents
-    give the remaining shells' Gaussian log Z after each step, and with it
-    the conservation residual against the closed-form lattice log Z.
+    One tangent per shell gives the per-step Berry and correction logs and
+    the pair logs of the remaining shells.  ``log_c`` after each step comes
+    from two compensated sums, an ascending prefix of the Berry logs and a
+    suffix of the corrections, so its rounding stays at a few ulps of log_c
+    instead of growing with the number of shells.  The remaining shells'
+    Gaussian log Z gives the conservation residual against the closed-form
+    lattice log Z after each step.
 
-    Two passes over blocks of :data:`_SHELL_BLOCK` shells do the work.  The
-    first walks the shells upwards: it writes each step's term, correction
-    and remaining-shell log Z into the outputs, whose order is the flow's,
-    top shell first.  The second walks the steps in flow order, summing
-    them into log c and forming the residuals in place.
+    One walk up the shells, in blocks of :data:`_SHELL_BLOCK`, writes the
+    steps into the outputs, whose order is the flow's, top shell first; the
+    shift by the total correction is then applied in place.  Outputs over
+    :data:`FLOW_BYTES_MAX` bytes are a ``ValueError`` before any is made.
 
     The accumulated correction beyond the floor inherits the 1/b tail of
     sum 1/shell^2, so it vanishes in the double limit 1 << b << B.
     """
-    grid.require_odd("the frequency-shell flow")
-    modes = _count(modes, "modes", 1)
-    N = grid.N
-    top = (N - 1) // 2
-    b_floor = _count(b_floor, "b_floor", 0, top - 1)
-    c = _lattice_c(grid, model)
-    conserved = model.A > 0  # else the zero mode makes the lattice log Z diverge
+    b_floor, modes = _flow_inputs(model, grid, b_floor, modes)
+    top = (grid.N - 1) // 2
     steps = top - b_floor
+    conserved = model.A > 0
+    out_bytes = steps * 8 * (4 if conserved else 3)  # shells, corrections, log c, residuals
+    if out_bytes > FLOW_BYTES_MAX:
+        raise ValueError(
+            f"the flow at N = {grid.N} returns {out_bytes / 2**30:.3g} GiB of shell arrays, "
+            f"over the {FLOW_BYTES_MAX / 2**30:g} GiB budget"
+        )
     shells = np.arange(top, b_floor, -1)  # the flow's order
     corrections = np.empty(steps)
-    log_c_series = np.empty(steps)  # each step's term until the second pass
-    # remaining-shell log Z until the second pass turns it into the residual
+    log_c_series = np.empty(steps)
     residuals = np.empty(steps) if conserved else None
+
+    blocks = _flow_blocks(model, grid, b_floor, modes)
+    while True:
+        try:
+            first, correction, log_c, residual = next(blocks)
+        except StopIteration as done:
+            log_c_shift, residual_shift = done.value
+            break
+        out = slice(top - first - len(log_c) + 1, top - first + 1)  # shell s at top - s
+        corrections[out] = correction[::-1]
+        log_c_series[out] = log_c[::-1]
+        if conserved:
+            residuals[out] = residual[::-1]
+    log_c_series -= log_c_shift
     if conserved:
-        # after the step at shell s the shells |n| <= s - 1 remain; their pair
-        # terms are summed from n = 1 up, and the constant beta A / 2 per mode
-        # belongs to the Hamiltonian sum
-        remaining_const = grid.beta * model.A / 2.0 - math.log(c)
-        pair_sum, below = _Sum2(), 0.0  # below: the pair terms of the shells under the block
-
-    residue = 0.0
-    steps_finite = True
-    for lo in range(1, top + 1, _SHELL_BLOCK):
-        hi = min(lo + _SHELL_BLOCK, top + 1)
-        half_tan = _half_tan(np.arange(lo, hi), N)
-        with np.errstate(over="ignore"):  # an overflowing c^2 fails the step check below
-            imag = 2j * half_tan
-            pair = (c - imag) * (c + imag)  # exact Gaussian pair integral
-        # relative: numpy's complex product may round its two cross terms differently
-        residue = np.maximum(residue, (np.abs(pair.imag) / pair.real).max(initial=0.0))
-        tan_sq4 = 4.0 * half_tan * half_tan
-
-        first = max(lo, b_floor + 1)  # the block's lowest shell that is a step
-        # the block's steps, shells first..hi-1, sit at top-first..top-hi+1 of the outputs
-        out = slice(top - first, top - hi if top - hi >= 0 else None, -1)
-        if conserved:
-            pair_prefix = np.empty(hi - lo + 1)  # below, then through each shell
-            pair_prefix[0] = below
-            with np.errstate(invalid="ignore"):  # non-finite terms fail the step check
-                pair_sum.prefix(np.log(c * c + tan_sq4), pair_prefix[1:])
-            below = pair_prefix[-1]
-            remaining = residuals[out]
-            np.subtract(remaining_const, pair_prefix[first - lo : hi - lo], out=remaining)
-            remaining *= modes
-        step_tan_sq4 = tan_sq4[first - lo :]
-        correction_log = -modes * np.log1p(c * c / step_tan_sq4)
-        step = log_c_series[out]
-        np.multiply(-modes, np.log(step_tan_sq4), out=step)
-        step += correction_log  # Berry + correction
-        steps_finite = steps_finite and bool(np.isfinite(step).all())
-        np.divide(np.abs(correction_log), grid.beta, out=corrections[out])
-
-    if not residue < 1e-12:
-        raise NumericalError(f"conjugate pair products must be real, relative residue {residue}")
-    if not steps_finite:
-        raise NumericalError(f"flow step terms are not finite at beta A / N = {c:g}")
-
-    log_c_sum = _Sum2()
-    start = (N - 1) * modes * math.log(2.0)
-    full = modes * weyl_discrete_logZ_quadratic(grid, model) if conserved else None
-    for lo in range(0, steps, _SHELL_BLOCK):
-        block = slice(lo, lo + _SHELL_BLOCK)
-        log_c = log_c_series[block]
-        log_c_sum.prefix(log_c, log_c)
-        np.add(start, log_c, out=log_c)
-        if conserved:
-            residual = residuals[block]
-            residual += log_c
-            residual -= full
-            np.abs(residual, out=residual)
+        residuals -= residual_shift
+        np.abs(residuals, out=residuals)
     final_log_c = _finite(float(log_c_series[-1]), "flow log c")
 
     final = FlowState(final_log_c, model.A, b_floor, grid, modes)

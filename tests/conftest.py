@@ -140,10 +140,13 @@ def _whole_array_cumsum(x: np.ndarray) -> np.ndarray:
 def _whole_array_flow(model, grid, b_floor: int, modes: int = 1):
     """The frequency-shell flow over whole-array tables: the reference for ``run_flow``.
 
-    One tangent table of every shell, one compensated prefix sum of all the
-    steps and one of all the pair terms, each a full-length array.  Same
-    checks, messages and arithmetic as the streamed flow, which must match
-    it bit for bit.
+    One tangent table of every shell, from the bottom up, and one compensated
+    prefix sum each of all the Berry logs, all the pair logs and all the step
+    corrections, each a full-length array.  By prod_{k=1}^{B} tan(pi k/N) =
+    sqrt(N), log c after the step at shell s is
+    M [sum_{k<s} ln 4 tan^2 - ln N] - M sum_{k>=s} log1p(c^2 / 4 tan^2).
+    Same checks, messages and arithmetic as the streamed flow, which must
+    match it bit for bit.
     """
     from cspi import NumericalError, weyl_discrete_logZ_quadratic
     from cspi.flow import FlowResult, FlowState, _half_tan
@@ -156,8 +159,7 @@ def _whole_array_flow(model, grid, b_floor: int, modes: int = 1):
     if not 0 <= b_floor < top:
         raise ValueError(f"need 0 <= b_floor < (N-1)/2 = {top}, got {b_floor}")
     c = grid.beta * model.A / N
-    shells = np.arange(top, 0, -1)
-    half_tan = _half_tan(shells, N)
+    half_tan = _half_tan(np.arange(1, top + 1), N)
     with np.errstate(over="ignore"):
         pair = (c - 2j * half_tan) * (c + 2j * half_tan)
     residue = (np.abs(pair.imag) / pair.real).max(initial=0.0)
@@ -165,24 +167,34 @@ def _whole_array_flow(model, grid, b_floor: int, modes: int = 1):
         raise NumericalError(f"conjugate pair products must be real, relative residue {residue}")
 
     tan_sq4 = 4.0 * half_tan * half_tan
-    step_tan_sq4, shells = tan_sq4[: top - b_floor], shells[: top - b_floor]
-    correction_log = -modes * np.log1p(c * c / step_tan_sq4)
-    steps = -modes * np.log(step_tan_sq4) + correction_log
-    if not np.isfinite(steps).all():
+    berry_log = np.log(tan_sq4)
+    correction_log = np.log1p(c * c / tan_sq4[b_floor:])  # the steps, lowest shell first
+    if not (np.isfinite(berry_log[b_floor:]).all() and np.isfinite(correction_log).all()):
         raise NumericalError(f"flow step terms are not finite at beta A / N = {c:g}")
-    log_c_series = (N - 1) * modes * math.log(2.0) + _whole_array_cumsum(steps)
-    if not math.isfinite(log_c_series[-1]):
-        raise NumericalError(f"flow log c is not finite: {log_c_series[-1]}")
+
+    def below(x):  # the compensated sum of the entries before each entry
+        return np.concatenate(([0.0], _whole_array_cumsum(x)))
+
+    berry_below = below(berry_log)[b_floor:-1]
+    correction_sums = below(correction_log)
+    correction_below = correction_sums[:-1]
+    log_c_shift = modes * float(correction_sums[-1])
+    log_c_series = modes * ((berry_below - math.log(N)) + correction_below) - log_c_shift
+    if not math.isfinite(log_c_series[0]):
+        raise NumericalError(f"flow log c is not finite: {log_c_series[0]}")
 
     residuals = None
     if model.A > 0:
-        prefix = np.concatenate(([0.0], _whole_array_cumsum(np.log(c * c + tan_sq4[::-1]))))
-        remaining = modes * (grid.beta * model.A / 2.0 - math.log(c) - prefix[shells - 1])
-        full = modes * weyl_discrete_logZ_quadratic(grid, model)
-        residuals = np.abs(log_c_series + remaining - full)
+        pair_below = below(np.log(c * c + tan_sq4))[b_floor:-1]
+        remaining_const = grid.beta * model.A / 2.0 - math.log(c) - math.log(N)
+        shift = log_c_shift + modes * weyl_discrete_logZ_quadratic(grid, model)
+        residuals = modes * (((berry_below - pair_below) + correction_below) + remaining_const)
+        residuals = np.abs(residuals - shift)[::-1]
 
-    final = FlowState(float(log_c_series[-1]), model.A, b_floor, grid, modes)
-    return FlowResult(final, shells, np.abs(correction_log) / grid.beta, log_c_series, residuals)
+    final = FlowState(float(log_c_series[0]), model.A, b_floor, grid, modes)
+    corrections = modes * correction_log / grid.beta
+    shells = np.arange(top, b_floor, -1)
+    return FlowResult(final, shells, corrections[::-1], log_c_series[::-1], residuals)
 
 
 def _times_ladder(terms: dict, mode: int, creation: bool) -> dict:

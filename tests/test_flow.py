@@ -16,7 +16,8 @@ from cspi import (
     run_flow,
     weyl_discrete_logZ_quadratic,
 )
-from cspi.flow import _SHELL_BLOCK, _half_tan, _Sum2
+from cspi.cli import main
+from cspi.flow import _SHELL_BLOCK, FLOW_BYTES_MAX, _half_tan, _Sum2
 
 
 def test_conservation_at_every_shell():
@@ -106,11 +107,19 @@ def test_flow_shell_bookkeeping():
     assert result.conservation_residuals.shape == result.shells.shape
 
 
-@pytest.mark.parametrize("N", [10**5 + 1, 10**6 + 1, 2 * 10**6 + 1])
-@pytest.mark.parametrize("A, beta", [(0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5)])
+@pytest.mark.parametrize(
+    "A, beta, N",
+    [
+        (A, beta, N)
+        for A, beta in [(0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5)]
+        for N in [10**5 + 1, 10**6 + 1, 2 * 10**6 + 1]
+    ]
+    + [(1.5, 1.5, 10**7 + 1)],
+)
 def test_conservation_gate_at_scale(N, A, beta):
     # the same 1e-9 gate as cspi flow; a plain float cumsum of the steps
-    # misses it from N ~ 8e4 on, and np.tan's top-shell tangents from 2e6 on
+    # misses it from N ~ 8e4 on, np.tan's top-shell tangents from 2e6 on, and
+    # log c summed down from (N - 1) ln 2 at 1e7+1 (1.07e-9)
     result = run_flow(QuadraticModel(A=A, beta=beta), MatsubaraGrid(N, beta), b_floor=40)
     assert result.conservation_residuals.max() <= 1e-9
 
@@ -211,6 +220,65 @@ def test_run_flow_matches_whole_array_oracle(N, b_floor, A, modes, whole_array_f
     assert result.final == oracle.final
 
 
+def _flow_rows(argv, capsys):
+    """The metric rows of one ``cspi flow`` run, as exact floats (the CSV keeps 17 digits)."""
+    main(["flow", *argv])
+    lines = capsys.readouterr().out.splitlines()[1:]
+    return {name: float(value) for name, value, _ in (line.split(",") for line in lines)}
+
+
+# (b_floor, fit window, modes): the windows cross the block edge at shell _B
+_CLI_CASES = [
+    (40, None, 1),
+    (0, (1, 8300), 2),
+    (_B - 1, (8000, 8400), 1),
+    (_B, (8100, 8300), 1),
+    (_B + 1, (8100, 8400), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "N, b_floor, window, modes",
+    [
+        (N, b, window, modes)
+        for N in _ORACLE_SIZES
+        for b, window, modes in _CLI_CASES
+        if b < (N - 1) // 2
+        and min((window or (50, 500))[1], (N - 1) // 2) > max((window or (50, 500))[0], b + 1)
+    ],
+)
+def test_flow_command_matches_run_flow(N, b_floor, window, modes, capsys):
+    # cspi flow streams the shells and keeps a few numbers per block; what it
+    # reports is what run_flow's arrays give
+    argv = ["--N", str(N), "--A", "1.3", "--beta", "0.9", "--b-floor", str(b_floor)]
+    argv += ["--modes", str(modes)]
+    if window is not None:
+        argv += ["--fit-window", f"{window[0]},{window[1]}"]
+    rows = _flow_rows(argv, capsys)
+    result = run_flow(QuadraticModel(A=1.3, beta=0.9), MatsubaraGrid(N, 0.9), b_floor, modes)
+    assert rows["max_conservation_residual"] == result.conservation_residuals.max()
+    assert rows["final_log_c"] == result.final.log_c
+    total = result.corrections.sum()
+    assert abs(rows["accumulated_correction"] - total) <= 4 * np.spacing(total)
+    lo, hi = window or (50, min(500, (N - 1) // 8))
+    fit = (result.shells >= max(lo, b_floor + 1)) & (result.shells <= hi)
+    slope = np.polyfit(np.log(result.shells[fit]), np.log(result.corrections[fit]), 1)[0]
+    assert rows["correction_slope"] == slope
+
+
+def test_flow_command_memory_is_a_few_blocks(capsys):
+    # run_flow's outputs alone would be 32 MB at this N
+    main(["flow", "--N", "1001"])  # the first run's imports and caches are not the flow's
+    tracemalloc.start()
+    try:
+        code = main(["flow", "--N", str(2 * 10**6 + 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20
+
+
 def test_run_flow_memory_is_outputs_plus_blocks():
     # the four returned arrays are the only ones that grow with N; everything
     # else is a few blocks of shells, here allowed 32 float64 blocks (2 MB).
@@ -250,3 +318,39 @@ def test_run_flow_errors_match_whole_array_oracle(A, beta, unchecked_model, whol
                 flow(unchecked_model(A, beta), grid, 40)
         outcomes.append((str(exc.value), sorted({str(w.message) for w in caught})))
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("N", [999353, 10**6 + 1, 2 * 10**6 + 1])
+@pytest.mark.parametrize("A, beta", [(1.0, 1.0), (0.5, 1.5)])
+def test_final_log_c_against_mpmath(N, A, beta):
+    # by the closed-form lattice log Z, the pair logs of all shells less those
+    # at or below the floor: log c = ln c - N ln(1 + c/2) - ln(1 - r^N)
+    # + sum_{k <= b} ln(c^2 + 4 tan^2(pi k / N)), r = (2 - c)/(2 + c).
+    # Summed down from (N - 1) ln 2, log c was 1.2e-14 .. 5.5e-14 off relative.
+    b_floor = 40
+    result = run_flow(QuadraticModel(A=A, beta=beta), MatsubaraGrid(N, beta), b_floor)
+    with mpmath.workdps(40):
+        c = mpmath.mpf(beta) * A / N
+        r = (2 - c) / (2 + c)
+        low = mpmath.fsum(
+            mpmath.log(c * c + 4 * mpmath.tan(mpmath.pi * k / N) ** 2)
+            for k in range(1, b_floor + 1)
+        )
+        exact = mpmath.log(c) - N * mpmath.log1p(c / 2) - mpmath.log(1 - r**N) + low
+        rel = abs(mpmath.mpf(result.final.log_c) / exact - 1)
+    assert rel <= 4 * np.finfo(float).eps
+
+
+def test_run_flow_refuses_outputs_over_budget():
+    # one step past the budget: four 8-byte arrays of 2^25 + 1 steps
+    b_floor = 40
+    N = 2 * (FLOW_BYTES_MAX // 32 + 1 + b_floor) + 1
+    model, grid = QuadraticModel(A=1.0, beta=1.0), MatsubaraGrid(N, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"N = {N}.*GiB budget"):
+            run_flow(model, grid, b_floor)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
