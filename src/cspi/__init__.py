@@ -45,7 +45,7 @@ from .errors import (
     SingularityError,
 )
 from .expr import ParseError, format_operator, format_symbol, parse_operator
-from .flow import FlowResult, FlowState, run_flow
+from .flow import FlowResult, run_flow
 from .fock import (
     FockBasis,
     QuadraticModel,
@@ -93,7 +93,6 @@ __all__ = [
     "format_symbol",
     "parse_operator",
     "FlowResult",
-    "FlowState",
     "run_flow",
     "FockBasis",
     "QuadraticModel",

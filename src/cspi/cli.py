@@ -17,8 +17,8 @@ echoes it, without ``out``, with the values the command ran with (its
 verdict tolerance included).  ``_COMMANDS`` maps each command to its runner
 and its default tolerance.
 
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config/parse error or
-a report that cannot be written.
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config/parse error,
+a run that ran out of memory, or a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ import numpy as np
 from .algebra import KAPPA, Ordering, SymbolPoly, quantize, to_ordered_form
 from .continuum import cutoff_dFdA, prefactor_log_closed, prefactor_log_empirical
 from .discrete import MatsubaraGrid, normal_discrete_dFdA, weyl_discrete_dFdA
-from .errors import EvenSliceCountError, SingularityError, _finite
+from .errors import EvenSliceCountError, SingularityError
 from .expr import ParseError, format_symbol, parse_operator
-from .flow import _flow_blocks, _flow_inputs
+from .flow import _flow_inputs, _walk
 from .fock import (
     FockBasis,
     QuadraticModel,
@@ -221,23 +221,18 @@ def cmd_free_energy(cfg: SimpleNamespace):
     model = QuadraticModel(cfg.A, cfg.beta)
     exact = exact_dFdA(model)
 
-    def point(item):
-        method, N = item
-        try:
-            grid = MatsubaraGrid(N, cfg.beta)
-            if method == "normal-discrete":
-                value = normal_discrete_dFdA(grid, model)
+    rows = [["", "exact", exact, 0.0, ""]]
+    methods = {"normal-discrete": normal_discrete_dFdA, "weyl-discrete": weyl_discrete_dFdA}
+    for method, dFdA in methods.items():
+        for N in cfg.N:
+            try:
+                value = dFdA(MatsubaraGrid(N, cfg.beta), model)
+            except EvenSliceCountError:
+                rows.append([N, method, "", "", "refused: even N"])
+            except SingularityError as exc:
+                rows.append([N, method, "", "", f"singular: {exc}"])
             else:
-                value = weyl_discrete_dFdA(grid, model)
-            return [N, method, value, abs(value - exact), ""]
-        except EvenSliceCountError:
-            return [N, method, "", "", "refused: even N"]
-        except SingularityError as exc:
-            return [N, method, "", "", f"singular: {exc}"]
-
-    points = [("normal-discrete", N) for N in cfg.N]
-    points += [("weyl-discrete", N) for N in cfg.N]
-    rows = [["", "exact", exact, 0.0, ""]] + [point(item) for item in points]
+                rows.append([N, method, value, abs(value - exact), ""])
 
     for row in rows:
         if row[4]:
@@ -265,18 +260,14 @@ def cmd_cutoff(cfg: SimpleNamespace):
     exact = exact_dFdA(model)
     coth_half = exact + 0.5  # (1/2) coth(beta A / 2)
 
-    def point(item):
-        b, ordering = item
-        value = cutoff_dFdA(model, b, ordering)
-        limit = coth_half + KAPPA[ordering]
-        return [b, ordering.value, value, abs(value - limit)]
-
-    points = [(b, o) for o in chosen for b in cfg.b]
-    rows = [point(item) for item in points]
-
-    checks = []
+    rows, checks = [], []
     for ordering in chosen:
-        errs = [row[3] for row in rows if row[1] == ordering.value]
+        limit = coth_half + KAPPA[ordering]
+        errs = []
+        for b in cfg.b:
+            value = cutoff_dFdA(model, b, ordering)
+            errs.append(abs(value - limit))
+            rows.append([b, ordering.value, value, errs[-1]])
         names = (f"{ordering.value}_error_nonincreasing", f"{ordering.value}_final_error")
         checks += _sweep_checks(errs, *names, cfg.tol, f"{cfg.tol:g}")
     return ["b", "ordering", "dFdA", "abs_error"], rows, checks
@@ -288,13 +279,12 @@ def cmd_prefactor(cfg: SimpleNamespace):
     cfg.b = _one("prefactor", "b", cfg.b, 4)  # the config echoes the b that ran
     b = cfg.b[0]
 
-    def point(N):
+    rows = []
+    for N in cfg.N:
         emp = prefactor_log_empirical(N, b, cfg.beta, cfg.modes)
         closed = prefactor_log_closed(b, cfg.beta, cfg.modes)
         rel = abs(emp - closed) / abs(closed) if closed != 0 else abs(emp - closed)
-        return [N, b, emp, closed, rel]
-
-    rows = [point(N) for N in cfg.N]
+        rows.append([N, b, emp, closed, rel])
     rels = [row[4] for row in rows]
     names = ("rel_difference_nonincreasing", "final_rel_difference")
     checks = _sweep_checks(rels, *names, cfg.tol, f"{cfg.tol:g}")[::-1]  # final first
@@ -320,26 +310,13 @@ def cmd_flow(cfg: SimpleNamespace):
             f"fit window [{lo}, {hi}] selects fewer than 2 shells above b_floor={cfg.b_floor}"
         )
 
-    # one walk up the shells, keeping a few numbers per block: the extremes
-    # of the residual before its shift (rounding is monotone, so the largest
-    # |residual - shift| is at one of them), the fit window's corrections and
-    # log c at the lowest step
-    window, residual_lo, residual_hi = [], math.inf, -math.inf
-    blocks = _flow_blocks(model, grid, b_floor, modes)
-    while True:
-        try:
-            first, corrections, log_c, residual = next(blocks)
-        except StopIteration as done:
-            log_c_shift, residual_shift = done.value
-            break
-        if first == b_floor + 1:
-            lowest_log_c = float(log_c[0])
-        residual_lo = min(residual_lo, float(residual.min()))
-        residual_hi = max(residual_hi, float(residual.max()))
+    window = []  # the fit window's corrections, block by block
+
+    def keep(first, corrections, log_c, residual):
         if first <= fit_hi and first + len(corrections) > fit_lo:
             window.append(corrections[max(fit_lo - first, 0) : fit_hi + 1 - first].copy())
-    max_residual = max(abs(residual_hi - residual_shift), abs(residual_lo - residual_shift))
-    final_log_c = _finite(lowest_log_c - log_c_shift, "flow log c")
+
+    log_c_shift, _, final_log_c, max_residual = _walk(model, grid, b_floor, modes, keep)
     # the flow's order, top shell first, as contiguous arrays
     shells = np.arange(fit_hi, fit_lo - 1, -1)
     corrections = np.concatenate([part[::-1] for part in reversed(window)])
@@ -473,6 +450,9 @@ def main(argv=None) -> int:
         columns, rows, checks = _COMMANDS[args.command][0](cfg)
     except (ConfigError, ParseError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # the last resort for a size no budget refused
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     passed = all(p for _, p, _ in checks)
     try:

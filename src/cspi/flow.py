@@ -30,12 +30,14 @@ ln(c^2 + 4 tan^2) of the same table.  All three sums are compensated (the
 exact rounding error of every addition is summed alongside), because a
 plain float sum over 10^5 or more shells drifts past the 1e-9 conservation
 gate, and they carry their state from one block to the next, so they come
-out bit for bit as over the whole array.  The correction suffix is the
-total less its prefix, and the total is known only after the last block:
-each block's log c and conservation residual come out before their shift
-by it.  :func:`run_flow` returns every step and so holds O(N) arrays;
-``cspi flow`` keeps a few numbers per block, and its memory stays a few
-blocks at any N.
+out bit for bit as over the whole array.  The residual subtracts the Berry
+and pair prefixes' running sums and carried errors apart, so it never
+rounds at the scale of N ln 2.  The correction suffix is the total less its
+prefix, and the total is known only after the last block: each block's log
+c and conservation residual come out before their shift by it.
+:func:`_walk` is the one walk; :func:`run_flow` keeps every step and so
+holds O(N) arrays, ``cspi flow`` keeps the fit window's corrections, and
+its memory stays a few blocks at any N.
 """
 
 from __future__ import annotations
@@ -51,19 +53,7 @@ from .fock import QuadraticModel
 
 
 @dataclass(frozen=True)
-class FlowState:
-    """Running normalization, effective coefficient, and current shell."""
-
-    log_c: float
-    A_eff: float
-    shell: int
-    grid: MatsubaraGrid
-    modes: int = 1
-
-
-@dataclass(frozen=True)
 class FlowResult:
-    final: FlowState
     shells: np.ndarray       # descending shell index, one entry per step
     corrections: np.ndarray  # Hamiltonian-level correction per step
     log_c_series: np.ndarray  # log_c after each step
@@ -116,11 +106,12 @@ class _Sum2:
         self.s = 0.0
         self.e = 0.0
 
-    def below(self, x: np.ndarray) -> np.ndarray:
+    def below(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The sums of everything fed before each entry of the block ``x``; feeds ``x``.
 
         The sum before x[i] is the prefix through x[i-1], and before x[0] the
-        last prefix of the blocks before.
+        last prefix of the blocks before.  It comes as its running sum and
+        its carried error, whose float sum is the compensated prefix.
         """
         running = np.empty(len(x) + 1)
         running[0] = self.s
@@ -137,13 +128,7 @@ class _Sum2:
         add_err += x_part
         err.cumsum(out=err)
         self.s, self.e = running[-1], err[-1]
-        return np.add(prev, err[:-1])
-
-    def prefix(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Write the prefix sums through the block ``x`` into ``out``, which may be ``x``."""
-        below = self.below(x)
-        out[:-1] = below[1:]
-        out[-1] = self.total
+        return prev, err[:-1]
 
     @property
     def total(self) -> float:
@@ -160,23 +145,24 @@ def _flow_inputs(model: QuadraticModel, grid: MatsubaraGrid, b_floor, modes) -> 
     return b_floor, modes
 
 
-def _flow_blocks(model: QuadraticModel, grid: MatsubaraGrid, b_floor: int, modes: int):
-    """Walk the shells upward once, in blocks; yield the steps, return the shifts.
+def _walk(model: QuadraticModel, grid: MatsubaraGrid, b_floor: int, modes: int, keep):
+    """Walk the shells upward once, in blocks; hand each block's steps to ``keep``.
 
     The inputs come checked by :func:`_flow_inputs`.  Each block that holds
-    steps yields ``(first, corrections, log_c, residual)`` for its steps,
-    shells ``first, first + 1, ...`` in ascending order: the step's
-    correction, log c before its shift and the conservation residual before
-    its shift (``None`` for A <= 0).  The generator returns the shifts
-    ``(log_c_shift, residual_shift)``: log c after the step is
-    ``log_c - log_c_shift`` and the residual ``|residual - residual_shift|``.
+    steps goes to ``keep(first, corrections, log_c, residual)``, shells
+    ``first, first + 1, ...`` ascending: the step's correction, and log c
+    and the conservation residual (``None`` for A <= 0) before their shifts.
+    Returns ``(log_c_shift, residual_shift, final_log_c, max_residual)``:
+    log c after a step is ``log_c - log_c_shift``, the residual
+    ``|residual - residual_shift|``; the last two are shifted already.
 
     The residual stands for log c + remaining log Z - full log Z.  The Berry
-    and pair prefixes, both of size N ln 2 at the top shells, are subtracted
-    first, so what is left of them is their own rounding, about an ulp of
-    N ln 2.  The three sums stay independent: the correction total comes
-    from the steps, never from the closed-form log Z, which would make the
-    residual zero by construction.
+    and pair prefixes, both of size N ln 2 at the top shells, come as running
+    sums and carried errors; the sums are subtracted first, exactly where
+    they agree to a factor 2 (Sterbenz), and then the errors, so the residual
+    rounds at its own scale, not N ln 2.  The three sums stay independent:
+    the correction total comes from the steps, never from the closed-form
+    log Z, which would make the residual zero by construction.
     """
     N = grid.N
     top = (N - 1) // 2
@@ -188,6 +174,9 @@ def _flow_blocks(model: QuadraticModel, grid: MatsubaraGrid, b_floor: int, modes
     # belongs to the Hamiltonian sum), and log c brings -ln N
     remaining_const = grid.beta * model.A / 2.0 - math.log(c) - log_N if conserved else 0.0
     berry_sum, pair_sum, correction_sum = _Sum2(), _Sum2(), _Sum2()
+    # the residual's extremes before its shift: rounding is monotone, so the
+    # largest |residual - shift| is at one of them
+    residual_lo, residual_hi = math.inf, -math.inf
     for lo in range(1, top + 1, _SHELL_BLOCK):
         hi = min(lo + _SHELL_BLOCK, top + 1)
         half_tan = _half_tan(np.arange(lo, hi, dtype=float), N)
@@ -207,25 +196,36 @@ def _flow_blocks(model: QuadraticModel, grid: MatsubaraGrid, b_floor: int, modes
         correction_log = np.log1p(c * c / tan_sq4[step])
         if not (np.isfinite(berry_log[step]).all() and np.isfinite(correction_log).all()):
             raise NumericalError(f"flow step terms are not finite at beta A / N = {c:g}")
-        berry_below = berry_sum.below(berry_log)[step]
-        pair_below = pair_sum.below(np.log(c * c + tan_sq4))[step] if conserved else None
+        berry_hi, berry_lo = (part[step] for part in berry_sum.below(berry_log))
+        if conserved:
+            pair_hi, pair_lo = (part[step] for part in pair_sum.below(np.log(c * c + tan_sq4)))
         if first >= hi:
             continue  # the whole block is below the floor
-        correction_below = correction_sum.below(correction_log)
-        log_c = berry_below - log_N
+        correction_below = np.add(*correction_sum.below(correction_log))
+        log_c = berry_hi + berry_lo
+        log_c -= log_N
         log_c += correction_below
         log_c *= modes
+        if first == b_floor + 1:
+            lowest_log_c = float(log_c[0])
         residual = None
         if conserved:
-            residual = berry_below - pair_below
+            residual = berry_hi - pair_hi
+            residual += berry_lo - pair_lo
             residual += correction_below
             residual += remaining_const
             residual *= modes
-        yield first, modes * correction_log / grid.beta, log_c, residual
+            residual_lo = min(residual_lo, float(residual.min()))
+            residual_hi = max(residual_hi, float(residual.max()))
+        keep(first, modes * correction_log / grid.beta, log_c, residual)
 
     log_c_shift = modes * correction_sum.total
-    full = modes * weyl_discrete_logZ_quadratic(grid, model) if conserved else None
-    return log_c_shift, (log_c_shift + full if conserved else None)
+    final_log_c = _finite(lowest_log_c - log_c_shift, "flow log c")
+    if not conserved:
+        return log_c_shift, None, final_log_c, None
+    residual_shift = log_c_shift + modes * weyl_discrete_logZ_quadratic(grid, model)
+    max_residual = max(abs(residual_hi - residual_shift), abs(residual_lo - residual_shift))
+    return log_c_shift, residual_shift, final_log_c, max_residual
 
 
 def run_flow(
@@ -242,11 +242,12 @@ def run_flow(
     suffix of the corrections, so its rounding stays at a few ulps of log_c
     instead of growing with the number of shells.  The remaining shells'
     Gaussian log Z gives the conservation residual against the closed-form
-    lattice log Z after each step.
+    lattice log Z after each step.  Log c after the last step is
+    ``log_c_series[-1]``; the quadratic coefficient does not flow.
 
-    One walk up the shells, in blocks of :data:`_SHELL_BLOCK`, writes the
-    steps into the outputs, whose order is the flow's, top shell first; the
-    shift by the total correction is then applied in place.  Outputs over
+    :func:`_walk` goes up the shells once, in blocks of :data:`_SHELL_BLOCK`,
+    and its steps are written into the outputs, whose order is the flow's,
+    top shell first; the shifts are then applied in place.  Outputs over
     :data:`FLOW_BYTES_MAX` bytes are a ``ValueError`` before any is made.
 
     The accumulated correction beyond the floor inherits the 1/b tail of
@@ -267,23 +268,16 @@ def run_flow(
     log_c_series = np.empty(steps)
     residuals = np.empty(steps) if conserved else None
 
-    blocks = _flow_blocks(model, grid, b_floor, modes)
-    while True:
-        try:
-            first, correction, log_c, residual = next(blocks)
-        except StopIteration as done:
-            log_c_shift, residual_shift = done.value
-            break
+    def keep(first, correction, log_c, residual):
         out = slice(top - first - len(log_c) + 1, top - first + 1)  # shell s at top - s
         corrections[out] = correction[::-1]
         log_c_series[out] = log_c[::-1]
         if conserved:
             residuals[out] = residual[::-1]
+
+    log_c_shift, residual_shift, _, _ = _walk(model, grid, b_floor, modes, keep)
     log_c_series -= log_c_shift
     if conserved:
         residuals -= residual_shift
         np.abs(residuals, out=residuals)
-    final_log_c = _finite(float(log_c_series[-1]), "flow log c")
-
-    final = FlowState(final_log_c, model.A, b_floor, grid, modes)
-    return FlowResult(final, shells, corrections, log_c_series, residuals)
+    return FlowResult(shells, corrections, log_c_series, residuals)

@@ -128,13 +128,18 @@ def _step_loop_flow(model, grid, b_floor: int, modes: int = 1):
     return shells, corrections, log_c_series
 
 
-def _whole_array_cumsum(x: np.ndarray) -> np.ndarray:
-    """Compensated prefix sums of ``x`` over the whole array at once (Sum2 in prefix form)."""
+def _whole_array_cumsum_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The running sums of ``x`` and the running sums of their TwoSum errors, whole-array."""
     s = np.cumsum(x)
     prev = np.concatenate(([0.0], s))[:-1]
     x_part = s - prev
     err = (prev - (s - x_part)) + (x - x_part)
-    return s + np.cumsum(err)
+    return s, np.cumsum(err)
+
+
+def _whole_array_cumsum(x: np.ndarray) -> np.ndarray:
+    """Compensated prefix sums of ``x`` over the whole array at once (Sum2 in prefix form)."""
+    return np.add(*_whole_array_cumsum_parts(x))
 
 
 def _whole_array_flow(model, grid, b_floor: int, modes: int = 1):
@@ -145,11 +150,12 @@ def _whole_array_flow(model, grid, b_floor: int, modes: int = 1):
     corrections, each a full-length array.  By prod_{k=1}^{B} tan(pi k/N) =
     sqrt(N), log c after the step at shell s is
     M [sum_{k<s} ln 4 tan^2 - ln N] - M sum_{k>=s} log1p(c^2 / 4 tan^2).
-    Same checks, messages and arithmetic as the streamed flow, which must
-    match it bit for bit.
+    The residual subtracts the Berry and pair running sums first and their
+    carried errors next.  Same checks, messages and arithmetic as the
+    streamed flow, which must match it bit for bit.
     """
     from cspi import NumericalError, weyl_discrete_logZ_quadratic
-    from cspi.flow import FlowResult, FlowState, _half_tan
+    from cspi.flow import FlowResult, _half_tan
 
     grid.require_odd("the frequency-shell flow")
     if modes < 1:
@@ -172,11 +178,13 @@ def _whole_array_flow(model, grid, b_floor: int, modes: int = 1):
     if not (np.isfinite(berry_log[b_floor:]).all() and np.isfinite(correction_log).all()):
         raise NumericalError(f"flow step terms are not finite at beta A / N = {c:g}")
 
-    def below(x):  # the compensated sum of the entries before each entry
-        return np.concatenate(([0.0], _whole_array_cumsum(x)))
+    def below(x):  # the running sum and carried error before each entry, and their sum
+        hi, lo = _whole_array_cumsum_parts(x)
+        hi, lo = np.concatenate(([0.0], hi)), np.concatenate(([0.0], lo))
+        return hi, lo, hi + lo
 
-    berry_below = below(berry_log)[b_floor:-1]
-    correction_sums = below(correction_log)
+    berry_hi, berry_lo, berry_below = (part[b_floor:-1] for part in below(berry_log))
+    correction_sums = below(correction_log)[2]
     correction_below = correction_sums[:-1]
     log_c_shift = modes * float(correction_sums[-1])
     log_c_series = modes * ((berry_below - math.log(N)) + correction_below) - log_c_shift
@@ -185,16 +193,16 @@ def _whole_array_flow(model, grid, b_floor: int, modes: int = 1):
 
     residuals = None
     if model.A > 0:
-        pair_below = below(np.log(c * c + tan_sq4))[b_floor:-1]
+        pair_hi, pair_lo, _ = (part[b_floor:-1] for part in below(np.log(c * c + tan_sq4)))
         remaining_const = grid.beta * model.A / 2.0 - math.log(c) - math.log(N)
         shift = log_c_shift + modes * weyl_discrete_logZ_quadratic(grid, model)
-        residuals = modes * (((berry_below - pair_below) + correction_below) + remaining_const)
+        differences = (berry_hi - pair_hi) + (berry_lo - pair_lo)
+        residuals = modes * ((differences + correction_below) + remaining_const)
         residuals = np.abs(residuals - shift)[::-1]
 
-    final = FlowState(float(log_c_series[0]), model.A, b_floor, grid, modes)
     corrections = modes * correction_log / grid.beta
     shells = np.arange(top, b_floor, -1)
-    return FlowResult(final, shells, corrections[::-1], log_c_series[::-1], residuals)
+    return FlowResult(shells, corrections[::-1], log_c_series[::-1], residuals)
 
 
 def _times_ladder(terms: dict, mode: int, creation: bool) -> dict:

@@ -717,3 +717,24 @@ def test_identity_check_non_finite_weights_exit_2(monkeypatch, capsys, recwarn):
     assert main(["identity-check", "--radial", "64"]) == 2
     assert "error: radial must be 1 to 186" in capsys.readouterr().err
     assert not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError(), "error: out of memory"),
+        # what numpy raises for an array the host cannot hold
+        (MemoryError("Unable to allocate 7.45 GiB"), "error: Unable to allocate 7.45 GiB"),
+    ],
+)
+@pytest.mark.parametrize("command", ["prefactor", "cutoff"])
+def test_memory_error_exits_2(command, exc, message, monkeypatch, capsys):
+    # a size no budget refused ended in a traceback and exit 1
+    def runner(cfg):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, command, (runner, 1e-3))
+    assert main([command, "--b", "10"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [message]

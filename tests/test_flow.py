@@ -47,7 +47,7 @@ def test_free_theory_flow_matches_shell_product():
     for shell in range((N - 1) // 2, b_floor, -1):
         half_tan = math.tan(math.pi * shell / N)
         oracle -= math.log(4.0 * half_tan * half_tan)
-    assert abs(result.final.log_c - oracle) <= 1e-12
+    assert abs(result.log_c_series[-1] - oracle) <= 1e-12
     assert np.all(result.corrections == 0.0)
     # the lattice log Z diverges at A = 0, so there is no conservation residual
     assert result.conservation_residuals is None
@@ -70,11 +70,6 @@ def test_accumulated_correction_tail():
     assert acc100 < 1e-2
     # doubling the floor roughly halves the 1/b tail
     assert 0.35 <= acc200 / acc100 <= 0.65
-
-
-def test_quadratic_coefficient_does_not_flow():
-    result = run_flow(QuadraticModel(A=1.7, beta=0.8), MatsubaraGrid(1001, 0.8), 50)
-    assert result.final.A_eff == 1.7
 
 
 def test_flow_validation(unchecked_model):
@@ -102,7 +97,6 @@ def test_non_finite_flow_is_an_error():
 def test_flow_shell_bookkeeping():
     result = run_flow(QuadraticModel(A=1.0, beta=1.0), MatsubaraGrid(101, 1.0), 10)
     assert list(result.shells) == list(range(50, 10, -1))
-    assert result.final.shell == 10
     assert result.corrections.shape == result.shells.shape
     assert result.conservation_residuals.shape == result.shells.shape
 
@@ -124,6 +118,16 @@ def test_conservation_gate_at_scale(N, A, beta):
     assert result.conservation_residuals.max() <= 1e-9
 
 
+@pytest.mark.parametrize("A, beta", [(0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5)])
+def test_conservation_residual_is_not_rounded_at_n_ln_2(A, beta):
+    # the Berry and pair prefixes reach N ln 2 = 6.9e6, whose ulp is 9.3e-10;
+    # with their running sums subtracted apart from their carried errors the
+    # residual is 2.6e-11 .. 4.9e-11 here, and rounded as one sum it was 6e-10 .. 9e-10
+    N = 10**7 + 1
+    result = run_flow(QuadraticModel(A=A, beta=beta), MatsubaraGrid(N, beta), b_floor=40)
+    assert result.conservation_residuals.max() <= 1e-10
+
+
 @pytest.mark.parametrize("N", [101, 1001])
 def test_run_flow_matches_step_loop(N, step_loop_flow):
     model = QuadraticModel(A=1.3, beta=0.9)
@@ -134,9 +138,6 @@ def test_run_flow_matches_step_loop(N, step_loop_flow):
     assert np.array_equal(result.shells, shells)
     assert np.array_equal(result.corrections, corrections)
     assert np.abs(result.log_c_series - log_c).max() <= 1e-12
-    assert result.final.shell == b_floor
-    assert abs(result.final.log_c - log_c[-1]) <= 1e-12
-    assert (result.final.A_eff, result.final.modes) == (model.A, 2)
 
 
 @pytest.mark.parametrize("N", [10**3 + 1, 10**6 + 1, 2 * 10**6 + 1, 10**7 + 1])
@@ -154,11 +155,17 @@ def test_half_tan_against_mpmath(N):
 
 
 def _streamed_prefix(x, block):
-    """The compensated prefix sums of ``x``, fed to one ``_Sum2`` in blocks of ``block``."""
-    total, prefix = _Sum2(), np.empty(len(x))
+    """The compensated prefix sums of ``x``, fed to one ``_Sum2`` in blocks of ``block``.
+
+    Each block's ``below`` gives the sums before its entries, so the sums
+    through them are those below shifted by one, and the last is ``total``.
+    """
+    total, below = _Sum2(), np.empty(len(x) + 1)
     for lo in range(0, len(x), block):
-        total.prefix(x[lo : lo + block], prefix[lo : lo + block])
-    return prefix
+        part = x[lo : lo + block]
+        below[lo : lo + len(part)] = np.add(*total.below(part))
+    below[-1] = total.total
+    return below[1:]
 
 
 def test_compensated_prefix_matches_fsum():
@@ -189,9 +196,6 @@ def test_streamed_prefix_matches_whole_array_sum(block, whole_array_cumsum):
     rng = np.random.default_rng(7)
     x = rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-8.0, 8.0, 50_000)
     assert np.array_equal(_streamed_prefix(x, block), whole_array_cumsum(x))
-    in_place = x.copy()
-    _Sum2().prefix(in_place, in_place)
-    assert np.array_equal(in_place, whole_array_cumsum(x))
 
 
 _B = _SHELL_BLOCK
@@ -217,7 +221,6 @@ def test_run_flow_matches_whole_array_oracle(N, b_floor, A, modes, whole_array_f
         assert np.array_equal(result.conservation_residuals, oracle.conservation_residuals)
     else:
         assert result.conservation_residuals is None and oracle.conservation_residuals is None
-    assert result.final == oracle.final
 
 
 def _flow_rows(argv, capsys):
@@ -257,7 +260,8 @@ def test_flow_command_matches_run_flow(N, b_floor, window, modes, capsys):
     rows = _flow_rows(argv, capsys)
     result = run_flow(QuadraticModel(A=1.3, beta=0.9), MatsubaraGrid(N, 0.9), b_floor, modes)
     assert rows["max_conservation_residual"] == result.conservation_residuals.max()
-    assert rows["final_log_c"] == result.final.log_c
+    assert rows["final_log_c"] == result.log_c_series[-1]
+    assert rows["final_A_eff"] == 1.3  # the quadratic coefficient does not flow
     total = result.corrections.sum()
     assert abs(rows["accumulated_correction"] - total) <= 4 * np.spacing(total)
     lo, hi = window or (50, min(500, (N - 1) // 8))
@@ -337,7 +341,7 @@ def test_final_log_c_against_mpmath(N, A, beta):
             for k in range(1, b_floor + 1)
         )
         exact = mpmath.log(c) - N * mpmath.log1p(c / 2) - mpmath.log(1 - r**N) + low
-        rel = abs(mpmath.mpf(result.final.log_c) / exact - 1)
+        rel = abs(mpmath.mpf(result.log_c_series[-1]) / exact - 1)
     assert rel <= 4 * np.finfo(float).eps
 
 
