@@ -7,10 +7,10 @@ bookkeeping these sums are about); the window is the bare count b, and beta
 is the model's, so a sum depends on b and beta A alone.  The normal-order
 cutoff series lands on (1/2) coth(beta A / 2) -- off by the constant the
 exact answer subtracts -- while the Weyl shift of -1/2 makes it exact; the
-difference between orderings is b-independent.  The cutoff sum is evaluated
-in closed form, as that limit minus its tail beyond b, which is the
-imaginary part of the digamma function (DLMF 5.5.2, 5.11.2); its cost does
-not grow with b.
+difference between orderings is b-independent.  The cutoff sum is one
+closed form at every b, a difference of the imaginary parts of two digamma
+values (DLMF 5.5.2, 5.11.2), so neither its cost nor its memory grows with
+b.  The prefactor's O(b) shell sum walks the flow's shell blocks.
 """
 
 from __future__ import annotations
@@ -22,63 +22,56 @@ import numpy as np
 from .algebra import KAPPA, Ordering
 from .errors import EvenSliceCountError, SingularityError
 from .errors import _count, _finite, _inverse_temperature
+from .flow import _SHELL_BLOCK, _half_tan, _Sum2
 from .fock import QuadraticModel
 
 
-#: B_2k / 2k, k = 1 .. 8: the asymptotic series of digamma (DLMF 5.11.2)
-_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, -3617 / 8160)
+#: B_2k / 2k, k = 8 .. 1, highest first for Horner: the asymptotic series of
+#: digamma (DLMF 5.11.2), to well below an ulp from |z| = 10 on
+_PSI_SERIES = (-3617 / 8160, 1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120, 1 / 12)
 
 
-def _im_psi(b: int, a: float) -> float:
-    """Im psi(b + 1 + i a) for a >= 0, which is a * sum_{l>b} 1/(l^2 + a^2).
-
-    The recurrence psi(z) = psi(z + 1) - 1/z (DLMF 5.5.2) adds the terms
-    a/(K^2 + a^2) from K = b + 1 while |K + i a| < 20; the rest is
-    arg z - Im[1/(2z) + sum_k B_2k / (2k z^2k)] at z = K + i a (DLMF 5.11.2).
-    Every part is positive or alternates with terms shrinking by 1/|z|^2, so
-    nothing cancels, down to a -> 0.
-    """
-    K, head = b + 1, 0.0
-    while K * K + a * a < 400.0:
-        head += a / (K * K + a * a)
-        K += 1
-    z = complex(K, a)
-    w = 1.0 / (z * z)
+def _psi_series(K: int, a: float) -> float:
+    """Im[1/(2z) + sum_k B_2k / (2k z^2k)] at z = K + i a: arg z less Im psi(z) (DLMF 5.11.2)."""
+    inv = 1.0 / complex(K, a)
+    w = inv * inv
     series = 0.0
-    for coeff in reversed(_PSI_SERIES):
+    for coeff in _PSI_SERIES:
         series = series * w + coeff
-    return head + math.atan2(a, K) - (0.5 / z + series * w).imag
+    return (0.5 * inv + series * w).imag
 
 
 def cutoff_dFdA(model: QuadraticModel, b: int, ordering: Ordering) -> float:
     """Re sum_{|l|<=b} 1/(i beta omega_l + beta A) plus the ordering's kappa.
 
-    With x = beta A and a = |x| / 2 pi the sum is odd in x, and for x > 0
+    With x = beta A and a = |x| / 2 pi the sum is odd in x and equals
 
-        (1/2) coth(x/2) - (x / 2 pi^2) sum_{l>b} 1/(l^2 + a^2)
-            = (1/2) coth(x/2) - Im psi(b + 1 + i a) / pi,
+        sign(x) [1/|x| + P / pi],  P = a sum_{l=1}^{b} 1/(l^2 + a^2)
+                                     = Im[psi(1 + i a) - psi(b + 1 + i a)],
 
-    the b -> infinity limit minus its tail, in O(1) operations.  The tail
-    falls off like 1/b, so the normal-order value approaches (1/2) coth(x/2)
-    and the Weyl value approaches the exact derivative.  Below b = a the
-    tail is close to (1/2) coth(x/2) and the difference loses digits, so
-    there the sum is added directly, in fewer than a terms: each +-l pair is
-    the real 2 / (x + (2 pi l)^2 / x), so that x^2 cannot overflow, from
-    l = b down, then l = 0 adds 1/x.
+    in O(1) operations at every b.  The recurrence psi(z) = psi(z + 1) - 1/z
+    (DLMF 5.5.2) adds the terms a/(k^2 + a^2) for k < K = min(b + 1, 10).
+    The rest is arg(K + i a) - arg(b + 1 + i a), one atan2 of a (b + 1 - K)
+    over K (b + 1) + a^2, less the difference of the two DLMF 5.11.2 series,
+    which both start at |z| >= 10 or else cancel exactly (K = b + 1).  Every
+    a^2 is scaled by max(a, 1), so it cannot overflow, and ``math.fsum``
+    adds the pieces of P with one rounding.  Both summands are positive, so
+    nothing cancels.  As b grows, P / pi approaches (1/2) coth(x/2) - 1/x
+    like 1/b, so the normal-order value approaches (1/2) coth(x/2) and the
+    Weyl value the exact derivative.
     """
     b = _count(b, "b", 0)
-    if model.A == 0:
-        raise SingularityError("cutoff dF/dA has a pole at A = 0")
     bA = model.beta * model.A
+    if bA == 0:
+        raise SingularityError("cutoff dF/dA has a pole at beta A = 0")
     a = abs(bA) / (2.0 * math.pi)
-    if b < a:
-        ell = np.arange(b, 0, -1)
-        total = float(np.sum(2.0 / (bA + (2.0 * np.pi * ell) ** 2 / bA))) + 1.0 / bA
-    else:
-        half = 0.5 * abs(bA)
-        # |x| = 5e-324 halves to 0, where the sum (about 1/x) overflows anyway
-        coth_half = 0.5 / math.tanh(half) if half else math.inf
-        total = math.copysign(coth_half - _im_psi(b, a) / math.pi, bA)
+    scale = max(a, 1.0)
+    a_s, a2_s = a / scale, a * (a / scale)
+    K = min(b + 1, 10)
+    head = [a_s / (k * k / scale + a2_s) for k in range(1, K)]
+    arg_gap = math.atan2(a_s * (b + 1 - K), K * (b + 1) / scale + a2_s)
+    P = math.fsum((*head, arg_gap, _psi_series(b + 1, a), -_psi_series(K, a)))
+    total = math.copysign(1.0 / abs(bA) + P / math.pi, bA)
     return _finite(total, "cutoff sum") + KAPPA[ordering]
 
 
@@ -104,18 +97,22 @@ def prefactor_log_empirical(N: int, b: int, beta: float, modes: int = 1) -> floa
     product over b < k <= B is 2(B-b) ln 2 + ln N - sum_{k<=b} ln tan^2(pi k/N).
     Substituting it leaves the O(b) sum
 
-        M [ sum_{k=1}^{b} ln(4 N^2 tan^2(pi k/N)) - (2b+1) ln beta ],
+        M [ sum_{k=1}^{b} 2 ln(2 N tan(pi k/N)) - (2b+1) ln beta ],
 
     whose terms approach ln((2 pi k)^2), those of the closed form, and which
     never subtracts the two numbers of size N ln 2 the O(N) product does.
+    The shells go through the flow's walk: :func:`~cspi.flow._half_tan`
+    and a compensated :class:`~cspi.flow._Sum2`, one block of
+    :data:`~cspi.flow._SHELL_BLOCK` shells at a time, so the memory stays
+    one block at any b.
     """
     if _count(N, "N", 1) % 2 == 0:
         raise EvenSliceCountError(f"shell product is defined for odd N, got {N}")
     _inverse_temperature(beta)
     modes = _count(modes, "modes", 1)
     b = _count(b, "b", 0, (N - 1) // 2)
-    scaled_tan = N * np.tan(np.pi * np.arange(1, b + 1) / N)
-    if not np.all(np.isfinite(scaled_tan)) or np.any(scaled_tan == 0.0):
-        raise SingularityError("tangent pole in the shell product")
-    shell_log = float(np.sum(np.log(4.0 * scaled_tan * scaled_tan)))
-    return modes * (shell_log - (2 * b + 1) * math.log(beta))
+    shell_sum = _Sum2()
+    for lo in range(1, b + 1, _SHELL_BLOCK):
+        shells = np.arange(lo, min(lo + _SHELL_BLOCK, b + 1), dtype=float)
+        shell_sum.below(2.0 * np.log(2 * N * _half_tan(shells, N)))
+    return modes * (shell_sum.total - (2 * b + 1) * math.log(beta))

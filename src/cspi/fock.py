@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import BosonPoly
-from .errors import ModeMismatchError, NonHermitianError, SingularityError
+from .errors import ModeMismatchError, NonHermitianError, NumericalError, SingularityError
 from .errors import _count, _inverse_temperature
 
 
@@ -172,7 +172,7 @@ def hamiltonian_matrix(p: BosonPoly, basis: FockBasis) -> np.ndarray:
 
 
 def partition_function(H: np.ndarray, beta: float) -> float:
-    """Tr exp(-beta H) by Hermitian eigendecomposition; strictly positive."""
+    """Tr exp(-beta H) by Hermitian eigendecomposition; a Z outside (0, inf) is a NumericalError."""
     H = np.asarray(H)
     _inverse_temperature(beta)
     if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):
@@ -181,7 +181,11 @@ def partition_function(H: np.ndarray, beta: float) -> float:
     if np.abs(H - H.conj().T).max() > 1e-12 * scale:
         raise NonHermitianError("partition_function requires a Hermitian matrix")
     energies = np.linalg.eigvalsh(H)
-    return float(np.sum(np.exp(-beta * energies)))
+    with np.errstate(over="ignore", under="ignore"):  # refused below instead
+        Z = float(np.sum(np.exp(-beta * energies)))
+    if not 0.0 < Z < math.inf:
+        raise NumericalError(f"partition function {Z} is outside the float range at beta = {beta}")
+    return Z
 
 
 def exact_dFdA(model: QuadraticModel) -> float:
@@ -216,7 +220,7 @@ def coherent_overlap(z2, z1) -> complex:
     return complex(np.exp(np.vdot(z2, z1)))
 
 
-def _mode_quadrature(t, wt, phi, top: int) -> np.ndarray:
+def _mode_quadrature(t, wt, angular_nodes: int, top: int) -> np.ndarray:
     """Quadrature of integral |z><z| e^{-|z|^2} / pi on one mode, occupancies 0..top."""
     s = np.arange(2 * top + 1)
     with np.errstate(over="ignore"):
@@ -230,9 +234,9 @@ def _mode_quadrature(t, wt, phi, top: int) -> np.ndarray:
         raise ValueError(
             f"factorial norms up to sqrt({top}!) overflow float; lower n_max"
         ) from None
-    # angular averages: (1/K) sum_k e^{i d phi_k}, d = m - n; one d at a time
-    # keeps the memory at one angular grid
-    angular = np.array([np.mean(np.exp(1j * d * phi)) for d in range(-top, top + 1)])
+    # angular averages (1/K) sum_k e^{2 pi i d k / K}, d = m - n: exactly 1
+    # where K divides d, else 0
+    angular = np.array([float(d % angular_nodes == 0) for d in range(-top, top + 1)])
     m, n = np.indices((top + 1, top + 1))
     return radial[m + n] * angular[m - n + top] / np.multiply.outer(norms, norms)
 
@@ -246,11 +250,11 @@ def check_resolution_identity(
     """Quadrature deviation of  integral |z><z| e^{-|z|^2} / pi  from identity.
 
     Per mode the complex plane is integrated on Gauss-Laguerre nodes in
-    t = r^2 crossed with a uniform angular grid.  Off-diagonal elements
-    carry a phase e^{i(m-n)phi} and die on the angular grid only when
-    angular_nodes does not alias m - n to 0; under-resolved grids leave
-    O(1) spurious entries.  Returns the max-norm deviation on the sub-block
-    of occupancies <= n_max - margin.  ``radial_nodes`` outside
+    t = r^2 crossed with K = angular_nodes uniform angles, whose average of
+    e^{i(m-n)phi} is exactly 1 where K divides m - n, else 0: off-diagonal
+    elements die only when K does not alias m - n to 0, and under-resolved
+    grids leave O(1) spurious entries.  Returns the max-norm deviation on
+    the sub-block of occupancies <= n_max - margin.  ``radial_nodes`` outside
     1..:data:`RADIAL_NODES_MAX` is refused before any node is computed.
 
     The quadrature matrix is the Kronecker product of the per-mode blocks
@@ -274,12 +278,11 @@ def check_resolution_identity(
         t, wt = np.polynomial.laguerre.laggauss(radial_nodes)
     if not np.isfinite(wt).all():
         raise ValueError(radial_refused)
-    phi = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
 
     diagonal = np.ones(1, dtype=complex)
     d, o = [], []
     for top in tops:
-        E = _mode_quadrature(t, wt, phi, int(top))
+        E = _mode_quadrature(t, wt, angular_nodes, int(top))
         diagonal = np.multiply.outer(diagonal, np.diagonal(E)).ravel()
         size = np.abs(E)
         d.append(np.diagonal(size).max())

@@ -1,6 +1,7 @@
 """Sharp-cutoff continuum sums and the normalization prefactor."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -67,8 +68,12 @@ def test_cutoff_matches_paired_sum(beta_A, paired_frequency_sum):
 
 
 def _cutoff_reference(b, beta_A):
-    """40-digit sign(x) [coth(|x|/2)/2 - Im psi(b + 1 + i|x|/2pi)/pi], x = beta A."""
-    with mpmath.workdps(40):
+    """sign(x) [coth(|x|/2)/2 - Im psi(b + 1 + i|x|/2pi)/pi], x = beta A, to 40 digits.
+
+    Below b = |x|/2pi the two terms agree to about log10 |x| digits, which the
+    working precision adds.
+    """
+    with mpmath.workdps(40 + max(0, math.ceil(math.log10(abs(beta_A))))):
         x = abs(mpmath.mpf(beta_A))
         tail = mpmath.im(mpmath.digamma(b + 1 + 1j * x / (2 * mpmath.pi))) / mpmath.pi
         return math.copysign(float(mpmath.coth(x / 2) / 2 - tail), beta_A)
@@ -88,18 +93,20 @@ def test_cutoff_reference_matches_direct_mpmath_sum():
 
 
 @pytest.mark.parametrize(
-    "beta_A", [0.25, 1.0, 2.25, 30.0, 1e4, -0.25, -1.0, -2.25, -30.0, -1e4, 1e-8, 700.0]
+    "beta_A",
+    [0.25, 1.0, 2.25, 30.0, 1e4, -0.25, -1.0, -2.25, -30.0, -1e4, 1e-8, 700.0, 1e8, -1e8, 1e12, 1e300],
 )
 def test_cutoff_closed_form_against_mpmath(beta_A):
+    # at |beta A| = 1e8 and up most b lie below a = |beta A| / 2 pi; at 1e300, a^2 overflows
     model = QuadraticModel(A=beta_A, beta=1.0)
-    for b in (0, 1, 2, 3, 7, 19, 20, 21, 100, 111, 112, 12345, 10**5, 10**6, 10**7):
+    for b in (0, 1, 2, 3, 7, 19, 20, 21, 100, 111, 112, 12345, 10**5, 10**6, 10**7, 10**9, 10**12):
         value = cutoff_dFdA(model, b, Ordering.NORMAL)
         assert _eps_error(value, _cutoff_reference(b, beta_A)) <= 4, (b, value)
 
 
 @pytest.mark.parametrize("beta_A", [1e4, -1e4])
 def test_cutoff_regime_boundary(beta_A):
-    # below b = |beta A| / 2 pi the direct head sum is used, from it on the closed form
+    # around b = |beta A| / 2 pi the tail beyond b is close to the b -> infinity limit
     a = abs(beta_A) / (2 * math.pi)
     model = QuadraticModel(A=beta_A, beta=1.0)
     for b in (math.floor(a), math.ceil(a)):
@@ -115,6 +122,23 @@ def test_cutoff_cost_independent_of_b(monkeypatch):
     monkeypatch.setattr(np, "arange", no_arange)
     value = cutoff_dFdA(MODEL, 10**12, Ordering.NORMAL)
     assert _eps_error(value, _cutoff_reference(10**12, 1.0)) <= 4
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        value = f(*args)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cutoff_memory_independent_of_b():
+    # b = 1e6 lies below a = 1.6e11: no term array at any b
+    model = QuadraticModel(A=1e12, beta=1.0)
+    value, peak = _traced_peak(cutoff_dFdA, model, 10**6, Ordering.NORMAL)
+    assert peak < 2**20
+    assert _eps_error(value, _cutoff_reference(10**6, 1e12)) <= 4
 
 
 def test_cutoff_tail_scales_like_inverse_b():
@@ -227,6 +251,22 @@ def test_prefactor_empirical_against_mpmath():
             ref = reference(N, 4, beta, False)
             rel = abs(prefactor_log_empirical(N, 4, beta) - ref) / abs(ref)
             assert rel <= 8 * np.finfo(float).eps
+
+
+def test_prefactor_empirical_memory_is_one_block():
+    N, b = 2 * 10**6 + 1, 10**6
+    value, peak = _traced_peak(prefactor_log_empirical, N, b, 1.0)
+    assert peak < 2**20
+    oracle = _shell_product_prefactor(N, b, 1.0)
+    assert abs(value - oracle) <= 4 * np.finfo(float).eps * N * math.log(N)
+
+
+def test_prefactor_empirical_keeps_the_n_tan_scaling():
+    # at N = 10^200 + 1 the tangents are about pi k / N: N tan stays near pi k,
+    # where 4 tan^2 alone would underflow to 0 and its log to -inf
+    value = prefactor_log_empirical(10**200 + 1, 4, 1.0)
+    assert abs(value - 21.059124191970653) <= 4 * np.finfo(float).eps * 21.059124191970653
+    assert abs(value - prefactor_log_closed(4, 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cspi import (
     FockBasis,
     ModeMismatchError,
     NonHermitianError,
+    NumericalError,
     QuadraticModel,
     SingularityError,
     check_resolution_identity,
@@ -20,6 +22,7 @@ from cspi import (
     exact_dFdA,
     hamiltonian_matrix,
     multiply,
+    parse_operator,
     partition_function,
     suggested_n_max,
 )
@@ -206,6 +209,20 @@ def test_partition_function_validation():
         partition_function(np.array([[0.0, 1.0], [0.0, 0.0]]), beta=1.0)
 
 
+def test_partition_function_outside_float_range(recwarn):
+    # -ad^4 a^4 has the energy -8!/4! = -1680 at n = 8: e^1680 overflows, Z is inf
+    H = hamiltonian_matrix(parse_operator("-ad_0^4*a_0^4"), FockBasis(1, 8))
+    with pytest.raises(NumericalError, match="partition function"):
+        partition_function(H, beta=1.0)
+    # every Boltzmann weight underflows: Z would be 0.0
+    with pytest.raises(NumericalError, match="partition function"):
+        partition_function(np.diag([800.0, 801.0]), beta=1.0)
+    assert not recwarn.list
+    # just inside the range, the value is the plain sum
+    Z = partition_function(np.diag([700.0, 701.0]), beta=1.0)
+    assert Z == pytest.approx(math.exp(-700) + math.exp(-701), rel=4 * EPS)
+
+
 def test_partition_function_unitary_invariance(waves):
     H = hamiltonian_matrix(NUMBER + 0.25 * (A_OP + AD_OP), FockBasis(1, 7))
     seed = waves(64, salt=4.0).reshape(8, 8)
@@ -315,6 +332,22 @@ def test_resolution_identity_matches_kron(
     got = check_resolution_identity(basis, radial, angular, margin)
     want = kron_identity_deviation(basis, radial, angular, margin)
     assert abs(got - want) <= 4 * EPS * max(1.0, want)
+
+
+def test_resolution_identity_angular_closed_form():
+    # the angular average is exact: any grid finer than 2 n_max + 1 gives the same
+    # bits, even one too large for an array, and 2e6 angles cost no grid memory
+    basis = FockBasis(1, 8)
+    fine = check_resolution_identity(basis, 64, 17)
+    assert check_resolution_identity(basis, 64, 10**30) == fine
+    tracemalloc.start()
+    try:
+        deviation = check_resolution_identity(basis, 64, 2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert deviation == fine
 
 
 def test_resolution_identity_validation():
