@@ -24,12 +24,13 @@ integer and s^K a power of two, so every weight is exact in float below
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,7 +42,7 @@ MonomialKey = tuple[tuple[int, int], ...]
 #: reordering is combinatorial; refuse blowups beyond this total degree
 DEFAULT_MAX_DEGREE = 16
 
-#: most slices per block of a half-monomial table (see :func:`_table_blocks`)
+#: most slices per block of a half-monomial table (see :func:`_half_tables`)
 EVAL_BLOCK = 8192
 
 #: a half-monomial table narrows its block to stay within this many bytes
@@ -72,6 +73,8 @@ def _validated_terms(terms: Mapping[MonomialKey, complex], modes: int) -> dict:
         if any(c < 0 or a < 0 for c, a in key):
             raise ValueError(f"negative exponent in monomial key {key}")
         coeff = complex(coeff)
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"coefficient of monomial key {key} is not finite: {coeff}")
         if coeff != 0:
             clean[key] = coeff
     return clean
@@ -97,74 +100,67 @@ def _halves(key: MonomialKey) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(c for c, _ in key), tuple(a for _, a in key)
 
 
-def _table_recipe(exponents: Iterable[tuple[int, ...]]):
-    """Rows of a half-monomial table holding every given exponent vector.
+def _half_tables(variables: Sequence, halves: Sequence, shift: int = 0):
+    """Each term's pair of half-monomial table rows, and the filled table blocks.
 
-    The rows are closed under dropping one power of the last variable an
-    exponent vector uses, so each row is filled by one step, in row order:
-    ``None`` is the zero vector (a row of ones), an ``int`` i copies path
-    variable i (a unit vector), and a pair ``(a, b)`` multiplies rows a and
-    b.  Returns ``row`` (exponent vector -> row index) and the steps.
+    ``variables`` are the path's variables, each a length-n array over the
+    slices, and ``halves`` holds each term's exponent vectors (x, y), one
+    entry per variable; the table row of a vector e holds prod_i v_i^(e_i).
+    Rows are filled in order, one step each: the zero vector is a row of
+    ones, a unit vector copies its variable, and any other vector is the row
+    of e less one power of the last variable it uses, times that variable.
+    The generator yields (lo, width, table), column j holding slice
+    (lo + j) mod n for j < width + ``shift``, so with ``shift`` = 1 the
+    extra column carries the next block's first slice (z_n = z_0 at the
+    end).  One table is refilled for every block; its width is at most
+    :data:`EVAL_BLOCK`, narrowed so that the table stays within
+    :data:`TABLE_BYTES`, but never below one slice.
     """
     row: dict[tuple[int, ...], int] = {}
-    steps: list = []
+    steps: list = []  # None: ones; i: copy variable i; (a, b): row a times row b
 
     def add(e, step):
         row[e] = len(steps)
         steps.append(step)
 
-    for e in exponents:
-        if not any(e):
-            if e not in row:
-                add(e, None)
-            continue
+    for e in (e for pair in halves for e in pair):
         chain = []
         while any(e) and e not in row:
             i = max(j for j, k in enumerate(e) if k)
             rest = e[:i] + (e[i] - 1,) + e[i + 1 :]
             chain.append((e, i, rest))
             e = rest
+        if not chain and e not in row:  # the zero vector
+            add(e, None)
         for e, i, rest in reversed(chain):
-            if not any(rest):
-                add(e, i)
-                continue
             unit = tuple(int(j == i) for j in range(len(e)))
             if unit not in row:
                 add(unit, i)
-            add(e, (row[rest], row[unit]))
-    return row, steps
+            if e != unit:
+                add(e, (row[rest], row[unit]))
 
+    def blocks():
+        n = len(variables[0])
+        cap = TABLE_BYTES // (np.dtype(complex).itemsize * max(len(steps), 1)) - shift
+        block = max(1, min(EVAL_BLOCK, n, cap))
+        table = np.ones((len(steps), block + shift), dtype=complex)
+        for lo in range(0, n, block):
+            width = min(block, n - lo)
+            columns = width + shift
+            for r, step in enumerate(steps):
+                if step is None:
+                    continue
+                if isinstance(step, int):
+                    source = variables[step]
+                    table[r, :width] = source[lo : lo + width]
+                    if shift:
+                        table[r, width] = source[(lo + width) % n]
+                else:
+                    a, b = step
+                    np.multiply(table[a, :columns], table[b, :columns], out=table[r, :columns])
+            yield lo, width, table
 
-def _table_blocks(variables: Sequence, steps: list, shift: int = 0):
-    """Fill a half-monomial table block by block; yields (lo, width, table).
-
-    ``variables`` are the path's variables, each a length-n array over the
-    slices, and ``steps`` come from :func:`_table_recipe`.  Table column j
-    holds slice (lo + j) mod n for j < width + shift, so with ``shift`` = 1
-    the extra column carries the next block's first slice (z_n = z_0 at the
-    end).  One table is allocated per call and refilled for every block;
-    its width is at most :data:`EVAL_BLOCK` and is narrowed so that the
-    table stays within :data:`TABLE_BYTES`, but never below one slice.
-    """
-    n = len(variables[0])
-    cap = TABLE_BYTES // (np.dtype(complex).itemsize * max(len(steps), 1)) - shift
-    block = max(1, min(EVAL_BLOCK, n, cap))
-    table = np.ones((len(steps), block + shift), dtype=complex)
-    for lo in range(0, n, block):
-        width = min(block, n - lo)
-        columns = width + shift
-        for r, step in enumerate(steps):
-            if step is None:
-                continue
-            if isinstance(step, int):
-                source = variables[step]
-                table[r, :width] = source[lo : lo + width]
-                if shift:
-                    table[r, width] = source[(lo + width) % n]
-            else:
-                a, b = step
-                np.multiply(table[a, :columns], table[b, :columns], out=table[r, :columns])
-        yield lo, width, table
+    return [(row[x], row[y]) for x, y in halves], blocks()
 
 
 class _Poly:
@@ -369,7 +365,7 @@ class SymbolPoly(_Poly):
 
         Each term c zbar^p z^q is c X_p Y_q, with the half-monomials
         X_p = prod_i zbar_i^(p_i) of ``conjugated`` and Y_q of ``plain``
-        taken from one table (see :func:`_table_blocks`), a block of slices
+        taken from one table (see :func:`_half_tables`), a block of slices
         at a time, and accumulated in term order.  The working memory is the
         output, a table of at most :data:`TABLE_BYTES` (unless a single
         slice of it is larger) and one block-long buffer.
@@ -386,13 +382,12 @@ class SymbolPoly(_Poly):
         # one variable per column of zbar, then of z
         none = (0,) * self._modes
         halves = [(p + none, none + q) for p, q in map(_halves, self._terms)]
-        row, steps = _table_recipe(e for pair in halves for e in pair)
-        plan = [(row[x], row[y], c) for (x, y), c in zip(halves, self._terms.values())]
+        rows, blocks = _half_tables([*zb.T, *z.T], halves)
         total = np.zeros(z.shape[0], dtype=complex)
         term = np.empty(min(z.shape[0], EVAL_BLOCK), dtype=complex)
-        for lo, width, table in _table_blocks([*zb.T, *z.T], steps):
+        for lo, width, table in blocks:
             acc, buffer = total[lo : lo + width], term[:width]
-            for x, y, coeff in plan:
+            for (x, y), coeff in zip(rows, self._terms.values()):
                 np.multiply(table[x, :width], coeff, out=buffer)
                 buffer *= table[y, :width]
                 acc += buffer
@@ -410,7 +405,7 @@ class SymbolPoly(_Poly):
         half-monomials Y_e = prod_i z_i^(e_i) of the path alone: one
         read-only dot per term and block, no array of per-slice values.
 
-        The table (see :func:`_table_blocks`) holds one row per exponent
+        The table (see :func:`_half_tables`) holds one row per exponent
         vector in use and narrows its block so that it stays within
         :data:`TABLE_BYTES` (16 MiB), never below one slice: a 3-mode
         symbol with every half-monomial up to degree 16 needs 969 rows and
@@ -424,13 +419,11 @@ class SymbolPoly(_Poly):
             raise ModeMismatchError(
                 f"path shape {z.shape} is not (N, {self._modes})"
             )
-        halves = [_halves(key) for key in self._terms]
-        row, steps = _table_recipe(e for pair in halves for e in pair)
-        pairs = [(row[p], row[q]) for p, q in halves]
-        dots = [0j] * len(pairs)
-        for _, width, table in _table_blocks(list(z.T), steps, shift):
+        rows, blocks = _half_tables(list(z.T), list(map(_halves, self._terms)), shift)
+        dots = [0j] * len(rows)
+        for _, width, table in blocks:
             conjugated, plain = table[:, :width], table[:, shift : width + shift]
-            for t, (p, q) in enumerate(pairs):
+            for t, (p, q) in enumerate(rows):
                 dots[t] += np.vdot(conjugated[p], plain[q])
         return complex(sum(c * d for c, d in zip(self._terms.values(), dots)))
 

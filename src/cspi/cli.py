@@ -32,7 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import KAPPA, Ordering, SymbolPoly, quantize, to_ordered_form
+from .algebra import KAPPA, Ordering, _canonical, quantize, to_ordered_form
 from .continuum import cutoff_dFdA, prefactor_log_closed, prefactor_log_empirical
 from .discrete import MatsubaraGrid, normal_discrete_dFdA, weyl_discrete_dFdA
 from .errors import EvenSliceCountError, SingularityError
@@ -196,7 +196,7 @@ def cmd_order(cfg: SimpleNamespace):
     symbol = to_ordered_form(poly, target)
     for key, coeff in symbol.terms.items():  # reordering can overflow finite coefficients
         if not cmath.isfinite(coeff):
-            term = format_symbol(SymbolPoly({key: coeff}, symbol.modes, target))
+            term = format_symbol(_canonical({key: coeff}, symbol.modes, target))
             raise ConfigError(f"{target.value} symbol term {term} has a non-finite coefficient")
     row = [cfg.expr, target.value, format_symbol(symbol)]
     checks = []
@@ -260,12 +260,14 @@ def cmd_cutoff(cfg: SimpleNamespace):
     exact = exact_dFdA(model)
     coth_half = exact + 0.5  # (1/2) coth(beta A / 2)
 
+    # the orderings differ by their kappa alone, and the normal order's is 0
+    normal = [cutoff_dFdA(model, b, Ordering.NORMAL) for b in cfg.b]
     rows, checks = [], []
     for ordering in chosen:
         limit = coth_half + KAPPA[ordering]
         errs = []
-        for b in cfg.b:
-            value = cutoff_dFdA(model, b, ordering)
+        for b, normal_value in zip(cfg.b, normal):
+            value = normal_value + KAPPA[ordering]
             errs.append(abs(value - limit))
             rows.append([b, ordering.value, value, errs[-1]])
         names = (f"{ordering.value}_error_nonincreasing", f"{ordering.value}_final_error")

@@ -20,7 +20,8 @@ import math
 import numpy as np
 
 from .algebra import KAPPA, Ordering
-from .errors import EvenSliceCountError, SingularityError
+from .discrete import MatsubaraGrid
+from .errors import SingularityError
 from .errors import _count, _finite, _inverse_temperature
 from .flow import _SHELL_BLOCK, _half_tan, _Sum2
 from .fock import QuadraticModel
@@ -106,9 +107,7 @@ def prefactor_log_empirical(N: int, b: int, beta: float, modes: int = 1) -> floa
     :data:`~cspi.flow._SHELL_BLOCK` shells at a time, so the memory stays
     one block at any b.
     """
-    if _count(N, "N", 1) % 2 == 0:
-        raise EvenSliceCountError(f"shell product is defined for odd N, got {N}")
-    _inverse_temperature(beta)
+    MatsubaraGrid(N, beta).require_odd("the lattice shell product")
     modes = _count(modes, "modes", 1)
     b = _count(b, "b", 0, (N - 1) // 2)
     shell_sum = _Sum2()

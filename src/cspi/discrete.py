@@ -85,6 +85,8 @@ class DiscretePath:
             values = values[:, np.newaxis]
         if values.ndim != 2 or values.shape[0] < 1:
             raise ValueError("path values must have shape (N,) or (N, M)")
+        if not np.isfinite(values).all():
+            raise ValueError("path values must be finite")
         self.values = values
         self.domain = domain
 
@@ -97,26 +99,30 @@ class DiscretePath:
         return self.values.shape[1]
 
 
+def _time_values(path: DiscretePath) -> np.ndarray:
+    if path.domain == "time":
+        return path.values
+    return np.fft.ifft(path.values, axis=0, norm="ortho")
+
+
+def _frequency_values(path: DiscretePath) -> np.ndarray:
+    if path.domain == "frequency":
+        return path.values
+    return np.fft.fft(path.values, axis=0, norm="ortho")
+
+
 def dft(path: DiscretePath) -> DiscretePath:
     """Unitary transform to frequency amplitudes: z_l = N^{-1/2} sum z_w e^{iwl}."""
     if path.domain != "time":
         raise ValueError("dft expects a time-domain path")
-    return DiscretePath(np.fft.fft(path.values, axis=0, norm="ortho"), "frequency")
+    return DiscretePath(_frequency_values(path), "frequency")
 
 
 def idft(path: DiscretePath) -> DiscretePath:
     """Inverse of :func:`dft`; round trip is the identity to unitary precision."""
     if path.domain != "frequency":
         raise ValueError("idft expects a frequency-domain path")
-    return DiscretePath(np.fft.ifft(path.values, axis=0, norm="ortho"), "time")
-
-
-def _time_values(path: DiscretePath) -> np.ndarray:
-    return path.values if path.domain == "time" else idft(path).values
-
-
-def _frequency_values(path: DiscretePath) -> np.ndarray:
-    return path.values if path.domain == "frequency" else dft(path).values
+    return DiscretePath(_time_values(path), "time")
 
 
 def _check_action_args(path, symbol, grid, expected: Ordering):
@@ -141,31 +147,33 @@ def action_normal(path: DiscretePath, H: SymbolPoly, grid: MatsubaraGrid) -> com
     plain variables from slice l+1.
     """
     _check_action_args(path, H, grid, Ordering.NORMAL)
-    z = _time_values(path)
-    kinetic = np.sum(np.conj(z) * (z - np.roll(z, -1, axis=0)))
-    hamiltonian = grid.delta * H.path_sum(z, 1)
-    return complex(-(kinetic + hamiltonian))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        z = _time_values(path)
+        kinetic = np.sum(np.conj(z) * (z - np.roll(z, -1, axis=0)))
+        value = complex(-(kinetic + grid.delta * H.path_sum(z, 1)))
+    return _finite(value, "normal-order action")
 
 
 def action_antinormal(path: DiscretePath, h: SymbolPoly, grid: MatsubaraGrid) -> complex:
     """- sum_l [ z_l^dag (z_l - z_{l+1}) + Delta h(z_l^dag, z_l) ];  equal-slice h."""
     _check_action_args(path, h, grid, Ordering.ANTINORMAL)
-    z = _time_values(path)
-    kinetic = np.sum(np.conj(z) * (z - np.roll(z, -1, axis=0)))
-    hamiltonian = grid.delta * h.path_sum(z, 0)
-    return complex(-(kinetic + hamiltonian))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        z = _time_values(path)
+        kinetic = np.sum(np.conj(z) * (z - np.roll(z, -1, axis=0)))
+        value = complex(-(kinetic + grid.delta * h.path_sum(z, 0)))
+    return _finite(value, "anti-normal-order action")
 
 
 def action_weyl(path: DiscretePath, HW: SymbolPoly, grid: MatsubaraGrid) -> complex:
     """2i sum_w z_w^dag z_w tan(w/2) - sum_l Delta HW(z_l^dag, z_l);  odd N only."""
     grid.require_odd("the symmetric-order action")
     _check_action_args(path, HW, grid, Ordering.WEYL)
-    z_time = _time_values(path)
-    z_freq = _frequency_values(path)
     half_tan = np.tan(grid.frequencies() / 2.0)
-    berry = 2j * np.sum(np.abs(z_freq) ** 2 * half_tan[:, np.newaxis])
-    hamiltonian = grid.delta * HW.path_sum(z_time, 0)
-    return complex(berry - hamiltonian)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        z_freq = _frequency_values(path)
+        berry = 2j * np.sum(np.abs(z_freq) ** 2 * half_tan[:, np.newaxis])
+        value = complex(berry - grid.delta * HW.path_sum(_time_values(path), 0))
+    return _finite(value, "symmetric-order action")
 
 
 @dataclass(frozen=True)

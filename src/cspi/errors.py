@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, and the one check of each input kind."""
 
+import cmath
 import math
 import operator
 
@@ -47,9 +48,9 @@ def _count(value, name: str, lo: int, hi: int | None = None) -> int:
     return count
 
 
-def _finite(value: float, what: str) -> float:
-    """``value`` if it is finite, else a :class:`NumericalError` naming ``what``."""
-    if not math.isfinite(value):
+def _finite(value, what: str):
+    """``value``, real or complex, if finite; else a :class:`NumericalError` naming ``what``."""
+    if not cmath.isfinite(value):
         raise NumericalError(f"{what} is not finite: {value}")
     return value
 

@@ -247,7 +247,7 @@ def parse_operator(text: str, modes: int | None = None) -> BosonPoly:
     parser.take("end")
     for key, coeff in poly.terms.items():  # a coefficient that overflowed: 1e400, 2^2000
         if not cmath.isfinite(coeff):
-            term = format_operator(BosonPoly({key: coeff}, modes))
+            term = format_operator(_canonical({key: coeff}, modes))
             raise ParseError(f"operator term {term} has a non-finite coefficient", 0)
     return poly
 

@@ -363,7 +363,9 @@ class _ReferenceParser:
         return tok
 
     def parse_expr(self):
-        from cspi import BosonPoly
+        # the sum keeps an overflowed (non-finite) coefficient, as the package's
+        # parser does, so that both refuse it at the end with the same message
+        from cspi.algebra import _canonical
 
         negate = self.peek()[0] == "minus"
         if negate:
@@ -378,7 +380,7 @@ class _ReferenceParser:
                     acc[key] = total
                 else:
                     acc.pop(key, None)
-        return BosonPoly(acc, self.modes)
+        return _canonical(acc, self.modes)
 
     def parse_term(self):
         acc = self.parse_factor()
@@ -437,7 +439,7 @@ def _reference_parse_operator(text: str, modes: int | None = None):
     monomial parser, which must give the same term lists bit for bit, and
     the same refusal of a term whose coefficient overflowed.
     """
-    from cspi import BosonPoly
+    from cspi.algebra import _canonical
     from cspi.expr import ParseError, format_operator
 
     tokens = _reference_tokenize(text)
@@ -452,7 +454,7 @@ def _reference_parse_operator(text: str, modes: int | None = None):
     parser.take("end")
     for key, coeff in poly.terms.items():
         if not cmath.isfinite(coeff):
-            term = format_operator(BosonPoly({key: coeff}, modes))
+            term = format_operator(_canonical({key: coeff}, modes))
             raise ParseError(f"operator term {term} has a non-finite coefficient", 0)
     return poly
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -285,6 +286,17 @@ def test_no_zero_coefficients_stored():
     assert not cancelled.terms
     # quantize(weyl symbol of n) cancels the +1/2 against the -1/2 exactly
     assert ((0, 0),) not in quantize(to_ordered_form(NUMBER, Ordering.WEYL)).terms
+
+
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_constructors_refuse_non_finite_coefficients(coeff):
+    # a nan operator passed hamiltonian_matrix's Hermitian check (nan compares
+    # false) and put nan on the diagonal
+    key = ((1, 1), (0, 2))
+    with pytest.raises(ValueError, match=re.escape(str(key))):
+        BosonPoly({key: coeff, ((0, 0), (0, 0)): 1.0}, 2)
+    with pytest.raises(ValueError, match=re.escape(str(key))):
+        SymbolPoly({key: coeff}, 2, Ordering.WEYL)
 
 
 def test_equality_is_term_map_equality():

@@ -127,6 +127,24 @@ def test_json_report_mirrors_csv(tmp_path):
     assert [",".join(row) for row in doc["rows"]] == csv_lines[1:]
 
 
+def test_cutoff_sums_once_per_b(monkeypatch, capsys):
+    # the orderings differ by their kappa alone: 3 sums for 3 b, not one per (b, ordering)
+    calls = []
+
+    def counted(model, b, ordering):
+        calls.append((b, ordering))
+        return cspi.cutoff_dFdA(model, b, ordering)
+
+    monkeypatch.setattr(cli, "cutoff_dFdA", counted)
+    assert main(["cutoff", "--b", "10,100,1000"]) == 0
+    assert calls == [(b, cspi.Ordering.NORMAL) for b in (10, 100, 1000)]
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    model = cspi.QuadraticModel(1.0, 1.0)
+    assert [float(row[2]) for row in rows] == [
+        cspi.cutoff_dFdA(model, int(row[0]), cspi.Ordering(row[1])) for row in rows
+    ]
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"A": 2.0, "beta": 1.0, "N": [101], "tol": 1e-2}))

@@ -197,7 +197,8 @@ def test_root_of_unity_product_identity(N):
 
 
 def test_prefactor_empirical_validation():
-    with pytest.raises(EvenSliceCountError):
+    # the odd-N rule and message of every symmetric-order entry point
+    with pytest.raises(EvenSliceCountError, match="shell product needs odd N"):
         prefactor_log_empirical(10, 2, 1.0)
     with pytest.raises(ValueError):
         prefactor_log_empirical(11, 6, 1.0)

@@ -1,6 +1,7 @@
 """Lattice constructions: DFT conventions, actions, determinants, Gaussians."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -232,6 +233,29 @@ def test_actions_sum_the_hamiltonian_without_per_slice_values(waves, monkeypatch
     test_action_antinormal_equal_slice(waves)
     test_action_weyl_against_slice_oracle(waves)
     test_action_weyl_single_frequency_path()
+
+
+@pytest.mark.parametrize("domain", ["time", "frequency"])
+@pytest.mark.parametrize(
+    "action, ordering",
+    [
+        (action_normal, Ordering.NORMAL),
+        (action_antinormal, Ordering.ANTINORMAL),
+        (action_weyl, Ordering.WEYL),
+    ],
+)
+def test_actions_refuse_non_finite_paths_and_values(action, ordering, domain):
+    grid = MatsubaraGrid(5, 1.0)
+    for bad in (math.nan, math.inf, complex(0.5, -math.inf)):
+        values = np.full(5, 0.5 + 0.5j)
+        values[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DiscretePath(values, domain)
+    # finite values whose |z|^2 overflows: the action was (nan+nanj), with warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="action is not finite"):
+            action(DiscretePath(np.full(5, 1e200 + 0j), domain), _symbol(ordering), grid)
 
 
 @pytest.mark.parametrize("shift", [1, 2, 4])
