@@ -314,9 +314,10 @@ def cmd_flow(cfg: SimpleNamespace):
 
     window = []  # the fit window's corrections, block by block
 
-    def keep(first, corrections, log_c, residual):
-        if first <= fit_hi and first + len(corrections) > fit_lo:
-            window.append(corrections[max(fit_lo - first, 0) : fit_hi + 1 - first].copy())
+    def keep(first, correction_log, *_):
+        if first <= fit_hi and first + len(correction_log) > fit_lo:
+            part = correction_log[max(fit_lo - first, 0) : fit_hi + 1 - first]
+            window.append(modes * part / grid.beta)
 
     log_c_shift, _, final_log_c, max_residual = _walk(model, grid, b_floor, modes, keep)
     # the flow's order, top shell first, as contiguous arrays

@@ -27,6 +27,7 @@ from .algebra import Ordering, SymbolPoly
 from .errors import (
     EvenSliceCountError,
     ModeMismatchError,
+    NumericalError,
     OrderingTagError,
     SingularityError,
 )
@@ -111,18 +112,27 @@ def _frequency_values(path: DiscretePath) -> np.ndarray:
     return np.fft.fft(path.values, axis=0, norm="ortho")
 
 
+def _transformed(path: DiscretePath, domain: str, what: str) -> DiscretePath:
+    """``path`` in ``domain``; a transform that overflows is a :class:`NumericalError`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        values = _frequency_values(path) if domain == "frequency" else _time_values(path)
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} of the path is not finite")
+    return DiscretePath(values, domain)
+
+
 def dft(path: DiscretePath) -> DiscretePath:
     """Unitary transform to frequency amplitudes: z_l = N^{-1/2} sum z_w e^{iwl}."""
     if path.domain != "time":
         raise ValueError("dft expects a time-domain path")
-    return DiscretePath(_frequency_values(path), "frequency")
+    return _transformed(path, "frequency", "dft")
 
 
 def idft(path: DiscretePath) -> DiscretePath:
     """Inverse of :func:`dft`; round trip is the identity to unitary precision."""
     if path.domain != "frequency":
         raise ValueError("idft expects a frequency-domain path")
-    return DiscretePath(_time_values(path), "time")
+    return _transformed(path, "time", "idft")
 
 
 def _check_action_args(path, symbol, grid, expected: Ordering):

@@ -24,17 +24,19 @@ and log c after the step at shell s is
     M [sum_{k<s} ln(4 tan^2_k) - ln N]  -  M sum_{k>=s} log1p(c^2 / 4 tan^2_k),
 
 with c = beta A / N: an ascending prefix of the Berry logs, less a suffix of
-the corrections, and never a difference of two numbers of size N ln 2.  The
-remaining shells' log Z is an ascending prefix of the pair logs
-ln(c^2 + 4 tan^2) of the same table.  All three sums are compensated (the
-exact rounding error of every addition is summed alongside), because a
-plain float sum over 10^5 or more shells drifts past the 1e-9 conservation
-gate, and they carry their state from one block to the next, so they come
-out bit for bit as over the whole array.  The residual subtracts the Berry
-and pair prefixes' running sums and carried errors apart, so it never
-rounds at the scale of N ln 2.  The correction suffix is the total less its
-prefix, and the total is known only after the last block: each block's log
-c and conservation residual come out before their shift by it.
+the corrections, and never a difference of two numbers of size N ln 2.  Both
+sums are compensated (the exact rounding error of every addition is summed
+alongside), because a plain float sum over 10^5 or more shells drifts past
+the 1e-9 conservation gate, and carry their state from block to block, so
+they come out bit for bit as over the whole array.  The correction total is
+known only after the last block.
+
+The remaining shells' log Z is a prefix of the pair logs ln(c^2 + 4 tan^2),
+so the conservation residual is a prefix of the per-shell defect
+ln(4 tan^2) - ln(c^2 + 4 tan^2) + log1p(c^2 / 4 tan^2), zero in exact
+arithmetic and a few ulps of the logs in floats: a plain running sum of it
+rounds at its own scale, never at N ln 2.  Below the floor, with no
+correction, the defect is of size c^2 / 4 tan^2 and is summed compensated.
 :func:`_walk` is the one walk; :func:`run_flow` keeps every step and so
 holds O(N) arrays, ``cspi flow`` keeps the fit window's corrections, and
 its memory stays a few blocks at any N.
@@ -72,6 +74,8 @@ def _half_tan(n: np.ndarray, N: int) -> np.ndarray:
     are a prefix of ``n``, and each part is formed as one contiguous array.
     """
     split = int(np.searchsorted(n, N // 4, side="right"))
+    if split == len(n):  # no shell past N/4, as at the prefactor's few shells
+        return np.tan(np.pi * n / N)
     half_tan = np.empty(len(n))
     np.tan(np.pi * n[:split] / N, out=half_tan[:split])
     np.divide(1.0, np.tan(np.pi * (N - 2 * n[split:]) / (2 * N)), out=half_tan[split:])
@@ -149,83 +153,74 @@ def _walk(model: QuadraticModel, grid: MatsubaraGrid, b_floor: int, modes: int, 
     """Walk the shells upward once, in blocks; hand each block's steps to ``keep``.
 
     The inputs come checked by :func:`_flow_inputs`.  Each block that holds
-    steps goes to ``keep(first, corrections, log_c, residual)``, shells
-    ``first, first + 1, ...`` ascending: the step's correction, and log c
-    and the conservation residual (``None`` for A <= 0) before their shifts.
-    Returns ``(log_c_shift, residual_shift, final_log_c, max_residual)``:
-    log c after a step is ``log_c - log_c_shift``, the residual
-    ``|residual - residual_shift|``; the last two are shifted already.
-
-    The residual stands for log c + remaining log Z - full log Z.  The Berry
-    and pair prefixes, both of size N ln 2 at the top shells, come as running
-    sums and carried errors; the sums are subtracted first, exactly where
-    they agree to a factor 2 (Sterbenz), and then the errors, so the residual
-    rounds at its own scale, not N ln 2.  The three sums stay independent:
-    the correction total comes from the steps, never from the closed-form
-    log Z, which would make the residual zero by construction.
+    steps goes to ``keep(first, correction_log, berry, berry_log,
+    correction_below, defect_below)``, shells ``first, first + 1, ...``
+    ascending: the steps' log1p(c^2 / 4 tan^2) and Berry logs, the
+    :class:`_Sum2` ``berry`` of the Berry logs below ``first``, which ``keep``
+    may continue with ``berry_log``, the corrections' sums below each step
+    (running sum, carried error) and the defect sums from the floor to each
+    step.  Returns ``(log_c_shift, residual, final_log_c, max_residual)``:
+    log c after a step is M [Berry sum - ln N + correction sum] less
+    ``log_c_shift``, and ``residual`` turns defect sums into conservation
+    residuals in place (it and ``max_residual`` are ``None`` for A <= 0,
+    where the defect stands for no residual).  Rounding is monotone, so the
+    defect sums' extremes give the largest residual.  The correction total
+    comes from the steps, never from the closed-form log Z, which would make
+    the residual zero by construction.
     """
     N = grid.N
     top = (N - 1) // 2
     c = _lattice_c(grid, model)
     conserved = model.A > 0  # else the zero mode makes the lattice log Z diverge
     log_N = math.log(N)
-    # after the step at shell s the shells |n| <= s - 1 remain; their log Z is
-    # beta A / 2 - ln c less their pair logs (the constant beta A / 2 per mode
-    # belongs to the Hamiltonian sum), and log c brings -ln N
+    # the shells |n| < s left after the step at s have log Z = beta A / 2 - ln c less their pair
+    # logs (beta A / 2 per mode belongs to the Hamiltonian sum), and log c brings -ln N
     remaining_const = grid.beta * model.A / 2.0 - math.log(c) - log_N if conserved else 0.0
-    berry_sum, pair_sum, correction_sum = _Sum2(), _Sum2(), _Sum2()
-    # the residual's extremes before its shift: rounding is monotone, so the
-    # largest |residual - shift| is at one of them
-    residual_lo, residual_hi = math.inf, -math.inf
+    berry_sum, correction_sum, floor_defect = _Sum2(), _Sum2(), _Sum2()
+    defect_carry, defect_lo, defect_hi = 0.0, math.inf, -math.inf
     for lo in range(1, top + 1, _SHELL_BLOCK):
         hi = min(lo + _SHELL_BLOCK, top + 1)
         half_tan = _half_tan(np.arange(lo, hi, dtype=float), N)
-        with np.errstate(over="ignore"):  # an overflowing c^2 fails the step check below
-            imag = 2j * half_tan
-            pair = (c - imag) * (c + imag)  # exact Gaussian pair integral
-        # relative: numpy's complex product may round its two cross terms differently
-        residue = (np.abs(pair.imag) / pair.real).max(initial=0.0)
-        if not residue < 1e-12:
-            raise NumericalError(
-                f"conjugate pair products must be real, relative residue {residue}"
-            )
         tan_sq4 = 4.0 * half_tan * half_tan
         berry_log = np.log(tan_sq4)
-        first = max(lo, b_floor + 1)  # the block's lowest shell that is a step
-        step = slice(first - lo, None)
-        correction_log = np.log1p(c * c / tan_sq4[step])
-        if not (np.isfinite(berry_log[step]).all() and np.isfinite(correction_log).all()):
+        floor = min(max(b_floor + 1 - lo, 0), hi - lo)  # the block's shells below the steps
+        correction_log = np.log1p(c * c / tan_sq4[floor:])
+        if not (np.isfinite(berry_log[floor:]).all() and np.isfinite(correction_log).all()):
             raise NumericalError(f"flow step terms are not finite at beta A / N = {c:g}")
-        berry_hi, berry_lo = (part[step] for part in berry_sum.below(berry_log))
-        if conserved:
-            pair_hi, pair_lo = (part[step] for part in pair_sum.below(np.log(c * c + tan_sq4)))
-        if first >= hi:
+        defect = berry_log - np.log(c * c + tan_sq4)  # less the steps' corrections
+        if floor:
+            berry_sum.below(berry_log[:floor])
+            floor_defect.below(defect[:floor])
+        if floor == hi - lo:
             continue  # the whole block is below the floor
-        correction_below = np.add(*correction_sum.below(correction_log))
-        log_c = berry_hi + berry_lo
-        log_c -= log_N
-        log_c += correction_below
-        log_c *= modes
+        first = lo + floor
         if first == b_floor + 1:
-            lowest_log_c = float(log_c[0])
-        residual = None
-        if conserved:
-            residual = berry_hi - pair_hi
-            residual += berry_lo - pair_lo
-            residual += correction_below
-            residual += remaining_const
-            residual *= modes
-            residual_lo = min(residual_lo, float(residual.min()))
-            residual_hi = max(residual_hi, float(residual.max()))
-        keep(first, modes * correction_log / grid.beta, log_c, residual)
+            floor_log_c = (berry_sum.total - log_N) * modes
+        defect_below = np.empty(hi - first + 1)  # the sum below each step, then the carry
+        defect_below[0] = defect_carry
+        np.add(defect[floor:], correction_log, out=defect_below[1:])
+        defect_below.cumsum(out=defect_below)
+        defect_below, defect_carry = defect_below[:-1], defect_below[-1]
+        defect_lo = min(defect_lo, defect_below.min())
+        defect_hi = max(defect_hi, defect_below.max())
+        below = correction_sum.below(correction_log)
+        keep(first, correction_log, berry_sum, berry_log[floor:], below, defect_below)
 
     log_c_shift = modes * correction_sum.total
-    final_log_c = _finite(lowest_log_c - log_c_shift, "flow log c")
+    final_log_c = _finite(floor_log_c - log_c_shift, "flow log c")
     if not conserved:
         return log_c_shift, None, final_log_c, None
     residual_shift = log_c_shift + modes * weyl_discrete_logZ_quadratic(grid, model)
-    max_residual = max(abs(residual_hi - residual_shift), abs(residual_lo - residual_shift))
-    return log_c_shift, residual_shift, final_log_c, max_residual
+
+    def residual(defect_below: np.ndarray) -> np.ndarray:
+        defect_below += floor_defect.total
+        defect_below += remaining_const
+        defect_below *= modes
+        defect_below -= residual_shift
+        return np.abs(defect_below, out=defect_below)
+
+    max_residual = float(residual(np.array([defect_lo, defect_hi])).max())
+    return log_c_shift, residual, final_log_c, max_residual
 
 
 def run_flow(
@@ -240,9 +235,10 @@ def run_flow(
     the pair logs of the remaining shells.  ``log_c`` after each step comes
     from two compensated sums, an ascending prefix of the Berry logs and a
     suffix of the corrections, so its rounding stays at a few ulps of log_c
-    instead of growing with the number of shells.  The remaining shells'
-    Gaussian log Z gives the conservation residual against the closed-form
-    lattice log Z after each step.  Log c after the last step is
+    instead of growing with the number of shells.  The conservation residual
+    after each step, log c plus the remaining shells' Gaussian log Z less the
+    closed-form lattice log Z, is a running sum of the per-shell defect.  Log
+    c after the last step is
     ``log_c_series[-1]``; the quadratic coefficient does not flow.
 
     :func:`_walk` goes up the shells once, in blocks of :data:`_SHELL_BLOCK`,
@@ -267,17 +263,21 @@ def run_flow(
     corrections = np.empty(steps)
     log_c_series = np.empty(steps)
     residuals = np.empty(steps) if conserved else None
+    log_N = math.log(grid.N)
 
-    def keep(first, correction, log_c, residual):
-        out = slice(top - first - len(log_c) + 1, top - first + 1)  # shell s at top - s
-        corrections[out] = correction[::-1]
+    def keep(first, correction_log, berry, berry_log, correction_below, defect_below):
+        out = slice(top - first - len(berry_log) + 1, top - first + 1)  # shell s at top - s
+        corrections[out] = (modes * correction_log / grid.beta)[::-1]
+        log_c = np.add(*berry.below(berry_log))
+        log_c -= log_N
+        log_c += np.add(*correction_below)
+        log_c *= modes
         log_c_series[out] = log_c[::-1]
         if conserved:
-            residuals[out] = residual[::-1]
+            residuals[out] = defect_below[::-1]
 
-    log_c_shift, residual_shift, _, _ = _walk(model, grid, b_floor, modes, keep)
+    log_c_shift, residual, _, _ = _walk(model, grid, b_floor, modes, keep)
     log_c_series -= log_c_shift
     if conserved:
-        residuals -= residual_shift
-        np.abs(residuals, out=residuals)
+        residual(residuals)
     return FlowResult(shells, corrections, log_c_series, residuals)

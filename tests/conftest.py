@@ -142,20 +142,16 @@ def _whole_array_cumsum(x: np.ndarray) -> np.ndarray:
     return np.add(*_whole_array_cumsum_parts(x))
 
 
-def _whole_array_flow(model, grid, b_floor: int, modes: int = 1):
-    """The frequency-shell flow over whole-array tables: the reference for ``run_flow``.
+def _whole_array_tables(model, grid, b_floor: int, modes: int):
+    """The whole-array flow's checks and tables, bottom shell first.
 
-    One tangent table of every shell, from the bottom up, and one compensated
-    prefix sum each of all the Berry logs, all the pair logs and all the step
-    corrections, each a full-length array.  By prod_{k=1}^{B} tan(pi k/N) =
-    sqrt(N), log c after the step at shell s is
-    M [sum_{k<s} ln 4 tan^2 - ln N] - M sum_{k>=s} log1p(c^2 / 4 tan^2).
-    The residual subtracts the Berry and pair running sums first and their
-    carried errors next.  Same checks, messages and arithmetic as the
-    streamed flow, which must match it bit for bit.
+    Returns c, 4 tan^2 and the Berry logs of every shell, the steps'
+    correction logs, ``below(x)`` (the running sums, carried errors and
+    compensated sums before each entry of ``x``), log c after each step and
+    its shift.
     """
-    from cspi import NumericalError, weyl_discrete_logZ_quadratic
-    from cspi.flow import FlowResult, _half_tan
+    from cspi import NumericalError
+    from cspi.flow import _half_tan
 
     grid.require_odd("the frequency-shell flow")
     if modes < 1:
@@ -166,12 +162,6 @@ def _whole_array_flow(model, grid, b_floor: int, modes: int = 1):
         raise ValueError(f"need 0 <= b_floor < (N-1)/2 = {top}, got {b_floor}")
     c = grid.beta * model.A / N
     half_tan = _half_tan(np.arange(1, top + 1), N)
-    with np.errstate(over="ignore"):
-        pair = (c - 2j * half_tan) * (c + 2j * half_tan)
-    residue = (np.abs(pair.imag) / pair.real).max(initial=0.0)
-    if not residue < 1e-12:
-        raise NumericalError(f"conjugate pair products must be real, relative residue {residue}")
-
     tan_sq4 = 4.0 * half_tan * half_tan
     berry_log = np.log(tan_sq4)
     correction_log = np.log1p(c * c / tan_sq4[b_floor:])  # the steps, lowest shell first
@@ -183,26 +173,72 @@ def _whole_array_flow(model, grid, b_floor: int, modes: int = 1):
         hi, lo = np.concatenate(([0.0], hi)), np.concatenate(([0.0], lo))
         return hi, lo, hi + lo
 
-    berry_hi, berry_lo, berry_below = (part[b_floor:-1] for part in below(berry_log))
+    berry_below = below(berry_log)[2][b_floor:-1]
     correction_sums = below(correction_log)[2]
-    correction_below = correction_sums[:-1]
     log_c_shift = modes * float(correction_sums[-1])
-    log_c_series = modes * ((berry_below - math.log(N)) + correction_below) - log_c_shift
-    if not math.isfinite(log_c_series[0]):
-        raise NumericalError(f"flow log c is not finite: {log_c_series[0]}")
+    log_c = modes * ((berry_below - math.log(N)) + correction_sums[:-1]) - log_c_shift
+    if not math.isfinite(log_c[0]):
+        raise NumericalError(f"flow log c is not finite: {log_c[0]}")
+    return c, tan_sq4, berry_log, correction_log, below, log_c, log_c_shift
 
+
+def _conservation_residuals(model, grid, modes, log_c_shift, before):
+    """|M (``before`` + the remaining shells' constant) - shift|, top shell first."""
+    from cspi import weyl_discrete_logZ_quadratic
+
+    c = grid.beta * model.A / grid.N
+    remaining_const = grid.beta * model.A / 2.0 - math.log(c) - math.log(grid.N)
+    shift = log_c_shift + modes * weyl_discrete_logZ_quadratic(grid, model)
+    return np.abs(modes * (before + remaining_const) - shift)[::-1]
+
+
+def _whole_array_flow(model, grid, b_floor: int, modes: int = 1):
+    """The frequency-shell flow over whole-array tables: the reference for ``run_flow``.
+
+    One tangent table of every shell, from the bottom up, and one compensated
+    prefix sum each of all the Berry logs and all the step corrections, each a
+    full-length array.  By prod_{k=1}^{B} tan(pi k/N) = sqrt(N), log c after
+    the step at shell s is
+    M [sum_{k<s} ln 4 tan^2 - ln N] - M sum_{k>=s} log1p(c^2 / 4 tan^2).
+    The residual is a plain prefix sum of the per-shell defect
+    ln 4 tan^2 - ln(c^2 + 4 tan^2) + log1p(c^2 / 4 tan^2) from the floor up,
+    plus the compensated total of the defect below the floor, where it has
+    no correction.  Same checks, messages and arithmetic as the streamed flow, which
+    must match it bit for bit.
+    """
+    from cspi.flow import FlowResult
+
+    c, tan_sq4, berry_log, correction_log, below, log_c, log_c_shift = _whole_array_tables(
+        model, grid, b_floor, modes
+    )
     residuals = None
     if model.A > 0:
-        pair_hi, pair_lo, _ = (part[b_floor:-1] for part in below(np.log(c * c + tan_sq4)))
-        remaining_const = grid.beta * model.A / 2.0 - math.log(c) - math.log(N)
-        shift = log_c_shift + modes * weyl_discrete_logZ_quadratic(grid, model)
-        differences = (berry_hi - pair_hi) + (berry_lo - pair_lo)
-        residuals = modes * ((differences + correction_below) + remaining_const)
-        residuals = np.abs(residuals - shift)[::-1]
-
+        defect = berry_log - np.log(c * c + tan_sq4)
+        defect[b_floor:] += correction_log
+        defect_below = np.cumsum(np.concatenate(([0.0], defect[b_floor:-1])))
+        before = defect_below + below(defect[:b_floor])[2][-1]
+        residuals = _conservation_residuals(model, grid, modes, log_c_shift, before)
     corrections = modes * correction_log / grid.beta
-    shells = np.arange(top, b_floor, -1)
-    return FlowResult(shells, corrections[::-1], log_c_series[::-1], residuals)
+    shells = np.arange((grid.N - 1) // 2, b_floor, -1)
+    return FlowResult(shells, corrections[::-1], log_c[::-1], residuals)
+
+
+def _prefix_difference_residuals(model, grid, b_floor: int, modes: int = 1):
+    """The flow's conservation residuals, top shell first, with no defect sum.
+
+    Compensated prefix sums of the Berry logs and of the pair logs
+    ln(c^2 + 4 tan^2), both near N ln 2 at the top shells, subtracted apart:
+    running sums first, where they agree to a factor 2 (Sterbenz), then the
+    carried errors, plus the compensated prefix of the step corrections.
+    """
+    c, tan_sq4, berry_log, correction_log, below, _, log_c_shift = _whole_array_tables(
+        model, grid, b_floor, modes
+    )
+    berry_hi, berry_lo, _ = (part[b_floor:-1] for part in below(berry_log))
+    pair_hi, pair_lo, _ = (part[b_floor:-1] for part in below(np.log(c * c + tan_sq4)))
+    differences = (berry_hi - pair_hi) + (berry_lo - pair_lo)
+    before = differences + below(correction_log)[2][:-1]
+    return _conservation_residuals(model, grid, modes, log_c_shift, before)
 
 
 def _times_ladder(terms: dict, mode: int, creation: bool) -> dict:
@@ -568,6 +604,11 @@ def step_loop_flow():
 @pytest.fixture
 def whole_array_flow():
     return _whole_array_flow
+
+
+@pytest.fixture
+def prefix_difference_residuals():
+    return _prefix_difference_residuals
 
 
 @pytest.fixture

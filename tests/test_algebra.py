@@ -288,6 +288,12 @@ def test_no_zero_coefficients_stored():
     assert ((0, 0),) not in quantize(to_ordered_form(NUMBER, Ordering.WEYL)).terms
 
 
+
+def test_scalar_and_operator_combine_through_the_unit():
+    # 2 - n takes BosonPoly.__rsub__, 2 + n __radd__: the number is 2 times the unit
+    assert 2 - NUMBER == BosonPoly({((0, 0),): 2.0, ((1, 1),): -1.0}, 1)
+    assert 2 + NUMBER == BosonPoly({((0, 0),): 2.0, ((1, 1),): 1.0}, 1)
+
 @pytest.mark.parametrize("coeff", [math.nan, math.inf, complex(1.0, -math.inf)])
 def test_constructors_refuse_non_finite_coefficients(coeff):
     # a nan operator passed hamiltonian_matrix's Hermitian check (nan compares

@@ -99,6 +99,16 @@ def test_dft_round_trip_and_parseval(waves):
         idft(path)
 
 
+
+@pytest.mark.parametrize("transform, domain", [(dft, "time"), (idft, "frequency")])
+def test_transform_overflow_is_a_numerical_error(transform, domain):
+    # every entry is finite but their sum is not: refused by name, with no numpy warning
+    path = DiscretePath(np.full(5, 1.7e308), domain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"^{transform.__name__} of the path"):
+            transform(path)
+
 # -- actions -----------------------------------------------------------------
 
 
@@ -339,6 +349,16 @@ def test_normal_discrete_pole_detection():
             normal_discrete_dFdA(MatsubaraGrid(N, 1.0), QuadraticModel(A=2.0 * N, beta=1.0))
 
 
+def test_normal_discrete_dFdA_past_q_minus_one():
+    # beta A / N = 3300 / 1101, q = 1 - beta A / N = -1.997: q^N overflows a float,
+    # so the value comes from 1 / (q^(1-N) - q)
+    N, A = 1101, 3300.0
+    value = normal_discrete_dFdA(MatsubaraGrid(N, 1.0), QuadraticModel(A=A, beta=1.0))
+    with mpmath.workdps(40):
+        q = 1 - mpmath.mpf(A) / N
+        exact = q ** (N - 1) / (1 - q**N)
+    assert abs(value / exact - 1) <= 4 * np.finfo(float).eps
+
 def test_weyl_logZ_single_slice():
     model = QuadraticModel(A=0.7, beta=2.0)
     value = weyl_discrete_logZ_quadratic(MatsubaraGrid(1, 2.0), model)
@@ -368,6 +388,8 @@ def test_weyl_logZ_refusals():
         weyl_discrete_logZ_quadratic(MatsubaraGrid(10, 1.0), model)
     with pytest.raises(SingularityError):
         weyl_discrete_logZ_quadratic(MatsubaraGrid(11, 1.0), QuadraticModel(A=-1.0, beta=1.0))
+    with pytest.raises(SingularityError):  # the zero mode diverges at A = 0 as well
+        weyl_discrete_logZ_quadratic(MatsubaraGrid(11, 1.0), QuadraticModel(A=0.0, beta=1.0))
 
 
 def test_weyl_dFdA_values_and_convergence():

@@ -83,8 +83,8 @@ def test_flow_validation(unchecked_model):
         run_flow(model, grid, 10, modes=0)
     with pytest.raises(EvenSliceCountError):
         run_flow(model, MatsubaraGrid(100, 1.0), 10)
-    # the pair-product check is explicit code, so it also holds under python -O
-    with pytest.raises(NumericalError, match="pair products"):
+    # the step-term check is explicit code, so it also holds under python -O
+    with pytest.raises(NumericalError, match="step terms are not finite"):
         run_flow(unchecked_model(math.nan, 1.0), grid, 10)
 
 
@@ -121,8 +121,8 @@ def test_conservation_gate_at_scale(N, A, beta):
 @pytest.mark.parametrize("A, beta", [(0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5)])
 def test_conservation_residual_is_not_rounded_at_n_ln_2(A, beta):
     # the Berry and pair prefixes reach N ln 2 = 6.9e6, whose ulp is 9.3e-10;
-    # with their running sums subtracted apart from their carried errors the
-    # residual is 2.6e-11 .. 4.9e-11 here, and rounded as one sum it was 6e-10 .. 9e-10
+    # as a running sum of the per-shell defect the residual is
+    # 2.6e-11 .. 4.9e-11 here, and rounded as one sum it was 6e-10 .. 9e-10
     N = 10**7 + 1
     result = run_flow(QuadraticModel(A=A, beta=beta), MatsubaraGrid(N, beta), b_floor=40)
     assert result.conservation_residuals.max() <= 1e-10
@@ -181,9 +181,8 @@ def test_compensated_prefix_matches_fsum():
         assert abs(prefix[i] - exact) <= np.spacing(abs(exact))
 
 
-def test_large_c_passes_pair_check():
-    # c = beta A / N = 1e4: the pair products' imaginary rounding can reach 1e-11
-    # in absolute terms, but ~1e-17 relative to the real part
+def test_large_c_flow_is_finite():
+    # c = beta A / N = 1e4: far above every shell's 2 tan, the steps stay finite
     model = QuadraticModel(A=1e6, beta=1.0)
     result = run_flow(model, MatsubaraGrid(101, 1.0), 5)
     assert np.all(np.isfinite(result.log_c_series))
@@ -221,6 +220,18 @@ def test_run_flow_matches_whole_array_oracle(N, b_floor, A, modes, whole_array_f
         assert np.array_equal(result.conservation_residuals, oracle.conservation_residuals)
     else:
         assert result.conservation_residuals is None and oracle.conservation_residuals is None
+
+
+@pytest.mark.parametrize("N", [2 * _B + 1, 4 * _B + 83, 10**6 + 1])
+@pytest.mark.parametrize("b_floor, modes", [(0, 1), (40, 2), (_B - 1, 1)])
+def test_defect_sum_matches_prefix_difference(N, b_floor, modes, prefix_difference_residuals):
+    # the running defect sum against compensated Berry and pair prefixes of
+    # size N ln 2 subtracted apart: the two round differently, both at the
+    # scale of the residual's own terms, not of N ln 2
+    model, grid = QuadraticModel(A=1.3, beta=0.9), MatsubaraGrid(N, 0.9)
+    result = run_flow(model, grid, b_floor, modes)
+    reference = prefix_difference_residuals(model, grid, b_floor, modes)
+    assert np.abs(result.conservation_residuals - reference).max() <= 4e-16
 
 
 def _flow_rows(argv, capsys):
@@ -305,7 +316,7 @@ def test_run_flow_memory_is_outputs_plus_blocks():
 @pytest.mark.parametrize(
     "A, beta",
     [
-        (math.nan, 1.0),  # the pair products are not real
+        (math.nan, 1.0),  # the step terms are nan
         (1e200, 1.0),  # c^2 overflows: the steps are not finite
         (1e157, 1.0),  # c^2 is finite but c^2 / 4 tan^2 overflows at the low shells
     ],
@@ -346,15 +357,18 @@ def test_final_log_c_against_mpmath(N, A, beta):
 
 
 def test_run_flow_refuses_outputs_over_budget():
-    # one step past the budget: four 8-byte arrays of 2^25 + 1 steps
+    # one step past the 1 GiB budget: four 8-byte arrays of 2^25 + 1 steps, or
+    # three at A = 0, which has no conservation residuals
     b_floor = 40
-    N = 2 * (FLOW_BYTES_MAX // 32 + 1 + b_floor) + 1
-    model, grid = QuadraticModel(A=1.0, beta=1.0), MatsubaraGrid(N, 1.0)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=f"N = {N}.*GiB budget"):
-            run_flow(model, grid, b_floor)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2**20
+    for A, step_bytes in [(1.0, 32), (0.0, 24)]:
+        N = 2 * (FLOW_BYTES_MAX // step_bytes + 1 + b_floor) + 1
+        model, grid = QuadraticModel(A=A, beta=1.0), MatsubaraGrid(N, 1.0)
+        message = f"N = {N} returns 1 GiB of shell arrays, over the 1 GiB budget"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                run_flow(model, grid, b_floor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -246,6 +247,14 @@ def test_exact_dFdA_closed_form():
     with pytest.raises(SingularityError):
         exact_dFdA(QuadraticModel(A=0.0, beta=1.0))
 
+
+@pytest.mark.parametrize("A, beta", [(-1e-6, 1.0), (-0.7, 1.3), (-3.0, 2.0), (-40.0, 1.0)])
+def test_exact_dFdA_negative_beta_A_against_mpmath(A, beta):
+    # beta A < 0 takes 1 / expm1(beta A) directly
+    with mpmath.workdps(40):
+        exact = 1 / mpmath.expm1(mpmath.mpf(beta) * A)
+    value = exact_dFdA(QuadraticModel(A=A, beta=beta))
+    assert abs(value / exact - 1) <= 4 * np.finfo(float).eps
 
 @pytest.mark.parametrize("beta_A", [0.2, 0.7, 1.0, 2.5, 5.0])
 def test_exact_dFdA_against_central_difference(beta_A):
