@@ -163,6 +163,28 @@ def _half_tables(variables: Sequence, halves: Sequence, shift: int = 0):
     return [(row[x], row[y]) for x, y in halves], blocks()
 
 
+def _conjugate_pairs(rows: Sequence[tuple[int, int]]):
+    """One dot per unordered pair of table rows, for an equal-slice path sum.
+
+    With the path's own conjugate as the conjugated argument, the term with
+    rows (q, p) sums to conj(vdot(Y_p, Y_q)), the conjugate of its partner
+    (p, q).  Returns the row pairs to take a dot of, each in the orientation
+    of the first term that uses it, and for each term the index of its dot
+    and whether it takes the conjugate.
+    """
+    first: dict[tuple[int, int], int] = {}
+    pairs, plan = [], []
+    for p, q in rows:
+        j = first.get((q, p))
+        if j is None:  # rows are distinct, so (p, p) is never found here
+            first[p, q] = len(pairs)
+            plan.append((len(pairs), False))
+            pairs.append((p, q))
+        else:
+            plan.append((j, True))
+    return pairs, plan
+
+
 class _Poly:
     """Immutable term map shared by operators and their symbols.
 
@@ -403,7 +425,12 @@ class SymbolPoly(_Poly):
         conjugated argument is the conjugate of the path itself, each term
         c zbar^p z^q sums to c vdot(Y_p, Y_q shifted by ``shift``) over the
         half-monomials Y_e = prod_i z_i^(e_i) of the path alone: one
-        read-only dot per term and block, no array of per-slice values.
+        read-only dot per block, no array of per-slice values.  With
+        ``shift`` 1 each term takes its own dot.  With ``shift`` 0 the terms
+        (p, q) and (q, p) share one, the second taking its conjugate (see
+        :func:`_conjugate_pairs`), so a self-conjugate symbol takes about
+        half as many dots as it has terms.  The products c_t d_t are summed
+        in term order either way.
 
         The table (see :func:`_half_tables`) holds one row per exponent
         vector in use and narrows its block so that it stays within
@@ -420,11 +447,14 @@ class SymbolPoly(_Poly):
                 f"path shape {z.shape} is not (N, {self._modes})"
             )
         rows, blocks = _half_tables(list(z.T), list(map(_halves, self._terms)), shift)
-        dots = [0j] * len(rows)
+        pairs, plan = (rows, None) if shift else _conjugate_pairs(rows)
+        dots = [0j] * len(pairs)
         for _, width, table in blocks:
             conjugated, plain = table[:, :width], table[:, shift : width + shift]
-            for t, (p, q) in enumerate(rows):
+            for t, (p, q) in enumerate(pairs):
                 dots[t] += np.vdot(conjugated[p], plain[q])
+        if plan is not None:
+            dots = [dots[j].conjugate() if flip else dots[j] for j, flip in plan]
         return complex(sum(c * d for c, d in zip(self._terms.values(), dots)))
 
     def __repr__(self):

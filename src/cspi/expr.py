@@ -43,12 +43,18 @@ class ParseError(ValueError):
         self.position = position
 
 
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+
+# A ladder's power is fused into its token when it is a whole ``num`` token of
+# at most five digits (MAX_POWER has five); any other power stays caret + num.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     \s* (?:
-      (?P<ad>ad_(?P<ad_idx>\d+))
-    | (?P<a>a_(?P<a_idx>\d+))
-    | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?P<num_imag>i)?
+      (?P<ad>ad_(?P<ad_idx>\d+)) (?:\s*\^\s*(?P<ad_pow>\d{{1,5}})(?![\d.eEi]))?
+    | (?P<a>a_(?P<a_idx>\d+)) (?:\s*\^\s*(?P<a_pow>\d{{1,5}})(?![\d.eEi]))?
+    | (?P<lit>\(\s*(?P<lit_neg>-)?\s*(?P<lit_re>{_NUMBER})
+        \s*(?P<lit_sign>[+-])\s*(?P<lit_im>{_NUMBER})i\s*\))
+    | (?P<num>{_NUMBER})(?P<num_imag>i)?
     | (?P<iunit>i)
     | (?P<plus>\+) | (?P<minus>-) | (?P<star>\*) | (?P<caret>\^)
     | (?P<lpar>\() | (?P<rpar>\))
@@ -60,22 +66,51 @@ _TOKEN_RE = re.compile(
 
 _PUNCTUATION = frozenset(("plus", "minus", "star", "caret", "lpar", "rpar"))
 
+_ONE = complex(1.0)
+
+
+def _literal(negative: bool, real: str, minus: bool, imag: str) -> complex:
+    """The value of ``([-]real +- imag i)`` that the parenthesis descent makes.
+
+    Each number is ``complex(x, 0.0) * 1`` as a ``num`` atom, and the two terms
+    are summed as :meth:`_Parser.parse_expr` sums them: a zero term is
+    skipped, so ``(-0.25+0.0i)`` keeps the imaginary part -0.0 of its negated
+    first term, and a literal of two zeros is the zero coefficient.
+    """
+    first = complex(float(real), 0.0) * _ONE
+    second = complex(0.0, float(imag)) * _ONE
+    value = (-first if negative else first) if first else 0.0
+    if second:  # a nonzero imaginary part: the sum cannot cancel to 0
+        value = value + (-second if minus else second)
+    return value if value else 0j
+
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     # One finditer pass: each match is one token with the whitespace before
     # it, and ``bad`` takes any other non-space character, so the matches tile
     # the text up to trailing whitespace and the first ``bad`` is the first
-    # unknown character.
+    # unknown character.  A ladder token's value is (mode, power, position of
+    # the power), with power 1 and position None when no power is fused.  A
+    # parenthesised complex literal is one ``lpar`` token whose value is the
+    # literal's coefficient (a bare ``(`` has None), so errors name it as the
+    # parenthesis it starts, and it is no ``num`` after ``^``.
     tokens = []
     append = tokens.append
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind in _PUNCTUATION:
             append((kind, None, m.end() - 1))
+        elif kind == "ad_pow":
+            append(("ad", (int(m["ad_idx"]), int(m["ad_pow"]), m.start("ad_pow")), m.start("ad")))
+        elif kind == "a_pow":
+            append(("a", (int(m["a_idx"]), int(m["a_pow"]), m.start("a_pow")), m.start("a")))
         elif kind == "ad":
-            append(("ad", int(m["ad_idx"]), m.start("ad")))
+            append(("ad", (int(m["ad_idx"]), 1, None), m.start("ad")))
         elif kind == "a":
-            append(("a", int(m["a_idx"]), m.start("a")))
+            append(("a", (int(m["a_idx"]), 1, None), m.start("a")))
+        elif kind == "lit":
+            value = _literal(m["lit_neg"] is not None, m["lit_re"], m["lit_sign"] == "-", m["lit_im"])
+            append(("lpar", value, m.start("lit")))
         elif kind == "num":
             append(("num", complex(float(m["num"]), 0.0), m.start("num")))
         elif kind == "num_imag":
@@ -88,9 +123,6 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-_ONE = complex(1.0)
-
-
 class _Parser:
     """Recursive descent that keeps each product term a bare monomial.
 
@@ -99,11 +131,14 @@ class _Parser:
     nothing to contract (no mode with an ``a_i`` in the left factor and an
     ``ad_i`` in the right one) multiply with the float operations
     :func:`multiply` uses, ``0.0 + (c1 * c2) * 1.0``, and add exponents.
-    Everything else goes through :func:`multiply`: a contraction, a
-    multi-term factor, or a degree past the cap, which it refuses.  Its
-    single-term results become monomials again.  A coefficient that is or
-    rounds to 0 makes the zero monomial of degree 0, which, like the zero
-    polynomial, absorbs every later factor, even inf.
+    :meth:`parse_term` folds a bare ladder factor (``ad_k``, ``a_k`` or one
+    with a fused power up to the degree cap) straight into the running
+    monomial this way: its coefficient is 1 and it changes one mode's
+    exponents.  Everything else goes through :func:`multiply`: a
+    contraction, a multi-term factor, or a degree past the cap, which it
+    refuses.  Its single-term results become monomials again.  A coefficient
+    that is or rounds to 0 makes the zero monomial of degree 0, which, like
+    the zero polynomial, absorbs every later factor, even inf.
     """
 
     def __init__(self, tokens, modes: int):
@@ -190,24 +225,58 @@ class _Parser:
         return _canonical(acc, self.modes)
 
     def parse_term(self):
-        acc = self.parse_factor()
-        while self.peek() == "star":
+        tokens = self.tokens
+        acc = None
+        while True:
+            kind, value, _ = tokens[self.i]
+            if (
+                (kind == "ad" or kind == "a")
+                and value[1] <= DEFAULT_MAX_DEGREE
+                and tokens[self.i + 1][0] != "caret"
+            ):  # a bare ladder factor, of coefficient 1
+                if acc is None:  # 1 * 1 steps to 1 exactly: start from the unit
+                    acc = self.unit
+                mode, n, _ = value
+                create = kind == "ad"
+                if (
+                    type(acc) is tuple
+                    and acc[0]
+                    and acc[2] + n <= DEFAULT_MAX_DEGREE
+                    and not (create and n and acc[1][mode][1])
+                ):  # the monomial product of _product; a nonzero c stays nonzero
+                    c, key, degree = acc
+                    p, q = key[mode]
+                    pair = (p + n, q) if create else (p, q + n)
+                    acc = (0.0 + (c * _ONE) * 1.0, key[:mode] + (pair,) + key[mode + 1 :], degree + n)
+                    self.i += 1
+                else:
+                    acc = self._product(acc, self.parse_factor())
+            else:
+                factor = self.parse_factor()
+                acc = factor if acc is None else self._product(acc, factor)
+            if tokens[self.i][0] != "star":
+                return acc
             self.i += 1
-            acc = self._product(acc, self.parse_factor())
-        return acc
 
     def parse_factor(self):
         base = self.parse_atom()
-        if self.peek() == "caret":
+        kind, value, _ = self.tokens[self.i - 1]  # the atom's last token
+        if (kind == "ad" or kind == "a") and value[2] is not None:
+            _, power, pos = value
+            if power > MAX_POWER:
+                raise ParseError(f"power must be an integer from 0 to {MAX_POWER}", pos)
+        elif self.peek() == "caret":
             self.i += 1
             _, value, pos = self.take("num")
             if value.imag != 0 or not 0 <= value.real <= MAX_POWER or value.real % 1:
                 raise ParseError(f"power must be an integer from 0 to {MAX_POWER}", pos)
-            acc = self.unit
-            for _ in range(int(value.real)):
-                acc = self._product(acc, base)
-            return acc
-        return base
+            power = int(value.real)
+        else:
+            return base
+        acc = self.unit
+        for _ in range(power):
+            acc = self._product(acc, base)
+        return acc
 
     def parse_atom(self):
         kind, value, pos = self.tokens[self.i]
@@ -216,9 +285,12 @@ class _Parser:
             return (value * _ONE, self.unit[1], 0)
         if kind == "ad" or kind == "a":  # only the key this token names: O(modes)
             unit_key = self.unit[1]
+            mode = value[0]
             pair = (1, 0) if kind == "ad" else (0, 1)
-            return (_ONE, unit_key[:value] + (pair,) + unit_key[value + 1 :], 1)
+            return (_ONE, unit_key[:mode] + (pair,) + unit_key[mode + 1 :], 1)
         if kind == "lpar":
+            if value is not None:  # a complex literal, already summed
+                return (value, self.unit[1], 0)
             inner = self._term(self.parse_expr())
             self.take("rpar")
             return inner
@@ -238,7 +310,7 @@ def parse_operator(text: str, modes: int | None = None) -> BosonPoly:
     :class:`ParseError`, so no caller gets a nan operator.
     """
     tokens = _tokenize(text)
-    inferred = 1 + max((tok[1] for tok in tokens if tok[0] in ("ad", "a")), default=0)
+    inferred = 1 + max((tok[1][0] for tok in tokens if tok[0] in ("ad", "a")), default=0)
     modes = inferred if modes is None else _count(modes, "modes", 1)
     if modes < inferred:
         raise ParseError(f"expression uses mode {inferred - 1}, beyond modes={modes}", 0)

@@ -139,6 +139,14 @@ def test_symmetrizer_rejects_composites():
         symmetrize([A_OP] * 17)
 
 
+def test_symmetrizer_accepts_exactly_the_degree_cap():
+    # 16 factors is the cap itself, which is allowed
+    assert symmetrize([A_OP] * 16) == BosonPoly({((0, 16),): 1.0}, 1)
+    mixed = symmetrize([AD_OP, A_OP] * 8)
+    assert mixed.degree() == 16
+    assert mixed.terms[((8, 8),)] == 1.0
+
+
 def _ladder_multisets(max_degree=8, max_arrangements=924):
     """Every multiset of single ladder operators on 1-3 modes, as factor lists."""
     for modes in (1, 2, 3):
@@ -568,3 +576,56 @@ def test_path_sum_refusals():
     for shape in [(4, 3), (4,), (2, 4, 2)]:
         with pytest.raises(ModeMismatchError):
             symbol.path_sum(np.ones(shape), 0)
+
+
+def _self_conjugate(symbol):
+    """symbol + its conjugate-swapped partner: every term (p, q) gains (q, p)."""
+    terms = dict(symbol.terms)
+    for key, coeff in symbol.terms.items():
+        swapped = tuple((q, p) for p, q in key)
+        terms[swapped] = terms.get(swapped, 0.0) + coeff.conjugate()
+    return SymbolPoly(terms, symbol.modes, symbol.ordering)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("modes", [1, 3])
+def test_path_sum_of_self_conjugate_symbol_matches_oracle(modes, shift):
+    # the conjugate pairs share one dot at shift 0
+    rng = np.random.default_rng(70 + 10 * modes + shift)
+    symbol = _self_conjugate(_random_symbol(rng, modes, 8))
+    assert symbol.is_self_conjugate()
+    z = _random_args(rng, (EVAL_BLOCK + 37, modes))[0]
+    _assert_path_sum_matches_oracle(symbol, z, shift)
+
+
+def test_path_sum_without_partners_matches_oracle():
+    # every term has p > q, so no term has a conjugate partner to share a dot
+    rng = np.random.default_rng(77)
+    terms = {}
+    for p, q in [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (5, 4), (8, 0)]:
+        terms[((p, q), (p - q, 0))] = complex(*rng.normal(size=2))
+    symbol = SymbolPoly(terms, 2, Ordering.ANTINORMAL)
+    z = _random_args(rng, (2 * EVAL_BLOCK + 37, 2))[0]
+    _assert_path_sum_matches_oracle(symbol, z, 0)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_path_sum_takes_one_dot_per_conjugate_pair(monkeypatch, shift):
+    rng = np.random.default_rng(78)
+    symbol = _self_conjugate(_random_symbol(rng, 2, 6))
+    symbol = SymbolPoly({**symbol.terms, ((3, 0), (0, 2)): 0.5j}, 2, Ordering.WEYL)
+    unordered = {min(key, tuple((q, p) for p, q in key)) for key in symbol.terms}
+    assert len(symbol.terms) > len(unordered) > len(symbol.terms) / 2
+    z = _random_args(rng, (2 * EVAL_BLOCK + 37, 2))[0]
+    expected = symbol.path_sum(z, shift)
+    calls = []
+    vdot = np.vdot
+
+    def counting(a, b):
+        calls.append(1)
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", counting)
+    assert symbol.path_sum(z, shift) == expected
+    blocks = 3  # 2 * EVAL_BLOCK + 37 slices
+    assert len(calls) == blocks * (len(symbol.terms) if shift else len(unordered))

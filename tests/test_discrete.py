@@ -173,6 +173,26 @@ def test_action_antinormal_equal_slice(waves):
     )
 
 
+@pytest.mark.parametrize("domain", ["time", "frequency"])
+def test_actions_on_a_one_slice_path(domain):
+    # N = 1: the kinetic and Berry terms vanish (z_1 = z_0, tan(0) = 0) and each
+    # action is -beta sym(conj z_0, z_0); a one-point DFT is the identity
+    z = np.array([[0.6 - 0.3j, -0.2 + 0.9j]])
+    path = DiscretePath(z, domain)
+    grid = MatsubaraGrid(1, 1.7)
+    terms = {((1, 1), (0, 0)): 1.3, ((2, 0), (0, 1)): 0.5 - 0.25j, ((0, 2), (1, 0)): 0.5 + 0.25j}
+    for action, ordering in [
+        (action_normal, Ordering.NORMAL),
+        (action_antinormal, Ordering.ANTINORMAL),
+        (action_weyl, Ordering.WEYL),
+    ]:
+        symbol = SymbolPoly(terms, 2, ordering)
+        expected = -grid.beta * symbol.evaluate(np.conj(z[0]), z[0])
+        assert action(path, symbol, grid) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+    with pytest.raises(ValueError, match="shape"):  # one slice is the fewest
+        DiscretePath(np.zeros((0, 2)), domain)
+
+
 def test_action_weyl_against_slice_oracle(waves):
     N, beta = 7, 0.9
     grid = MatsubaraGrid(N, beta)

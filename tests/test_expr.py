@@ -115,13 +115,14 @@ def test_large_operator_parses_and_round_trips(waves):
 # zeros, products that underflow to 0 (1e-200 * 1e-200), overflow (1e200^2)
 # and inf itself (1e400); the imaginary suffix is drawn separately
 NUMBERS = ["0", "0.0", "1", "2", "0.5", "1.5", "3.25", ".75", "2.5e3", "1e-200", "1e200", "1e400"]
-POWERS = [""] * 6 + ["^0", "^1", "^2", "^3", "^4", "^9", "^17"]
+POWERS = [""] * 6 + ["^0", "^1", "^2", "^3", "^4", "^9", "^17", " ^ 2", "^ 3", " ^1", " ^ 0"]
+SPACES = ["", " "]
 JUNK = ["$", "*", "^", ")", "(", "^-1", "^1.5", "++", " "]
 
 
 def _draw_atom(draw, depth: int) -> str:
-    kind = draw(st.integers(0, 9))
-    if kind < 5 or (kind >= 8 and depth == 0):
+    kind = draw(st.integers(0, 10))
+    if kind < 5 or (kind in (8, 9) and depth == 0):
         return f"{draw(st.sampled_from(['ad', 'a']))}_{draw(st.integers(0, 2))}"
     if kind == 5:
         return draw(st.sampled_from(NUMBERS)) + draw(st.sampled_from(["", "", "i"]))
@@ -129,6 +130,10 @@ def _draw_atom(draw, depth: int) -> str:
         return "i"
     if kind == 7:
         return "-" + _draw_atom(draw, depth)
+    if kind == 10:  # a complex literal, ( [-]re +- im i ), spaced or not
+        pieces = ["(", draw(st.sampled_from(["", "-"])), draw(st.sampled_from(NUMBERS))]
+        pieces += [draw(st.sampled_from(["+", "-"])), draw(st.sampled_from(NUMBERS)) + "i", ")"]
+        return "".join(piece + draw(st.sampled_from(SPACES)) for piece in pieces)
     return f"({_draw_expression(draw, depth - 1)})"
 
 
@@ -178,6 +183,24 @@ def _outcome(parse, text, modes):
 @example("0*ad_0 + a_0 + ad_0", None)
 @example("0 + a_0 + 1", None)
 @example("2*-a_0*-(ad_0)^0 ", 2)
+@example("-ad_0^2", None)  # a leading minus negates the term: -(ad_0^2)
+@example("2*-ad_0^2", None)  # (-ad_0)^2: unary minus binds tighter than a fused power
+@example("ad_0*-a_0^3", None)
+@example("ad_0*-ad_0^0", None)
+@example("( 0.5 - 1.5i )^2", None)  # a spaced complex literal, then a power
+@example("(-0.0+1.5i)*a_0", None)
+@example("(-0.25+0.0i)", None)  # a zero imaginary term is skipped: imag stays -0.0
+@example("(1e400-1e400i)*ad_0", None)
+@example("a_0^(2+0i)", None)  # a literal is no power
+@example("(-1.5i)*ad_0", None)  # the fold's product turns the real part -0.0 into 0.0
+@example("ad_0 ^ 2", None)
+@example("a_0^2.0*a_0^1e1", None)  # powers that are not plain integers
+@example("ad_0^16*a_0", None)  # the degree cap after a fused power
+@example("a_0*a_0*a_0^15", None)  # ... and after two folds
+@example("a_0*ad_0^2", None)  # a contraction into a fused power
+@example("ad_0^10001", None)  # MAX_POWER refusal at the power's position
+@example("a_0^10000", None)  # MAX_POWER itself is allowed, and meets the degree cap
+@example("a_0^2^3", None)
 def test_parse_matches_multiply_reference(reference_parse_operator, text, modes):
     assert _outcome(parse_operator, text, modes) == _outcome(reference_parse_operator, text, modes)
 

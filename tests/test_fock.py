@@ -27,7 +27,7 @@ from cspi import (
     partition_function,
     suggested_n_max,
 )
-from cspi.fock import DENSE_BYTES_MAX
+from cspi.fock import DENSE_BYTES_MAX, RADIAL_NODES_MAX
 
 EPS = np.finfo(float).eps
 
@@ -210,6 +210,17 @@ def test_partition_function_validation():
         partition_function(np.array([[0.0, 1.0], [0.0, 0.0]]), beta=1.0)
 
 
+def test_partition_function_hermitian_tolerance_edge():
+    # the tolerance is 1e-12 times max(1, max |H|), and a deviation equal to it passes
+    for top, tol in [(0.5, 1e-12), (4.0, 4e-12)]:
+        H = np.diag([top, 0.25])
+        H[1, 0] = tol
+        assert partition_function(H, beta=1.0) > 0
+        H[1, 0] = np.nextafter(tol, 1.0)
+        with pytest.raises(NonHermitianError):
+            partition_function(H, beta=1.0)
+
+
 def test_partition_function_outside_float_range(recwarn):
     # -ad^4 a^4 has the energy -8!/4! = -1680 at n = 8: e^1680 overflows, Z is inf
     H = hamiltonian_matrix(parse_operator("-ad_0^4*a_0^4"), FockBasis(1, 8))
@@ -312,6 +323,15 @@ def test_resolution_identity_angular_aliasing():
     assert coarse > 1e-1
     fine = check_resolution_identity(FockBasis(1, 8), 64, 2 * 8 + 1)
     assert fine <= 1e-10
+
+
+def test_resolution_identity_accepts_the_largest_radial_rule():
+    # RADIAL_NODES_MAX = 186 is the largest rule with finite weights; it is taken
+    assert RADIAL_NODES_MAX == 186
+    deviation = check_resolution_identity(FockBasis(1, 8), RADIAL_NODES_MAX, 17, margin=2)
+    assert 0.0 <= deviation <= 1e-6
+    with pytest.raises(ValueError, match="radial must be 1 to 186"):
+        check_resolution_identity(FockBasis(1, 8), RADIAL_NODES_MAX + 1, 17)
 
 
 def test_resolution_identity_angular_saturation():
