@@ -103,9 +103,9 @@ def prefactor_log_empirical(N: int, b: int, beta: float, modes: int = 1) -> floa
     whose terms approach ln((2 pi k)^2), those of the closed form, and which
     never subtracts the two numbers of size N ln 2 the O(N) product does.
     The shells go through the flow's walk: :func:`~cspi.flow._half_tan`
-    and a compensated :class:`~cspi.flow._Sum2`, one block of
-    :data:`~cspi.flow._SHELL_BLOCK` shells at a time, so the memory stays
-    one block at any b.
+    and the total feed of a compensated :class:`~cspi.flow._Sum2`, one
+    block of :data:`~cspi.flow._SHELL_BLOCK` shells at a time, so the
+    memory stays one block at any b.
     """
     MatsubaraGrid(N, beta).require_odd("the lattice shell product")
     modes = _count(modes, "modes", 1)
@@ -113,5 +113,5 @@ def prefactor_log_empirical(N: int, b: int, beta: float, modes: int = 1) -> floa
     shell_sum = _Sum2()
     for lo in range(1, b + 1, _SHELL_BLOCK):
         shells = np.arange(lo, min(lo + _SHELL_BLOCK, b + 1), dtype=float)
-        shell_sum.below(2.0 * np.log(2 * N * _half_tan(shells, N)))
+        shell_sum.add(2.0 * np.log(2 * N * _half_tan(shells, N)))
     return modes * (shell_sum.total - (2 * b + 1) * math.log(beta))

@@ -27,9 +27,9 @@ with c = beta A / N: an ascending prefix of the Berry logs, less a suffix of
 the corrections, and never a difference of two numbers of size N ln 2.  Both
 sums are compensated (the exact rounding error of every addition is summed
 alongside), because a plain float sum over 10^5 or more shells drifts past
-the 1e-9 conservation gate, and carry their state from block to block, so
-they come out bit for bit as over the whole array.  The correction total is
-known only after the last block.
+the 1e-9 conservation gate.  The Berry prefix carries its state from block
+to block, so it comes out bit for bit as over the whole array; of the
+corrections the walk keeps only the total, known after the last block.
 
 The remaining shells' log Z is a prefix of the pair logs ln(c^2 + 4 tan^2),
 so the conservation residual is a prefix of the per-shell defect
@@ -92,18 +92,17 @@ FLOW_BYTES_MAX = 2**30
 
 
 class _Sum2:
-    """Compensated prefix sums of a sequence fed one block at a time.
+    """Compensated sums of a sequence fed one block at a time, by one of two feeds.
 
-    ``np.cumsum`` adds left to right, so step i rounds ``s[i-1] + x[i]`` to
-    ``s[i]``.  TwoSum recovers that rounding error exactly, and adding the
-    prefix sums of the errors back is Ogita, Rump & Oishi's Sum2 (SIAM J.
-    Sci. Comput. 26, 2005) in prefix form: every prefix comes out as if it
-    were summed in twice the working precision and then rounded once.
-
-    The state between blocks is the running sum ``s`` and the running sum
-    ``e`` of the errors.  ``s`` heads the next block's cumsum and ``e`` is
-    added to its first error, so each addition sees the same two floats as
-    in one pass over the whole sequence, and the prefixes are the same bits.
+    The state between blocks is a running sum ``s`` and a running sum ``e``
+    of the rounding errors; the total is ``s + e`` rounded once.  Feeding by
+    :meth:`below` gives every prefix: ``np.cumsum`` adds left to right, and
+    the cumsum of each addition's exact TwoSum error added back is Ogita,
+    Rump & Oishi's Sum2 (SIAM J. Sci. Comput. 26, 2005) in prefix form, as
+    if summed in twice the working precision and rounded once.  ``s`` heads
+    the next block's cumsum and ``e`` is added to its first error, so the
+    prefixes are the bits of one pass over the whole sequence.  Feeding by
+    :meth:`add` keeps the total alone and makes no sequential scan.
     """
 
     def __init__(self) -> None:
@@ -134,9 +133,30 @@ class _Sum2:
         self.s, self.e = running[-1], err[-1]
         return prev, err[:-1]
 
+    def add(self, x: np.ndarray) -> None:
+        """Feed the block ``x`` to the total alone; a nan or inf in it makes the total nan.
+
+        ExtractVector (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008):
+        against sigma = 2^k >= (n + 2) max|x| the high parts (sigma + x) -
+        sigma are multiples of eps sigma (eps = 2^-53) with partial sums below
+        sigma, so ``np.sum`` adds them exactly; only the sum of the n low
+        parts, each at most eps sigma, rounds, by at most about 2 n^3 eps^2
+        max|x|, the order of Sum2's (n eps)^2 sum|x|.  On one-signed blocks,
+        as fed here, both totals are the exact sum rounded once, save at ties.
+        """
+        sigma = math.ldexp(1.0, math.frexp((len(x) + 2) * float(np.abs(x).max(initial=0.0)))[1])
+        split = sigma + x
+        split -= sigma  # the high parts
+        high = float(split.sum())
+        np.subtract(x, split, out=split)  # the low parts
+        s = self.s + high  # TwoSum: s_high is the part of high that s holds
+        s_high = s - self.s
+        self.e += (self.s - (s - s_high)) + (high - s_high) + float(split.sum())
+        self.s = s
+
     @property
     def total(self) -> float:
-        """The sum of everything fed so far: the last prefix."""
+        """The sum of everything fed so far."""
         return float(self.s + self.e)
 
 
@@ -154,19 +174,18 @@ def _walk(model: QuadraticModel, grid: MatsubaraGrid, b_floor: int, modes: int, 
 
     The inputs come checked by :func:`_flow_inputs`.  Each block that holds
     steps goes to ``keep(first, correction_log, berry, berry_log,
-    correction_below, defect_below)``, shells ``first, first + 1, ...``
-    ascending: the steps' log1p(c^2 / 4 tan^2) and Berry logs, the
-    :class:`_Sum2` ``berry`` of the Berry logs below ``first``, which ``keep``
-    may continue with ``berry_log``, the corrections' sums below each step
-    (running sum, carried error) and the defect sums from the floor to each
-    step.  Returns ``(log_c_shift, residual, final_log_c, max_residual)``:
-    log c after a step is M [Berry sum - ln N + correction sum] less
-    ``log_c_shift``, and ``residual`` turns defect sums into conservation
-    residuals in place (it and ``max_residual`` are ``None`` for A <= 0,
-    where the defect stands for no residual).  Rounding is monotone, so the
-    defect sums' extremes give the largest residual.  The correction total
-    comes from the steps, never from the closed-form log Z, which would make
-    the residual zero by construction.
+    defect_below)``, shells ``first, first + 1, ...`` ascending: the steps'
+    log1p(c^2 / 4 tan^2) and Berry logs, the :class:`_Sum2` ``berry`` of the
+    Berry logs below ``first``, which ``keep`` may feed ``berry_log`` to by
+    ``below``, and the defect sums from the floor to each step.  The
+    corrections and the defect below the floor go to ``add``, so a block's
+    one prefix scan is the defect's.  Returns ``(log_c_shift, residual,
+    final_log_c, max_residual)``: log c after a step is M [Berry sum - ln N +
+    correction sum below it] less ``log_c_shift``; ``residual`` turns defect
+    sums into conservation residuals in place (it and ``max_residual`` are
+    ``None`` for A <= 0, where the defect stands for no residual).  Rounding
+    is monotone, so the defect sums' extremes give the largest residual.  The
+    correction total comes from the steps, never from the closed-form log Z.
     """
     N = grid.N
     top = (N - 1) // 2
@@ -190,7 +209,7 @@ def _walk(model: QuadraticModel, grid: MatsubaraGrid, b_floor: int, modes: int, 
         defect = berry_log - np.log(c * c + tan_sq4)  # less the steps' corrections
         if floor:
             berry_sum.below(berry_log[:floor])
-            floor_defect.below(defect[:floor])
+            floor_defect.add(defect[:floor])
         if floor == hi - lo:
             continue  # the whole block is below the floor
         first = lo + floor
@@ -203,8 +222,8 @@ def _walk(model: QuadraticModel, grid: MatsubaraGrid, b_floor: int, modes: int, 
         defect_below, defect_carry = defect_below[:-1], defect_below[-1]
         defect_lo = min(defect_lo, defect_below.min())
         defect_hi = max(defect_hi, defect_below.max())
-        below = correction_sum.below(correction_log)
-        keep(first, correction_log, berry_sum, berry_log[floor:], below, defect_below)
+        correction_sum.add(correction_log)
+        keep(first, correction_log, berry_sum, berry_log[floor:], defect_below)
 
     log_c_shift = modes * correction_sum.total
     final_log_c = _finite(floor_log_c - log_c_shift, "flow log c")
@@ -264,13 +283,14 @@ def run_flow(
     log_c_series = np.empty(steps)
     residuals = np.empty(steps) if conserved else None
     log_N = math.log(grid.N)
+    correction_sum = _Sum2()  # the correction prefixes, as the walk keeps only the total
 
-    def keep(first, correction_log, berry, berry_log, correction_below, defect_below):
+    def keep(first, correction_log, berry, berry_log, defect_below):
         out = slice(top - first - len(berry_log) + 1, top - first + 1)  # shell s at top - s
         corrections[out] = (modes * correction_log / grid.beta)[::-1]
         log_c = np.add(*berry.below(berry_log))
         log_c -= log_N
-        log_c += np.add(*correction_below)
+        log_c += np.add(*correction_sum.below(correction_log))
         log_c *= modes
         log_c_series[out] = log_c[::-1]
         if conserved:

@@ -3,11 +3,15 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import cspi.flow
 from cspi import (
     EvenSliceCountError,
     MatsubaraGrid,
@@ -372,3 +376,142 @@ def test_run_flow_refuses_outputs_over_budget():
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
+
+
+def _totals(x, cuts):
+    """The totals of ``x`` fed in the blocks between ``cuts``, by ``add`` and by ``below``."""
+    edges = [0, *sorted(cuts), len(x)]
+    by_add, by_below = _Sum2(), _Sum2()
+    for lo, hi in zip(edges, edges[1:]):
+        by_add.add(x[lo:hi])
+        by_below.below(x[lo:hi])
+    return by_add.total, by_below.total
+
+
+def _total_bound(x) -> Fraction:
+    """eps |S| + 8 (n + 2)^3 eps^2 max|x| with eps = 2^-53, S = fsum(x), and one more eps |S|.
+
+    Sum2's total is within eps |S| + gamma_{n-1}^2 sum|x| of S (Ogita, Rump &
+    Oishi 2005, Prop. 4.5), and sum|x| <= n max|x|.  ``add`` rounds only its
+    low parts, n or fewer of at most eps sigma < 2 (n + 2) eps max|x| each,
+    and their sums and carries: at most about 6 n^3 eps^2 max|x| over any
+    blocks.  The second eps |S| is the distance of S to fsum's rounding.
+    """
+    eps = Fraction(1, 2**53)
+    big = Fraction(float(np.abs(x).max(initial=0.0)))
+    return 2 * eps * abs(Fraction(math.fsum(x))) + 8 * (len(x) + 2) ** 3 * eps**2 * big
+
+
+_SUMMANDS = st.lists(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False), max_size=200
+)
+
+
+@given(
+    _SUMMANDS,
+    st.booleans(),
+    st.lists(st.integers(min_value=0, max_value=200), max_size=12),
+)
+@example([1.0] + [2.0**-54] * 4 + [-(2.0**-52)], False, [1, 3])  # exactly 1
+@example([2.0**60, 1.0, -(2.0**60), 2.0**-60], False, [])  # exact cancellation
+@example([0.7] * 7 + [-4.9], False, [7])
+def test_total_feed_matches_fsum(values, one_signed, cuts):
+    # random blocks, one-signed as the flow's, or of mixed signs and
+    # magnitudes from 1e-300 to 1e300 with cancellation
+    x = np.abs(values) if one_signed else np.array(values, dtype=float)
+    cuts = [c for c in cuts if c <= len(x)]
+    exact = Fraction(math.fsum(x))
+    for total in _totals(x, cuts):
+        assert abs(Fraction(total) - exact) <= _total_bound(x)
+
+
+@pytest.mark.parametrize(
+    "x, cuts",
+    [
+        (np.array([]), []),  # nothing fed
+        (np.array([1.5, 2.25]), [0, 0, 1, 2, 2]),  # empty blocks before, between and after
+        (np.zeros(5), [2]),
+        (np.array([-0.0, 0.0, -0.0]), []),
+        (np.full(6, 0.5), []),  # (n + 2) max|x| = 4, a power of two; total 3
+        (np.full(8, 0.5), [3]),  # total 4
+        (np.full(100, 0.1 * 2.0**-60), []),  # a plain sum is an ulp off: sigma scales with x
+        (np.array([1.0] + [2.0**-54] * 4 + [-(2.0**-52)]), [2]),  # total 1, a plain sum 1 - eps
+        (np.array([3.0, 2.0**-53, 2.0**-53, -1.0]), [1]),  # total 2 + 2^-52 (plain sum 2)
+        (np.array([1.0, 2.0**-53, 2.0**-53]), [1, 2]),  # the carries' TwoSum errors add up
+        (np.full(11, -0.3636363636363636), []),  # n max|x| = 4 - 4 eps: sigma 4 is too small
+        (np.random.default_rng(5).uniform(0.5, 1.0, _B), []),  # a full block
+        (np.array([1e20] + [1e-3] * 8191), []),  # one large element among many tiny
+        (np.array([1e-3] * 4095 + [1e20] + [1e-3] * 4096), [4000, 4100]),
+    ],
+)
+def test_total_feed_edge_cases(x, cuts):
+    # each of these totals is exactly representable or well conditioned: both
+    # feeds give fsum's correctly rounded total
+    by_add, by_below = _totals(x, cuts)
+    assert by_add == by_below == math.fsum(x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 4, 9])
+def test_total_feed_keeps_non_finite_values(bad, where):
+    x = np.linspace(-3.0, 5.0, 10)
+    x[where] = bad
+    total = _Sum2()
+    total.add(np.ones(3))
+    with np.errstate(invalid="ignore"):  # inf - inf in the split
+        total.add(x)
+    total.add(np.ones(3))
+    assert not math.isfinite(total.total)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_shell_below_the_floor_is_an_error(bad, monkeypatch, capsys):
+    # a non-finite tangent below the floor reaches only the Berry and defect
+    # totals; log c is then not finite, and the walk says so
+    half_tan = cspi.flow._half_tan
+
+    def spoiled(n, N):
+        out = half_tan(n, N)
+        out[n == 7] = bad
+        return out
+
+    monkeypatch.setattr(cspi.flow, "_half_tan", spoiled)
+    model, grid = QuadraticModel(A=1.3, beta=0.9), MatsubaraGrid(1001, 0.9)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="flow log c is not"):
+        run_flow(model, grid, 40)
+    with np.errstate(invalid="ignore"):
+        assert main(["flow", "--N", "1001", "--A", "1.3", "--beta", "0.9"]) == 2
+    assert "error: flow log c is not finite: nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "N, b_floor",
+    [(N, b) for N in (1001, 2 * _B + 3, 4 * _B + 83) for b in (0, 40, _B - 1, _B + 1) if b < N // 2],
+)
+def test_flow_command_takes_no_correction_prefix(N, b_floor, monkeypatch, capsys):
+    # the only prefix feed cspi flow uses is the Berry sum below the floor,
+    # b_floor shells in all; the corrections and the floor defect feed totals
+    fed = []
+    below = _Sum2.below
+
+    def counted(self, x):
+        fed.append(len(x))
+        return below(self, x)
+
+    monkeypatch.setattr(_Sum2, "below", counted)
+    window = f"{b_floor + 1},{min(b_floor + 400, (N - 1) // 2)}"
+    assert main(["flow", "--N", str(N), "--b-floor", str(b_floor), "--fit-window", window]) in (0, 1)
+    capsys.readouterr()
+    assert sum(fed) == b_floor
+
+
+@pytest.mark.parametrize("A, step_bytes", [(1.0, 32), (0.0, 24)])
+def test_run_flow_budget_boundary(A, step_bytes, monkeypatch):
+    # outputs of exactly the budget are made; one byte over, none are
+    model, grid, b_floor = QuadraticModel(A=A, beta=1.0), MatsubaraGrid(1001, 1.0), 40
+    steps = (grid.N - 1) // 2 - b_floor
+    monkeypatch.setattr(cspi.flow, "FLOW_BYTES_MAX", steps * step_bytes)
+    assert len(run_flow(model, grid, b_floor).shells) == steps
+    monkeypatch.setattr(cspi.flow, "FLOW_BYTES_MAX", steps * step_bytes - 1)
+    with pytest.raises(ValueError, match="GiB budget"):
+        run_flow(model, grid, b_floor)

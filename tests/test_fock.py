@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cspi.fock
 from cspi import (
     BosonPoly,
     FockBasis,
@@ -51,6 +52,18 @@ def test_dense_byte_budget(forbid_state_enumeration):
     for modes, n_max in [(1, 8192), (5, 8), (10, 8), (2, (100, 90))]:
         with pytest.raises(ValueError, match="GiB budget"):
             FockBasis(modes, n_max)
+
+
+@pytest.mark.parametrize("modes, n_max, dim", [(2, 2, 9), (3, (1, 0, 2), 6)])
+def test_dense_byte_budget_boundary(modes, n_max, dim, monkeypatch, forbid_state_enumeration):
+    # a basis whose complex dim x dim matrix is exactly the budget is built;
+    # with one byte less of budget it is refused before any state is made
+    monkeypatch.setattr(cspi.fock, "DENSE_BYTES_MAX", dim * dim * 16)
+    assert FockBasis(modes, n_max).dimension == dim
+    monkeypatch.setattr(cspi.fock, "DENSE_BYTES_MAX", dim * dim * 16 - 1)
+    forbid_state_enumeration()
+    with pytest.raises(ValueError, match=f"over {dim} Fock states needs .* GiB budget"):
+        FockBasis(modes, n_max)
 
 
 def test_basis_grid_and_strides():
