@@ -10,7 +10,8 @@ exact answer subtracts -- while the Weyl shift of -1/2 makes it exact; the
 difference between orderings is b-independent.  The cutoff sum is one
 closed form at every b, a difference of the imaginary parts of two digamma
 values (DLMF 5.5.2, 5.11.2), so neither its cost nor its memory grows with
-b.  The prefactor's O(b) shell sum walks the flow's shell blocks.
+b.  The prefactor's O(b) shell sum walks the shell blocks of
+:mod:`cspi.discrete`, which the flow walks too.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ import math
 import numpy as np
 
 from .algebra import KAPPA, Ordering
-from .discrete import MatsubaraGrid
+from .discrete import MatsubaraGrid, _shell_blocks, _Sum2
 from .errors import SingularityError
 from .errors import _count, _finite, _inverse_temperature
-from .flow import _SHELL_BLOCK, _half_tan, _Sum2
 from .fock import QuadraticModel
 
 
@@ -102,16 +102,14 @@ def prefactor_log_empirical(N: int, b: int, beta: float, modes: int = 1) -> floa
 
     whose terms approach ln((2 pi k)^2), those of the closed form, and which
     never subtracts the two numbers of size N ln 2 the O(N) product does.
-    The shells go through the flow's walk: :func:`~cspi.flow._half_tan`
-    and the total feed of a compensated :class:`~cspi.flow._Sum2`, one
-    block of :data:`~cspi.flow._SHELL_BLOCK` shells at a time, so the
-    memory stays one block at any b.
+    The shells come from :mod:`cspi.discrete`'s shell walk, one block at a
+    time, into the total feed of a compensated sum, so the memory stays one
+    block at any b.
     """
     MatsubaraGrid(N, beta).require_odd("the lattice shell product")
     modes = _count(modes, "modes", 1)
     b = _count(b, "b", 0, (N - 1) // 2)
     shell_sum = _Sum2()
-    for lo in range(1, b + 1, _SHELL_BLOCK):
-        shells = np.arange(lo, min(lo + _SHELL_BLOCK, b + 1), dtype=float)
-        shell_sum.add(2.0 * np.log(2 * N * _half_tan(shells, N)))
+    for _, half_tan in _shell_blocks(N, 1, b):
+        shell_sum.add(2.0 * np.log(2 * N * half_tan))
     return modes * (shell_sum.total - (2 * b + 1) * math.log(beta))

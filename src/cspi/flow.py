@@ -16,20 +16,19 @@ conserved at every step: log c plus the Gaussian log Z of the remaining
 shells stays equal to the full lattice log Z.
 
 Since the steps do not feed back into each other, the flow is one walk up
-the shells in blocks, each block from its own table of the shells'
-tangents.  For odd N, prod_{k=1}^{B} tan(pi k / N) = sqrt(N) with
-B = (N - 1)/2, so the Berry logs of all shells add up to (N - 1) ln 2 + ln N
-and log c after the step at shell s is
+the shells, in the blocks of tangents that :mod:`cspi.discrete` hands out.
+For odd N, prod_{k=1}^{B} tan(pi k / N) = sqrt(N) with B = (N - 1)/2, so the
+Berry logs of all shells add up to (N - 1) ln 2 + ln N and log c after the
+step at shell s is
 
     M [sum_{k<s} ln(4 tan^2_k) - ln N]  -  M sum_{k>=s} log1p(c^2 / 4 tan^2_k),
 
 with c = beta A / N: an ascending prefix of the Berry logs, less a suffix of
 the corrections, and never a difference of two numbers of size N ln 2.  Both
-sums are compensated (the exact rounding error of every addition is summed
-alongside), because a plain float sum over 10^5 or more shells drifts past
-the 1e-9 conservation gate.  The Berry prefix carries its state from block
-to block, so it comes out bit for bit as over the whole array; of the
-corrections the walk keeps only the total, known after the last block.
+sums are compensated, because a plain float sum over 10^5 or more shells
+drifts past the 1e-9 conservation gate.  The Berry prefix carries its state
+from block to block, so it comes out bit for bit as over the whole array; of
+the corrections the walk keeps only the total, known after the last block.
 
 The remaining shells' log Z is a prefix of the pair logs ln(c^2 + 4 tan^2),
 so the conservation residual is a prefix of the per-shell defect
@@ -37,9 +36,9 @@ ln(4 tan^2) - ln(c^2 + 4 tan^2) + log1p(c^2 / 4 tan^2), zero in exact
 arithmetic and a few ulps of the logs in floats: a plain running sum of it
 rounds at its own scale, never at N ln 2.  Below the floor, with no
 correction, the defect is of size c^2 / 4 tan^2 and is summed compensated.
-:func:`_walk` is the one walk; :func:`run_flow` keeps every step and so
-holds O(N) arrays, ``cspi flow`` keeps the fit window's corrections, and
-its memory stays a few blocks at any N.
+:func:`_walk` is the one walk, below the floor and then through the steps:
+:func:`run_flow` keeps every step and so holds O(N) arrays, and ``cspi
+flow`` keeps the fit window's corrections, in a few blocks at any N.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import MatsubaraGrid, _lattice_c, weyl_discrete_logZ_quadratic
+from .discrete import MatsubaraGrid, _lattice_c, _shell_blocks, _Sum2, weyl_discrete_logZ_quadratic
 from .errors import NumericalError, _count, _finite
 from .fock import QuadraticModel
 
@@ -64,100 +63,9 @@ class FlowResult:
     conservation_residuals: np.ndarray | None
 
 
-def _half_tan(n: np.ndarray, N: int) -> np.ndarray:
-    """tan(pi n / N) for ascending integer shells 0 < n < N/2, to about an ulp up to the pole.
-
-    Near pi/2 the rounding of the argument pi n / N is amplified by the
-    pole, up to ~N eps / pi relative at the top shell.  Past N/4 the value
-    is taken as 1 / tan(pi (N - 2n) / (2N)) instead, whose argument is small
-    and carries only its own relative rounding.  The shells with 4n <= N
-    are a prefix of ``n``, and each part is formed as one contiguous array.
-    """
-    split = int(np.searchsorted(n, N // 4, side="right"))
-    if split == len(n):  # no shell past N/4, as at the prefactor's few shells
-        return np.tan(np.pi * n / N)
-    half_tan = np.empty(len(n))
-    np.tan(np.pi * n[:split] / N, out=half_tan[:split])
-    np.divide(1.0, np.tan(np.pi * (N - 2 * n[split:]) / (2 * N)), out=half_tan[split:])
-    return half_tan
-
-
-#: shells per block of the flow's walk: a float64 block is 64 KB, so the
-#: block's working arrays stay in a core's L2 cache
-_SHELL_BLOCK = 8192
-
 #: largest total size of the arrays :func:`run_flow` returns, in bytes; a
 #: flow over more shells is refused before anything is allocated
 FLOW_BYTES_MAX = 2**30
-
-
-class _Sum2:
-    """Compensated sums of a sequence fed one block at a time, by one of two feeds.
-
-    The state between blocks is a running sum ``s`` and a running sum ``e``
-    of the rounding errors; the total is ``s + e`` rounded once.  Feeding by
-    :meth:`below` gives every prefix: ``np.cumsum`` adds left to right, and
-    the cumsum of each addition's exact TwoSum error added back is Ogita,
-    Rump & Oishi's Sum2 (SIAM J. Sci. Comput. 26, 2005) in prefix form, as
-    if summed in twice the working precision and rounded once.  ``s`` heads
-    the next block's cumsum and ``e`` is added to its first error, so the
-    prefixes are the bits of one pass over the whole sequence.  Feeding by
-    :meth:`add` keeps the total alone and makes no sequential scan.
-    """
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.e = 0.0
-
-    def below(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The sums of everything fed before each entry of the block ``x``; feeds ``x``.
-
-        The sum before x[i] is the prefix through x[i-1], and before x[0] the
-        last prefix of the blocks before.  It comes as its running sum and
-        its carried error, whose float sum is the compensated prefix.
-        """
-        running = np.empty(len(x) + 1)
-        running[0] = self.s
-        running[1:] = x
-        running.cumsum(out=running)
-        s, prev = running[1:], running[:-1]
-        x_part = s - prev
-        err = np.empty(len(x) + 1)  # e, then the TwoSum error of each addition
-        err[0] = self.e
-        add_err = err[1:]
-        np.subtract(s, x_part, out=add_err)
-        np.subtract(prev, add_err, out=add_err)
-        np.subtract(x, x_part, out=x_part)
-        add_err += x_part
-        err.cumsum(out=err)
-        self.s, self.e = running[-1], err[-1]
-        return prev, err[:-1]
-
-    def add(self, x: np.ndarray) -> None:
-        """Feed the block ``x`` to the total alone; a nan or inf in it makes the total nan.
-
-        ExtractVector (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008):
-        against sigma = 2^k >= (n + 2) max|x| the high parts (sigma + x) -
-        sigma are multiples of eps sigma (eps = 2^-53) with partial sums below
-        sigma, so ``np.sum`` adds them exactly; only the sum of the n low
-        parts, each at most eps sigma, rounds, by at most about 2 n^3 eps^2
-        max|x|, the order of Sum2's (n eps)^2 sum|x|.  On one-signed blocks,
-        as fed here, both totals are the exact sum rounded once, save at ties.
-        """
-        sigma = math.ldexp(1.0, math.frexp((len(x) + 2) * float(np.abs(x).max(initial=0.0)))[1])
-        split = sigma + x
-        split -= sigma  # the high parts
-        high = float(split.sum())
-        np.subtract(x, split, out=split)  # the low parts
-        s = self.s + high  # TwoSum: s_high is the part of high that s holds
-        s_high = s - self.s
-        self.e += (self.s - (s - s_high)) + (high - s_high) + float(split.sum())
-        self.s = s
-
-    @property
-    def total(self) -> float:
-        """The sum of everything fed so far."""
-        return float(self.s + self.e)
 
 
 def _flow_inputs(model: QuadraticModel, grid: MatsubaraGrid, b_floor, modes) -> tuple[int, int]:
@@ -170,60 +78,57 @@ def _flow_inputs(model: QuadraticModel, grid: MatsubaraGrid, b_floor, modes) -> 
 
 
 def _walk(model: QuadraticModel, grid: MatsubaraGrid, b_floor: int, modes: int, keep):
-    """Walk the shells upward once, in blocks; hand each block's steps to ``keep``.
+    """Walk the shells upward once, in blocks; hand each block of steps to ``keep``.
 
-    The inputs come checked by :func:`_flow_inputs`.  Each block that holds
-    steps goes to ``keep(first, correction_log, berry, berry_log,
-    defect_below)``, shells ``first, first + 1, ...`` ascending: the steps'
-    log1p(c^2 / 4 tan^2) and Berry logs, the :class:`_Sum2` ``berry`` of the
-    Berry logs below ``first``, which ``keep`` may feed ``berry_log`` to by
-    ``below``, and the defect sums from the floor to each step.  The
-    corrections and the defect below the floor go to ``add``, so a block's
-    one prefix scan is the defect's.  Returns ``(log_c_shift, residual,
-    final_log_c, max_residual)``: log c after a step is M [Berry sum - ln N +
-    correction sum below it] less ``log_c_shift``; ``residual`` turns defect
-    sums into conservation residuals in place (it and ``max_residual`` are
-    ``None`` for A <= 0, where the defect stands for no residual).  Rounding
-    is monotone, so the defect sums' extremes give the largest residual.  The
-    correction total comes from the steps, never from the closed-form log Z.
+    The inputs come checked by :func:`_flow_inputs`; a c^2 that is not finite
+    is refused before any block.  The shells below the floor feed the Berry
+    sum by ``below`` and the defect total by ``add``.  Then each block of
+    steps, shells ``first, first + 1, ...``, goes to ``keep(first,
+    correction_log, berry, berry_log, defect_below)``: the steps' log1p(c^2 /
+    4 tan^2) and Berry logs, the :class:`_Sum2` ``berry`` of the Berry logs
+    below ``first``, which ``keep`` may feed ``berry_log`` to by ``below``,
+    and the defect sums from the floor to each step.  The corrections go to
+    ``add``, so a block's one prefix scan is the defect's.  Returns
+    ``(log_c_shift, residual, final_log_c, max_residual)``: log c after a
+    step is M [Berry sum - ln N + correction sum below it] less
+    ``log_c_shift``; ``residual`` turns defect sums into conservation
+    residuals in place (it and ``max_residual`` are ``None`` for A <= 0,
+    where the defect stands for no residual).  Rounding is monotone, so the
+    defect sums' extremes give the largest residual.  The correction total
+    comes from the steps, never from the closed-form log Z.
     """
-    N = grid.N
-    top = (N - 1) // 2
     c = _lattice_c(grid, model)
+    c_sq = c * c
+    if not math.isfinite(c_sq):  # refused before the floor's sums would take inf - inf
+        raise NumericalError(f"flow step terms are not finite at beta A / N = {c:g}")
     conserved = model.A > 0  # else the zero mode makes the lattice log Z diverge
-    log_N = math.log(N)
+    log_N = math.log(grid.N)
     # the shells |n| < s left after the step at s have log Z = beta A / 2 - ln c less their pair
     # logs (beta A / 2 per mode belongs to the Hamiltonian sum), and log c brings -ln N
     remaining_const = grid.beta * model.A / 2.0 - math.log(c) - log_N if conserved else 0.0
     berry_sum, correction_sum, floor_defect = _Sum2(), _Sum2(), _Sum2()
-    defect_carry, defect_lo, defect_hi = 0.0, math.inf, -math.inf
-    for lo in range(1, top + 1, _SHELL_BLOCK):
-        hi = min(lo + _SHELL_BLOCK, top + 1)
-        half_tan = _half_tan(np.arange(lo, hi, dtype=float), N)
+    for _, half_tan in _shell_blocks(grid.N, 1, b_floor):  # below the floor: no steps
         tan_sq4 = 4.0 * half_tan * half_tan
         berry_log = np.log(tan_sq4)
-        floor = min(max(b_floor + 1 - lo, 0), hi - lo)  # the block's shells below the steps
-        correction_log = np.log1p(c * c / tan_sq4[floor:])
-        if not (np.isfinite(berry_log[floor:]).all() and np.isfinite(correction_log).all()):
+        berry_sum.below(berry_log)
+        floor_defect.add(berry_log - np.log(c_sq + tan_sq4))
+    floor_log_c = (berry_sum.total - log_N) * modes
+
+    defect_carry, defect_lo, defect_hi = 0.0, math.inf, -math.inf
+    for first, half_tan in _shell_blocks(grid.N, b_floor + 1, (grid.N - 1) // 2):
+        tan_sq4 = 4.0 * half_tan * half_tan
+        berry_log = np.log(tan_sq4)
+        correction_log = np.log1p(c_sq / tan_sq4)
+        if not (np.isfinite(berry_log).all() and np.isfinite(correction_log).all()):
             raise NumericalError(f"flow step terms are not finite at beta A / N = {c:g}")
-        defect = berry_log - np.log(c * c + tan_sq4)  # less the steps' corrections
-        if floor:
-            berry_sum.below(berry_log[:floor])
-            floor_defect.add(defect[:floor])
-        if floor == hi - lo:
-            continue  # the whole block is below the floor
-        first = lo + floor
-        if first == b_floor + 1:
-            floor_log_c = (berry_sum.total - log_N) * modes
-        defect_below = np.empty(hi - first + 1)  # the sum below each step, then the carry
-        defect_below[0] = defect_carry
-        np.add(defect[floor:], correction_log, out=defect_below[1:])
-        defect_below.cumsum(out=defect_below)
+        defect = berry_log - np.log(c_sq + tan_sq4) + correction_log
+        # the defect sum below each step, then the carry into the next block
+        defect_below = np.concatenate(([defect_carry], defect)).cumsum()
         defect_below, defect_carry = defect_below[:-1], defect_below[-1]
         defect_lo = min(defect_lo, defect_below.min())
         defect_hi = max(defect_hi, defect_below.max())
         correction_sum.add(correction_log)
-        keep(first, correction_log, berry_sum, berry_log[floor:], defect_below)
+        keep(first, correction_log, berry_sum, berry_log, defect_below)
 
     log_c_shift = modes * correction_sum.total
     final_log_c = _finite(floor_log_c - log_c_shift, "flow log c")
@@ -250,20 +155,19 @@ def run_flow(
 ) -> FlowResult:
     """Integrate out every shell from the top one down to ``b_floor + 1``.
 
-    One tangent per shell gives the per-step Berry and correction logs and
-    the pair logs of the remaining shells.  ``log_c`` after each step comes
-    from two compensated sums, an ascending prefix of the Berry logs and a
-    suffix of the corrections, so its rounding stays at a few ulps of log_c
-    instead of growing with the number of shells.  The conservation residual
-    after each step, log c plus the remaining shells' Gaussian log Z less the
-    closed-form lattice log Z, is a running sum of the per-shell defect.  Log
-    c after the last step is
+    ``log_c`` after each step comes from two compensated sums, an ascending
+    prefix of the Berry logs and a suffix of the corrections, so its rounding
+    stays at a few ulps of log_c instead of growing with the number of
+    shells.  The conservation residual after each step, log c plus the
+    remaining shells' Gaussian log Z less the closed-form lattice log Z, is a
+    running sum of the per-shell defect.  Log c after the last step is
     ``log_c_series[-1]``; the quadratic coefficient does not flow.
 
-    :func:`_walk` goes up the shells once, in blocks of :data:`_SHELL_BLOCK`,
-    and its steps are written into the outputs, whose order is the flow's,
-    top shell first; the shifts are then applied in place.  Outputs over
-    :data:`FLOW_BYTES_MAX` bytes are a ``ValueError`` before any is made.
+    :func:`_walk` goes up the shells once, in the blocks of
+    :func:`~cspi.discrete._shell_blocks`, and its steps are written into the
+    outputs, whose order is the flow's, top shell first; the shifts are then
+    applied in place.  Outputs over :data:`FLOW_BYTES_MAX` bytes are a
+    ``ValueError`` before any is made.
 
     The accumulated correction beyond the floor inherits the 1/b tail of
     sum 1/shell^2, so it vanishes in the double limit 1 << b << B.
@@ -288,9 +192,9 @@ def run_flow(
     def keep(first, correction_log, berry, berry_log, defect_below):
         out = slice(top - first - len(berry_log) + 1, top - first + 1)  # shell s at top - s
         corrections[out] = (modes * correction_log / grid.beta)[::-1]
-        log_c = np.add(*berry.below(berry_log))
+        log_c = berry.below(berry_log)
         log_c -= log_N
-        log_c += np.add(*correction_sum.below(correction_log))
+        log_c += correction_sum.below(correction_log)
         log_c *= modes
         log_c_series[out] = log_c[::-1]
         if conserved:

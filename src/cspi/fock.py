@@ -89,18 +89,6 @@ class FockBasis:
         """Occupancy vectors in basis order."""
         return list(map(tuple, self.occupancy.T.tolist()))
 
-    def _block_tops(self, margin: int) -> np.ndarray:
-        """Per-mode top occupancy of the block ``n <= cap - margin``."""
-        tops = np.array(self.n_max) - _count(margin, "margin", 0)
-        if tops.min() < 0:
-            raise ValueError(f"margin {margin} leaves no states in the block")
-        return tops
-
-    def block_indices(self, margin: int) -> np.ndarray:
-        """Indices of states with every occupancy <= cap - margin."""
-        tops = self._block_tops(margin)
-        return np.flatnonzero((self.occupancy <= tops[:, None]).all(axis=0))
-
 
 def _ladder_weights(cap: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     """Squared ladder-chain amplitudes of one mode, as exact float tables.
@@ -273,7 +261,9 @@ def check_resolution_identity(
     if _count(radial_nodes, "radial", 1) > RADIAL_NODES_MAX:
         raise ValueError(radial_refused)
     _count(angular_nodes, "angular", 1)
-    tops = basis._block_tops(margin)
+    tops = np.array(basis.n_max) - _count(margin, "margin", 0)  # the block's top occupancies
+    if tops.min() < 0:
+        raise ValueError(f"margin {margin} leaves no states in the block")
     with np.errstate(all="ignore"):
         t, wt = np.polynomial.laguerre.laggauss(radial_nodes)
     if not np.isfinite(wt).all():

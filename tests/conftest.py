@@ -110,7 +110,7 @@ def _step_loop_flow(model, grid, b_floor: int, modes: int = 1):
     plain running float sum.  Returns the visited shells, the correction of
     each step and log c after each step.
     """
-    from cspi.flow import _half_tan
+    from cspi.discrete import _half_tan
 
     N = grid.N
     c = grid.beta * model.A / N
@@ -151,7 +151,7 @@ def _whole_array_tables(model, grid, b_floor: int, modes: int):
     its shift.
     """
     from cspi import NumericalError
-    from cspi.flow import _half_tan
+    from cspi.discrete import _half_tan
 
     grid.require_odd("the frequency-shell flow")
     if modes < 1:

@@ -65,9 +65,8 @@ def test_c1_ordering_identities(brute_force_symmetrize):
     for ((c, q),), coeff in symbol.terms.items():
         rebuilt = rebuilt + coeff * brute_force_symmetrize([AD_OP] * c + [A_OP] * q, 1)
     basis = FockBasis(1, 10)
-    keep = basis.block_indices(4)
     diff = hamiltonian_matrix(rebuilt, basis) - hamiltonian_matrix(quartic, basis)
-    residual = float(np.abs(diff[np.ix_(keep, keep)]).max())
+    residual = float(np.abs(diff[:7, :7]).max())  # occupancies up to n_max - 4
 
     _report(
         1,

@@ -1,6 +1,7 @@
 """Frequency-shell renormalization: exactness, scaling, free-theory limit."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -11,17 +12,20 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cspi.discrete
 import cspi.flow
 from cspi import (
     EvenSliceCountError,
     MatsubaraGrid,
     NumericalError,
     QuadraticModel,
+    prefactor_log_empirical,
     run_flow,
     weyl_discrete_logZ_quadratic,
 )
 from cspi.cli import main
-from cspi.flow import _SHELL_BLOCK, FLOW_BYTES_MAX, _half_tan, _Sum2
+from cspi.discrete import _SHELL_BLOCK, _half_tan, _Sum2
+from cspi.flow import FLOW_BYTES_MAX
 
 
 def test_conservation_at_every_shell():
@@ -167,7 +171,7 @@ def _streamed_prefix(x, block):
     total, below = _Sum2(), np.empty(len(x) + 1)
     for lo in range(0, len(x), block):
         part = x[lo : lo + block]
-        below[lo : lo + len(part)] = np.add(*total.below(part))
+        below[lo : lo + len(part)] = total.below(part)
     below[-1] = total.total
     return below[1:]
 
@@ -339,6 +343,48 @@ def test_run_flow_errors_match_whole_array_oracle(A, beta, unchecked_model, whol
     assert outcomes[0] == outcomes[1]
 
 
+def test_overflowing_c_squared_is_refused_before_any_block(capsys):
+    # beta A / N = 1e195 with 9000 shells below the floor: c^2 overflows, and were
+    # the floor's blocks fed first, their compensated defect total would split
+    # an inf (inf - inf, an invalid-value warning and a traceback under -W error)
+    message = "flow step terms are not finite at beta A / N = 9.9999e+194"
+    argv = ["--N", "100001", "--A", "1e200", "--b-floor", "9000", "--fit-window", "9100,9500"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            run_flow(QuadraticModel(A=1e200, beta=1.0), MatsubaraGrid(100001, 1.0), 9000)
+        assert main(["flow", *argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 999])
+@pytest.mark.parametrize("N", [1001, 3001, 20011])
+def test_where_a_block_starts_changes_no_bit(N, block, monkeypatch, capsys):
+    # the flow starts its step blocks at b_floor + 1 and the prefactor its blocks
+    # at 1: the tangents are elementwise, the Berry prefix and the defect sum
+    # carry their state, and the one-signed totals are correctly rounded
+    model, grid = QuadraticModel(A=1.3, beta=0.9), MatsubaraGrid(N, 0.9)
+    floors = [0, 6, 7, 8, 40, 63, 64, 65]
+
+    def outputs():
+        flows, stdout = [], []
+        for b_floor in floors:
+            result = run_flow(model, grid, b_floor)
+            flows += [result.shells, result.corrections, result.log_c_series]
+            flows.append(result.conservation_residuals)
+            main(["flow", "--N", str(N), "--A", "1.3", "--beta", "0.9", "--b-floor", str(b_floor)])
+            stdout.append(capsys.readouterr().out)
+        bs = [*floors, (N - 1) // 2]
+        return flows, stdout, [prefactor_log_empirical(N, b, 0.9) for b in bs]
+
+    flows, stdout, prefactors = outputs()
+    monkeypatch.setattr(cspi.discrete, "_SHELL_BLOCK", block)
+    blocked_flows, blocked_stdout, blocked_prefactors = outputs()
+    assert all(map(np.array_equal, blocked_flows, flows))
+    assert blocked_stdout == stdout
+    assert blocked_prefactors == prefactors
+
+
 @pytest.mark.parametrize("N", [999353, 10**6 + 1, 2 * 10**6 + 1])
 @pytest.mark.parametrize("A, beta", [(1.0, 1.0), (0.5, 1.5)])
 def test_final_log_c_against_mpmath(N, A, beta):
@@ -468,14 +514,14 @@ def test_total_feed_keeps_non_finite_values(bad, where):
 def test_non_finite_shell_below_the_floor_is_an_error(bad, monkeypatch, capsys):
     # a non-finite tangent below the floor reaches only the Berry and defect
     # totals; log c is then not finite, and the walk says so
-    half_tan = cspi.flow._half_tan
+    half_tan = cspi.discrete._half_tan
 
     def spoiled(n, N):
         out = half_tan(n, N)
         out[n == 7] = bad
         return out
 
-    monkeypatch.setattr(cspi.flow, "_half_tan", spoiled)
+    monkeypatch.setattr(cspi.discrete, "_half_tan", spoiled)
     model, grid = QuadraticModel(A=1.3, beta=0.9), MatsubaraGrid(1001, 0.9)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="flow log c is not"):
         run_flow(model, grid, 40)

@@ -73,18 +73,6 @@ def test_basis_grid_and_strides():
     assert [tuple(n) @ basis.strides for n in basis.states] == list(range(basis.dimension))
 
 
-def test_block_indices():
-    basis = FockBasis(1, 3)
-    assert list(basis.block_indices(1)) == [0, 1, 2]
-    with pytest.raises(ValueError):
-        basis.block_indices(4)
-    with pytest.raises(ValueError, match="non-negative"):
-        basis.block_indices(-1)
-    two = FockBasis(2, (3, 1))
-    expected = [i for i, (n0, n1) in enumerate(two.states) if n0 <= 2 and n1 <= 0]
-    assert list(two.block_indices(1)) == expected == [0, 2, 4]
-
-
 def test_number_operator_matrix():
     H = hamiltonian_matrix(NUMBER, FockBasis(1, 2))
     assert np.abs(H - np.diag([0.0, 1.0, 2.0])).max() == 0.0

@@ -59,7 +59,6 @@ COUNTS = [
     ("FockBasis modes", lambda v: FockBasis(v, 2), "modes", 1, None, 2),
     ("FockBasis cap", lambda v: FockBasis(1, v), "n_max", 0, None, 2),
     ("FockBasis caps", lambda v: FockBasis(2, (2, v)), "n_max", 0, None, 2),
-    ("block_indices", lambda v: FockBasis(1, 3).block_indices(v), "margin", 0, None, 1),
     (
         "check_resolution_identity radial",
         lambda v: check_resolution_identity(FockBasis(1, 2), v, 8),
@@ -78,7 +77,7 @@ COUNTS = [
     ),
     (
         "check_resolution_identity margin",
-        lambda v: check_resolution_identity(FockBasis(1, 2), 8, 8, v),
+        lambda v: check_resolution_identity(FockBasis(1, 2), 8, 8, margin=v),
         "margin",
         0,
         None,
