@@ -24,7 +24,6 @@ a run that ran out of memory, or a report that cannot be written.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -32,11 +31,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import KAPPA, Ordering, _canonical, quantize, to_ordered_form
+from .algebra import KAPPA, Ordering, quantize, to_ordered_form
 from .continuum import cutoff_dFdA, prefactor_log_closed, prefactor_log_empirical
 from .discrete import MatsubaraGrid, normal_discrete_dFdA, weyl_discrete_dFdA
 from .errors import EvenSliceCountError, SingularityError
-from .expr import ParseError, format_symbol, parse_operator
+from .expr import ParseError, _non_finite_term, format_symbol, parse_operator
 from .flow import _flow_inputs, _walk
 from .fock import (
     FockBasis,
@@ -194,10 +193,9 @@ def cmd_order(cfg: SimpleNamespace):
     target = _require_ordering(cfg.target)
     poly = parse_operator(cfg.expr)  # refuses a coefficient that overflowed
     symbol = to_ordered_form(poly, target)
-    for key, coeff in symbol.terms.items():  # reordering can overflow finite coefficients
-        if not cmath.isfinite(coeff):
-            term = format_symbol(_canonical({key: coeff}, symbol.modes, target))
-            raise ConfigError(f"{target.value} symbol term {term} has a non-finite coefficient")
+    term = _non_finite_term(symbol)  # reordering can overflow finite coefficients
+    if term is not None:
+        raise ConfigError(f"{target.value} symbol term {term} has a non-finite coefficient")
     row = [cfg.expr, target.value, format_symbol(symbol)]
     checks = []
     if cfg.verify:

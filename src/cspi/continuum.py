@@ -1,8 +1,8 @@
 """Continuum-limit machinery: sharp-cutoff Matsubara sums and the
 normalization prefactor of the cutoff functional integral.
 
-The cutoff is a hard symmetric window |l| <= b on the continuum frequencies
-omega_l = 2 pi l / beta (smooth windows would change the high-frequency
+The cutoff is a hard symmetric window |l| <= b on the index of the continuum
+frequency omega_l = 2 pi l / beta (smooth windows would change the high-frequency
 bookkeeping these sums are about); the window is the bare count b, and beta
 is the model's, so a sum depends on b and beta A alone.  The normal-order
 cutoff series lands on (1/2) coth(beta A / 2) -- off by the constant the

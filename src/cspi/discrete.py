@@ -1,13 +1,14 @@
 """Exact discrete path-integral constructions on the imaginary-time lattice.
 
-The three action evaluators differ only in how the Hamiltonian symbol enters:
-the normal-order action couples adjacent slices through H(z_l^dag, z_{l+1}),
-the anti-normal action uses equal-slice arguments of the anti-normal symbol,
-and the symmetric-order action replaces the kinetic difference with the
-tan(omega/2)-weighted frequency sum (and exists only for odd N, where the
-underlying determinant 2^{1-N} is nonzero).  Each takes its Hamiltonian sum
-over the slices from :meth:`SymbolPoly.path_sum`, with shift 1 for the
-normal order and 0 for the other two, without per-slice symbol values.
+The three actions share one body, :func:`_action`, and differ by one row of
+its table ``_ACTIONS``: the slice shift of the Hamiltonian's plain variables
+and the name its errors give.  The normal order couples adjacent slices
+through H(z_l^dag, z_{l+1}) (shift 1); the anti-normal and symmetric orders
+take equal-slice arguments (shift 0).  The symmetric order alone replaces
+the kinetic difference with the tan(omega/2)-weighted frequency sum, and
+exists only for odd N, where the underlying determinant 2^{1-N} is nonzero.
+The Hamiltonian sum over the slices is :meth:`SymbolPoly.path_sum`, with
+no per-slice symbol values.
 
 The harmonic lattice Gaussians are closed forms, O(1) in N: factoring
 z^N - 1 over the N-th roots of unity sums their frequency sums exactly (the
@@ -47,18 +48,6 @@ class MatsubaraGrid:
     @property
     def delta(self) -> float:
         return self.beta / self.N
-
-    def frequency_indices(self) -> np.ndarray:
-        """Signed indices n with omega_n = 2 pi n / N, in DFT row order.
-
-        For odd N this is the symmetric set -(N-1)/2 ... (N-1)/2; for even N
-        the omega = pi entry is its own negative modulo 2 pi.
-        """
-        k = np.arange(self.N)
-        return np.where(k < (self.N + 1) // 2, k, k - self.N)
-
-    def frequencies(self) -> np.ndarray:
-        return 2.0 * np.pi * self.frequency_indices() / self.N
 
     def require_odd(self, what: str) -> None:
         if self.N % 2 == 0:
@@ -201,22 +190,19 @@ class DiscretePath:
         return self.values.shape[1]
 
 
-def _time_values(path: DiscretePath) -> np.ndarray:
-    if path.domain == "time":
+def _values(path: DiscretePath, domain: str) -> np.ndarray:
+    """``path``'s values in ``domain``: its own, or their unitary transform."""
+    if path.domain == domain:
         return path.values
+    if domain == "frequency":
+        return np.fft.fft(path.values, axis=0, norm="ortho")
     return np.fft.ifft(path.values, axis=0, norm="ortho")
-
-
-def _frequency_values(path: DiscretePath) -> np.ndarray:
-    if path.domain == "frequency":
-        return path.values
-    return np.fft.fft(path.values, axis=0, norm="ortho")
 
 
 def _transformed(path: DiscretePath, domain: str, what: str) -> DiscretePath:
     """``path`` in ``domain``; a transform that overflows is a :class:`NumericalError`."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        values = _frequency_values(path) if domain == "frequency" else _time_values(path)
+        values = _values(path, domain)
     if not np.isfinite(values).all():
         raise NumericalError(f"{what} of the path is not finite")
     return DiscretePath(values, domain)
@@ -236,19 +222,48 @@ def idft(path: DiscretePath) -> DiscretePath:
     return _transformed(path, "time", "idft")
 
 
-def _check_action_args(path, symbol, grid, expected: Ordering):
-    if symbol.ordering is not expected:
+#: each ordering's action: the slice shift s of the Hamiltonian's plain
+#: variables, H(z_l^dag, z_{l+s}), and the name its errors give
+_ACTIONS = {
+    Ordering.NORMAL: (1, "normal-order action"),
+    Ordering.ANTINORMAL: (0, "anti-normal-order action"),
+    Ordering.WEYL: (0, "symmetric-order action"),
+}
+
+
+def _action(path: DiscretePath, H: SymbolPoly, grid: MatsubaraGrid, ordering: Ordering) -> complex:
+    """-(kinetic + Delta sum_l H(z_l^dag, z_{l+s})), with the shift s of ``_ACTIONS``.
+
+    The kinetic term is sum_l z_l^dag (z_l - z_{l+1}), or for the symmetric
+    order -2i sum_w |z_w|^2 tan(w/2) over the frequency amplitudes.
+    """
+    if ordering is Ordering.WEYL:
+        grid.require_odd("the symmetric-order action")
+    if H.ordering is not ordering:
         raise OrderingTagError(
-            f"action for {expected.value} order got a symbol tagged "
-            f"{symbol.ordering.value}; the slice coupling differs between "
+            f"action for {ordering.value} order got a symbol tagged "
+            f"{H.ordering.value}; the slice coupling differs between "
             "orderings, so mixing them silently would be wrong"
         )
-    if path.modes != symbol.modes:
-        raise ModeMismatchError(
-            f"path has {path.modes} modes, symbol has {symbol.modes}"
-        )
+    if path.modes != H.modes:
+        raise ModeMismatchError(f"path has {path.modes} modes, symbol has {H.modes}")
     if path.slices != grid.N:
         raise ValueError(f"path has {path.slices} slices, grid expects {grid.N}")
+    shift, what = _ACTIONS[ordering]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        z = _values(path, "time")
+        if ordering is Ordering.WEYL:
+            # tan(w/2) = tan(pi n / N) for the signed index n of each DFT row.  np.tan,
+            # not _half_tan: near the pole the two differ by up to 5e-12 relative at
+            # N = 100003, which would move the Berry sum off the benchmark oracle's np.tan
+            n = np.arange(grid.N)
+            n[(grid.N + 1) // 2 :] -= grid.N
+            power = np.abs(_values(path, "frequency")) ** 2
+            kinetic = -2j * np.sum(power * np.tan(np.pi * n / grid.N)[:, np.newaxis])
+        else:
+            kinetic = np.sum(np.conj(z) * (z - np.roll(z, -1, axis=0)))
+        value = complex(-(kinetic + grid.delta * H.path_sum(z, shift)))
+    return _finite(value, what)
 
 
 def action_normal(path: DiscretePath, H: SymbolPoly, grid: MatsubaraGrid) -> complex:
@@ -257,36 +272,17 @@ def action_normal(path: DiscretePath, H: SymbolPoly, grid: MatsubaraGrid) -> com
     The Hamiltonian takes cross-slice arguments: conjugates from slice l,
     plain variables from slice l+1.
     """
-    _check_action_args(path, H, grid, Ordering.NORMAL)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        z = _time_values(path)
-        kinetic = np.sum(np.conj(z) * (z - np.roll(z, -1, axis=0)))
-        value = complex(-(kinetic + grid.delta * H.path_sum(z, 1)))
-    return _finite(value, "normal-order action")
+    return _action(path, H, grid, Ordering.NORMAL)
 
 
 def action_antinormal(path: DiscretePath, h: SymbolPoly, grid: MatsubaraGrid) -> complex:
     """- sum_l [ z_l^dag (z_l - z_{l+1}) + Delta h(z_l^dag, z_l) ];  equal-slice h."""
-    _check_action_args(path, h, grid, Ordering.ANTINORMAL)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        z = _time_values(path)
-        kinetic = np.sum(np.conj(z) * (z - np.roll(z, -1, axis=0)))
-        value = complex(-(kinetic + grid.delta * h.path_sum(z, 0)))
-    return _finite(value, "anti-normal-order action")
+    return _action(path, h, grid, Ordering.ANTINORMAL)
 
 
 def action_weyl(path: DiscretePath, HW: SymbolPoly, grid: MatsubaraGrid) -> complex:
     """2i sum_w z_w^dag z_w tan(w/2) - sum_l Delta HW(z_l^dag, z_l);  odd N only."""
-    grid.require_odd("the symmetric-order action")
-    _check_action_args(path, HW, grid, Ordering.WEYL)
-    # np.tan, not _half_tan: near the pole the two differ by up to 5e-12 relative at
-    # N = 100003, which would move the Berry sum off the benchmark oracle's np.tan
-    half_tan = np.tan(grid.frequencies() / 2.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        z_freq = _frequency_values(path)
-        berry = 2j * np.sum(np.abs(z_freq) ** 2 * half_tan[:, np.newaxis])
-        value = complex(berry - grid.delta * HW.path_sum(_time_values(path), 0))
-    return _finite(value, "symmetric-order action")
+    return _action(path, HW, grid, Ordering.WEYL)
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,7 @@ _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _TOKEN_RE = re.compile(
     rf"""
     \s* (?:
-      (?P<ad>ad_(?P<ad_idx>\d+)) (?:\s*\^\s*(?P<ad_pow>\d{{1,5}})(?![\d.eEi]))?
-    | (?P<a>a_(?P<a_idx>\d+)) (?:\s*\^\s*(?P<a_pow>\d{{1,5}})(?![\d.eEi]))?
+      (?P<dag>ad|a)_(?P<idx>\d+) (?:\s*\^\s*(?P<pow>\d{{1,5}})(?![\d.eEi]))?
     | (?P<lit>\(\s*(?P<lit_neg>-)?\s*(?P<lit_re>{_NUMBER})
         \s*(?P<lit_sign>[+-])\s*(?P<lit_im>{_NUMBER})i\s*\))
     | (?P<num>{_NUMBER})(?P<num_imag>i)?
@@ -100,14 +99,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         kind = m.lastgroup
         if kind in _PUNCTUATION:
             append((kind, None, m.end() - 1))
-        elif kind == "ad_pow":
-            append(("ad", (int(m["ad_idx"]), int(m["ad_pow"]), m.start("ad_pow")), m.start("ad")))
-        elif kind == "a_pow":
-            append(("a", (int(m["a_idx"]), int(m["a_pow"]), m.start("a_pow")), m.start("a")))
-        elif kind == "ad":
-            append(("ad", (int(m["ad_idx"]), 1, None), m.start("ad")))
-        elif kind == "a":
-            append(("a", (int(m["a_idx"]), 1, None), m.start("a")))
+        elif kind == "pow":
+            append((m["dag"], (int(m["idx"]), int(m["pow"]), m.start("pow")), m.start("dag")))
+        elif kind == "idx":  # a ladder with no fused power
+            append((m["dag"], (int(m["idx"]), 1, None), m.start("dag")))
         elif kind == "lit":
             value = _literal(m["lit_neg"] is not None, m["lit_re"], m["lit_sign"] == "-", m["lit_im"])
             append(("lpar", value, m.start("lit")))
@@ -317,10 +312,9 @@ def parse_operator(text: str, modes: int | None = None) -> BosonPoly:
     parser = _Parser(tokens, modes)
     poly = parser.parse_expr()
     parser.take("end")
-    for key, coeff in poly.terms.items():  # a coefficient that overflowed: 1e400, 2^2000
-        if not cmath.isfinite(coeff):
-            term = format_operator(_canonical({key: coeff}, modes))
-            raise ParseError(f"operator term {term} has a non-finite coefficient", 0)
+    term = _non_finite_term(poly)  # a coefficient that overflowed: 1e400, 2^2000
+    if term is not None:
+        raise ParseError(f"operator term {term} has a non-finite coefficient", 0)
     return poly
 
 
@@ -385,3 +379,12 @@ def format_operator(p: BosonPoly) -> str:
 def format_symbol(s: SymbolPoly) -> str:
     """Text form of a classical symbol, with tokens ``zbar_i`` / ``z_i``."""
     return _fmt_poly(s.terms, "zbar", "z")
+
+
+def _non_finite_term(p: BosonPoly | SymbolPoly) -> str | None:
+    """The text of the first term of ``p`` whose coefficient is inf or nan, or None."""
+    tokens = ("zbar", "z") if isinstance(p, SymbolPoly) else ("ad", "a")
+    for key, coeff in p.terms.items():
+        if not cmath.isfinite(coeff):
+            return _fmt_poly({key: coeff}, *tokens)
+    return None

@@ -756,3 +756,131 @@ def test_memory_error_exits_2(command, exc, message, monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.splitlines() == [message]
+
+
+# ---------------------------------------------------------------------------
+# verdict gates: a value at each bound and the next float past it
+# ---------------------------------------------------------------------------
+
+
+def _checks(capsys) -> list[tuple[str, str]]:
+    """The (name, pass or FAIL) of each check line, in report order."""
+    lines = capsys.readouterr().err.splitlines()
+    return [re.match(r"check (\S+): (pass|FAIL) ", line).groups() for line in lines if line[:6] == "check "]
+
+
+def _walk_reporting(monkeypatch, log_c_shift=None, max_residual=None):
+    """``cli._walk`` with its correction shift or conservation residual replaced."""
+    walk = cli._walk
+
+    def patched(*args):
+        shift, series, final_log_c, residual = walk(*args)
+        return (
+            shift if log_c_shift is None else log_c_shift,
+            series,
+            final_log_c,
+            residual if max_residual is None else max_residual,
+        )
+
+    monkeypatch.setattr(cli, "_walk", patched)
+
+
+@pytest.mark.parametrize("residual, verdict", [(1e-9, "pass"), (np.nextafter(1e-9, 1.0), "FAIL")])
+def test_flow_conservation_gate_is_1e_9_inclusive(residual, verdict, monkeypatch, capsys):
+    _walk_reporting(monkeypatch, max_residual=residual)
+    main(["flow", "--N", "1001"])
+    assert ("conservation", verdict) in _checks(capsys)
+
+
+@pytest.mark.parametrize("accumulated, verdict", [(1e-2, "pass"), (np.nextafter(1e-2, 1.0), "FAIL")])
+def test_flow_accumulated_correction_gate_is_tol_inclusive(accumulated, verdict, monkeypatch, capsys):
+    # beta = 1, so the accumulated correction is the log c shift itself
+    _walk_reporting(monkeypatch, log_c_shift=accumulated)
+    main(["flow", "--N", "1001"])
+    assert ("accumulated_correction", verdict) in _checks(capsys)
+
+
+@pytest.mark.parametrize(
+    "slope, verdict",
+    [
+        (-2.0, "pass"),
+        (-1.8, "pass"),  # |-1.8 + 2| rounds to 0.19999999999999996
+        (np.nextafter(-1.8, 0.0), "FAIL"),
+        (-2.2, "FAIL"),  # |-2.2 + 2| rounds to 0.20000000000000018
+        (np.nextafter(-2.2, 0.0), "pass"),
+        (-1.5, "FAIL"),
+    ],
+)
+def test_flow_slope_gate_is_2_plus_minus_0_2(slope, verdict, monkeypatch, capsys):
+    # no float slope puts |slope + 2| at 0.2 itself: slope + 2 is a multiple of
+    # 2^-52 and 0.2 is not, so the gate's <= and < agree on every slope
+    monkeypatch.setattr(np, "polyfit", lambda *args: np.array([slope, 0.0]))
+    main(["flow", "--N", "1001"])
+    assert ("correction_slope", verdict) in _checks(capsys)
+
+
+@pytest.mark.parametrize("window, code", [("100,100", 2), ("100,101", 0)])
+def test_flow_fit_window_needs_two_shells(window, code, capsys):
+    assert main(["flow", "--N", "1001", "--fit-window", window]) == code
+    err = capsys.readouterr().err
+    refused = "error: fit window [100, 100] selects fewer than 2 shells above b_floor=40\n"
+    assert (err == refused) is (code == 2)
+
+
+def _cutoff_with_errors(monkeypatch, errors: dict) -> None:
+    """``cutoff_dFdA`` off the normal-order limit by ``errors[b]`` at each b."""
+    def cutoff_dFdA(model, b, ordering):
+        return cli.exact_dFdA(model) + 0.5 + errors[b]
+
+    monkeypatch.setattr(cli, "cutoff_dFdA", cutoff_dFdA)
+
+
+@pytest.mark.parametrize(
+    "errors, verdict", [((2e-4, 1e-4), "pass"), ((1e-4, 1e-4), "pass"), ((1e-4, 2e-4), "FAIL")]
+)
+def test_two_value_sweep_checks_its_monotonicity(errors, verdict, monkeypatch, capsys):
+    _cutoff_with_errors(monkeypatch, dict(zip((10, 100), errors)))
+    main(["cutoff", "--b", "10,100", "--ordering", "normal"])
+    assert _checks(capsys) == [("normal_error_nonincreasing", verdict), ("normal_final_error", "pass")]
+
+
+def test_one_value_sweep_has_no_monotonicity_check(monkeypatch, capsys):
+    _cutoff_with_errors(monkeypatch, {10: 1e-4})
+    main(["cutoff", "--b", "10", "--ordering", "normal"])
+    assert _checks(capsys) == [("normal_final_error", "pass")]
+
+
+@pytest.mark.parametrize("below, verdict", [(False, "pass"), (True, "FAIL")])
+def test_sweep_final_gate_is_tol_inclusive(below, verdict, capsys):
+    argv = ["cutoff", "--b", "10", "--ordering", "normal"]
+    main(argv)
+    error = float(capsys.readouterr().out.splitlines()[-1].split(",")[-1])  # %.17g: exact
+    tol = float(np.nextafter(error, 0.0)) if below else error
+    main([*argv, "--tol", repr(tol)])
+    assert _checks(capsys) == [("normal_final_error", verdict)]
+
+
+def test_prefactor_checks_final_first_and_relative_difference(capsys):
+    assert main(["prefactor", "--N", "1001,10001", "--b", "4", "--beta", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert [line.split(": ")[0] for line in err.splitlines() if line.startswith("check ")] == [
+        "check final_rel_difference",
+        "check rel_difference_nonincreasing",
+    ]
+    for line in out.splitlines()[1:]:
+        _, _, emp, closed, rel = map(float, line.split(","))
+        assert abs(closed) != 1 and rel == abs(emp - closed) / abs(closed)
+
+
+def test_prefactor_difference_is_absolute_when_closed_is_zero(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "prefactor_log_closed", lambda *args: 0.0)
+    assert main(["prefactor", "--N", "1001", "--b", "4", "--tol", "1e300"]) == 0
+    _, _, emp, closed, rel = map(float, capsys.readouterr().out.splitlines()[1].split(","))
+    assert closed == 0.0 and rel == abs(emp)
+
+
+@pytest.mark.parametrize("deviation, verdict", [(1e-6, "pass"), (np.nextafter(1e-6, 1.0), "FAIL")])
+def test_identity_check_gate_is_tol_inclusive(deviation, verdict, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_resolution_identity", lambda *args: deviation)
+    main(["identity-check", "--n-max", "2"])
+    assert _checks(capsys) == [("deviation", verdict)]

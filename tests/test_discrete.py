@@ -21,13 +21,16 @@ from cspi import (
     action_normal,
     action_weyl,
     berry_determinant_log,
+    parse_operator,
     dft,
     exact_dFdA,
     idft,
     normal_discrete_dFdA,
     weyl_discrete_dFdA,
+    to_ordered_form,
     weyl_discrete_logZ_quadratic,
 )
+from cspi.algebra import EVAL_BLOCK
 
 HARMONIC = 1.3  # generic A used in slice-sum oracles
 
@@ -45,7 +48,6 @@ def _symbol(ordering, shift=0.0, coeff=HARMONIC):
 def test_grid_basics():
     grid = MatsubaraGrid(5, 2.0)
     assert grid.delta == pytest.approx(0.4)
-    assert list(grid.frequency_indices()) == [0, 1, 2, -2, -1]
     with pytest.raises(ValueError):
         MatsubaraGrid(0, 1.0)
     with pytest.raises(ValueError):
@@ -58,13 +60,6 @@ def test_grid_basics():
     with pytest.raises(TypeError, match="N must be an integer"):
         MatsubaraGrid(True, 1.0)  # was a grid of N = 1
     assert MatsubaraGrid(np.int64(5), 2.0).delta == pytest.approx(0.4)
-
-
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 9])
-def test_frequency_set_closed_under_negation(N):
-    phases = np.exp(1j * MatsubaraGrid(N, 1.0).frequencies())
-    for phase in phases:
-        assert np.min(np.abs(phases - np.conj(phase))) < 1e-12
 
 
 def test_dft_constant_path():
@@ -303,6 +298,58 @@ def test_actions_cyclic_shift_invariant(waves, shift):
         original = evaluator(DiscretePath(z), symbol, grid)
         rolled = evaluator(DiscretePath(shifted), symbol, grid)
         assert abs(original - rolled) < 1e-12
+
+
+#: Hermitian operators on 1-3 modes, with cross-mode and unpaired-power terms
+_BIT_OPERATORS = (
+    "ad_0*a_0 + 0.5*ad_0^2*a_0^2 + (0.25-0.75i)*ad_0^3 + (0.25+0.75i)*a_0^3",
+    "ad_0*a_1 + ad_1*a_0 + ad_0*a_0*ad_1^2*a_1^2 + (0.5+1.5i)*ad_1^2*a_0 + (0.5-1.5i)*ad_0*a_1^2",
+    "ad_2*a_2 + (1-2i)*ad_0*ad_1*a_2^2 + (1+2i)*ad_2^2*a_1*a_0 + 0.3*ad_0^2*a_1^2 + 0.3*ad_1^2*a_0^2",
+)
+
+
+def _actions_as_three_bodies(path, symbols, grid):
+    """The three actions as each had its own body, formula for formula."""
+    k = np.arange(grid.N)
+    frequencies = 2.0 * np.pi * np.where(k < (grid.N + 1) // 2, k, k - grid.N) / grid.N
+    if path.domain == "time":
+        z, z_freq = path.values, np.fft.fft(path.values, axis=0, norm="ortho")
+    else:
+        z, z_freq = np.fft.ifft(path.values, axis=0, norm="ortho"), path.values
+    kinetic = np.sum(np.conj(z) * (z - np.roll(z, -1, axis=0)))
+    half_tan = np.tan(frequencies / 2.0)
+    berry = 2j * np.sum(np.abs(z_freq) ** 2 * half_tan[:, np.newaxis])
+    return (
+        complex(-(kinetic + grid.delta * symbols[Ordering.NORMAL].path_sum(z, 1))),
+        complex(-(kinetic + grid.delta * symbols[Ordering.ANTINORMAL].path_sum(z, 0))),
+        complex(berry - grid.delta * symbols[Ordering.WEYL].path_sum(z, 0)),
+    )
+
+
+@pytest.mark.parametrize("N", [1, 7, 1001, 2 * EVAL_BLOCK + 37, 100003])
+@pytest.mark.parametrize("domain", ["time", "frequency"])
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_one_action_body_moves_no_bit(N, domain, modes, waves):
+    # tan(pi n / N) is tan(omega_n / 2) bit for bit, since 2 pi n / N halves exactly
+    poly = parse_operator(_BIT_OPERATORS[modes - 1])
+    symbols = {o: to_ordered_form(poly, o) for o in Ordering}
+    grid = MatsubaraGrid(N, 1.3)
+    path = DiscretePath(np.column_stack([waves(N, salt=0.9 * m) for m in range(modes)]), domain)
+    merged = tuple(
+        action(path, symbols[o], grid)
+        for action, o in [
+            (action_normal, Ordering.NORMAL),
+            (action_antinormal, Ordering.ANTINORMAL),
+            (action_weyl, Ordering.WEYL),
+        ]
+    )
+    separate = _actions_as_three_bodies(path, symbols, grid)
+    # bit for bit, save the sign of a zero part: at N = 1 the Berry sum is exactly 0,
+    # and -(-2i * 0 + h) has the imaginary part -0.0 where 2i * 0 - h had +0.0
+    def parts(values):
+        return [repr(x) if x else "0" for v in values for x in (v.real, v.imag)]
+
+    assert merged == separate and parts(merged) == parts(separate)
 
 
 # -- determinant product identity ---------------------------------------------
