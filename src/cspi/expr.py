@@ -6,12 +6,15 @@ Grammar (whitespace-insensitive)::
     term    :=  factor ('*' factor)*
     factor  :=  atom ['^' INT]
     atom    :=  'ad_'k | 'a_'k | NUMBER | NUMBER 'i' | 'i' | '(' expr ')'
+             |  '-' atom
 
 ``ad_k`` / ``a_k`` are the creation/annihilation operators of mode ``k``
 (k >= 0).  A trailing ``i`` on a number makes it imaginary, so a complex
 coefficient is written e.g. ``(1.5-2.0i)``.  A power is an integer from 0 to
-:data:`MAX_POWER`.  ``format_operator`` emits
-floats with ``repr`` so that ``parse_operator(format_operator(p)) == p``
+:data:`MAX_POWER`.  A minus inside a term negates its atom and binds tighter
+than ``^``: ``2*-ad_0^2`` is ``2 (-ad_0)^2``, while a leading or binary minus
+negates the whole term, so ``-ad_0^2`` is ``-(ad_0^2)``.  ``format_operator``
+emits floats with ``repr`` so that ``parse_operator(format_operator(p)) == p``
 holds exactly.
 """
 
@@ -119,21 +122,19 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    """Recursive descent that keeps each product term a bare monomial.
+    """Recursive descent that folds bare ladder factors into a monomial.
 
-    A term value is either a monomial ``(coeff, key, degree)`` or, once a
-    factor has more than one term, a :class:`BosonPoly`.  Two monomials with
-    nothing to contract (no mode with an ``a_i`` in the left factor and an
-    ``ad_i`` in the right one) multiply with the float operations
-    :func:`multiply` uses, ``0.0 + (c1 * c2) * 1.0``, and add exponents.
-    :meth:`parse_term` folds a bare ladder factor (``ad_k``, ``a_k`` or one
-    with a fused power up to the degree cap) straight into the running
-    monomial this way: its coefficient is 1 and it changes one mode's
-    exponents.  Everything else goes through :func:`multiply`: a
-    contraction, a multi-term factor, or a degree past the cap, which it
-    refuses.  Its single-term results become monomials again.  A coefficient
-    that is or rounds to 0 makes the zero monomial of degree 0, which, like
-    the zero polynomial, absorbs every later factor, even inf.
+    A term value is either a monomial ``(coeff, key, degree)`` or a
+    :class:`BosonPoly`.  Numbers and complex literals are monomials of
+    degree 0.  :meth:`parse_term` folds a bare ladder factor (``ad_k``,
+    ``a_k`` or one with a fused power up to the degree cap) straight into a
+    running monomial of nonzero coefficient when nothing contracts (no
+    ``a_k`` already in it before an ``ad_k``) and the degree stays within
+    the cap: it multiplies the coefficient by 1 with the float operations
+    :func:`multiply` uses, ``0.0 + (c * 1) * 1.0``, and adds to one mode's
+    exponents.  Every other product is one :func:`multiply` call of two
+    polynomials, which contracts, refuses a degree past the cap, and lets a
+    zero factor absorb every later one, even inf.
     """
 
     def __init__(self, tokens, modes: int):
@@ -142,7 +143,6 @@ class _Parser:
         self.modes = modes
         unit_key = ((0, 0),) * modes
         self.unit = (_ONE, unit_key, 0)
-        self.zero = (0j, unit_key, 0)
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -156,38 +156,14 @@ class _Parser:
 
     # -- term values ---------------------------------------------------------
 
-    def _term(self, poly: BosonPoly):
-        """The term value of a polynomial: a monomial unless it has more terms."""
-        terms = poly.terms
-        if len(terms) > 1:
-            return poly
-        if not terms:
-            return self.zero
-        ((key, coeff),) = terms.items()
-        return (coeff, key, sum(c + a for c, a in key))
-
     def _poly(self, value) -> BosonPoly:
         if type(value) is tuple:
             coeff, key, _ = value
             return _canonical({key: coeff}, self.modes)
         return value
 
-    def _product(self, left, right):
-        if (type(left) is tuple and not left[0]) or (type(right) is tuple and not right[0]):
-            return self.zero
-        if type(left) is tuple and type(right) is tuple:
-            c1, k1, d1 = left
-            c2, k2, d2 = right
-            if d1 + d2 <= DEFAULT_MAX_DEGREE:
-                key = []
-                for (p1, q1), (p2, q2) in zip(k1, k2):
-                    if q1 and p2:
-                        break  # a_i left of ad_i: contract through multiply
-                    key.append((p1 + p2, q1 + q2))
-                else:
-                    coeff = 0.0 + (c1 * c2) * 1.0
-                    return (coeff, tuple(key), d1 + d2) if coeff else self.zero
-        return self._term(multiply(self._poly(left), self._poly(right)))
+    def _product(self, left, right) -> BosonPoly:
+        return multiply(self._poly(left), self._poly(right))
 
     @staticmethod
     def _items(value):
@@ -238,7 +214,7 @@ class _Parser:
                     and acc[0]
                     and acc[2] + n <= DEFAULT_MAX_DEGREE
                     and not (create and n and acc[1][mode][1])
-                ):  # the monomial product of _product; a nonzero c stays nonzero
+                ):  # multiply's float operations; a nonzero c stays nonzero
                     c, key, degree = acc
                     p, q = key[mode]
                     pair = (p + n, q) if create else (p, q + n)
@@ -278,23 +254,18 @@ class _Parser:
         self.i += 1
         if kind == "num":
             return (value * _ONE, self.unit[1], 0)
-        if kind == "ad" or kind == "a":  # only the key this token names: O(modes)
-            unit_key = self.unit[1]
-            mode = value[0]
-            pair = (1, 0) if kind == "ad" else (0, 1)
-            return (_ONE, unit_key[:mode] + (pair,) + unit_key[mode + 1 :], 1)
+        if kind == "ad":
+            return BosonPoly.create(value[0], self.modes)
+        if kind == "a":
+            return BosonPoly.annihilate(value[0], self.modes)
         if kind == "lpar":
             if value is not None:  # a complex literal, already summed
                 return (value, self.unit[1], 0)
-            inner = self._term(self.parse_expr())
+            inner = self.parse_expr()
             self.take("rpar")
             return inner
         if kind == "minus":
-            inner = self.parse_atom()
-            if type(inner) is tuple:
-                coeff, key, degree = inner
-                return (-coeff, key, degree)
-            return -inner
+            return -self._poly(self.parse_atom())
         raise ParseError(f"unexpected token {kind!r}", pos)
 
 

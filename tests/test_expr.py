@@ -261,7 +261,7 @@ def test_ladder_key_is_built_for_its_own_mode_only():
 
 
 def test_overflow_times_zero_parses_to_zero():
-    # the zero monomial absorbs the inf before any coefficient is checked
+    # the zero factor absorbs the inf before any coefficient is checked
     assert parse_operator("1e400*0*ad_0") == BosonPoly.zero(1)
 
 
@@ -277,6 +277,26 @@ def test_monomial_terms_skip_multiply(monkeypatch, waves):
     poly = BosonPoly(dict(zip(keys, waves(len(keys), salt=0.3))), 2)
     assert parse_operator(format_operator(poly)) == poly
     assert calls == []
-    parse_operator("a_0^2*ad_0^3")  # one contraction
+    # the benchmark's shape: a parenthesised literal written as (re+imi) with
+    # both parts in repr form, then ad_k^c*a_k^a mode by mode, degree 8 on 3 modes
+    terms, pieces = {}, []
+    for n, exps in enumerate(e for e in itertools.product(range(3), repeat=6) if sum(e) <= 8):
+        key = tuple(zip(exps[::2], exps[1::2]))
+        re, im = (n * 5 % 17 - 8) / 4, (n * 7 % 13 - 6) / 4
+        if re == im == 0:  # the benchmark writes no zero coefficient
+            re = 1.0
+        terms[key] = complex(re, im)
+        factors = [
+            f"{tok}_{mode}" + (f"^{power}" if power > 1 else "")
+            for mode, (c, a) in enumerate(key)
+            for tok, power in (("ad", c), ("a", a))
+            if power
+        ]
+        coeff = f"({re!r}{'-' if im < 0 else '+'}{abs(im)!r}i)"
+        pieces.append("*".join([coeff] + factors))
+    text = " + ".join(pieces)
+    assert all(f"{c}*" in text for c in ("(-0.5-1.25i)", "(0.25+0.0i)", "(0.0+0.5i)"))
+    assert parse_operator(text) == BosonPoly(terms, 3)
+    assert calls == []
     parse_operator("(ad_1 + a_1)^2")  # a two-term factor: unit * f, then f * f
-    assert calls == [1, 2, 4]
+    assert calls == [2, 4]
