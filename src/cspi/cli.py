@@ -321,7 +321,11 @@ def cmd_flow(cfg: SimpleNamespace):
     # the flow's order, top shell first, as contiguous arrays
     shells = np.arange(fit_hi, fit_lo - 1, -1)
     corrections = np.concatenate([part[::-1] for part in reversed(window)])
-    slope = float(np.polyfit(np.log(shells), np.log(corrections), 1)[0])
+    if corrections.min() > 0:
+        slope = float(np.polyfit(np.log(shells), np.log(corrections), 1)[0])
+        slope_detail = f"{slope:.4f} within -2 +- 0.2"
+    else:  # c^2 / 4 tan^2 underflowed: a log of 0 would fit a nan slope
+        slope, slope_detail = math.nan, "the fit window's corrections underflow to 0"
     # each correction is M log1p(c^2 / 4 tan^2) / beta, and the shift is M times their log1p sum
     accumulated = log_c_shift / grid.beta
 
@@ -333,7 +337,7 @@ def cmd_flow(cfg: SimpleNamespace):
         ["final_A_eff", model.A, ""],
     ]
     checks = [
-        ("correction_slope", abs(slope + 2.0) <= 0.2, f"{slope:.4f} within -2 +- 0.2"),
+        ("correction_slope", abs(slope + 2.0) <= 0.2, slope_detail),
         ("conservation", max_residual <= 1e-9, f"{max_residual:.3e} <= 1e-9"),
         ("accumulated_correction", accumulated <= cfg.tol, f"{accumulated:.3e} <= {cfg.tol:g}"),
     ]

@@ -2,20 +2,19 @@
 
 Grammar (whitespace-insensitive)::
 
-    expr    :=  ['-'] term (('+' | '-') term)*
-    term    :=  factor ('*' factor)*
+    expr    :=  term (('+' | '-') term)*
+    term    :=  {'-'} factor ('*' {'-'} factor)*
     factor  :=  atom ['^' INT]
     atom    :=  'ad_'k | 'a_'k | NUMBER | NUMBER 'i' | 'i' | '(' expr ')'
-             |  '-' atom
 
 ``ad_k`` / ``a_k`` are the creation/annihilation operators of mode ``k``
 (k >= 0).  A trailing ``i`` on a number makes it imaginary, so a complex
 coefficient is written e.g. ``(1.5-2.0i)``.  A power is an integer from 0 to
-:data:`MAX_POWER`.  A minus inside a term negates its atom and binds tighter
-than ``^``: ``2*-ad_0^2`` is ``2 (-ad_0)^2``, while a leading or binary minus
-negates the whole term, so ``-ad_0^2`` is ``-(ad_0^2)``.  ``format_operator``
-emits floats with ``repr`` so that ``parse_operator(format_operator(p)) == p``
-holds exactly.
+:data:`MAX_POWER`.  A minus negates the term it stands in, whether it comes
+before the first term, between two terms or after a ``*``, and ``^`` binds
+tighter: ``-ad_0^2``, ``2*-ad_0^2`` and ``a_0 + -ad_0^2`` each negate
+``ad_0^2``.  ``format_operator`` emits floats with ``repr`` so that
+``parse_operator(format_operator(p)) == p`` holds exactly.
 """
 
 from __future__ import annotations
@@ -176,19 +175,15 @@ class _Parser:
 
     def parse_expr(self) -> BosonPoly:
         # One dict for the whole sum keeps parsing linear in the term count.
-        # It matches chained ``+``/``-`` on BosonPoly bit for bit: negation is
-        # ``-c``, a sum that cancels to zero drops its key (a later term
-        # re-appends it), and keys keep first-insertion order.
-        negate = self.peek() == "minus"
-        if negate:
-            self.i += 1
-        first = self._items(self.parse_term())
-        acc = {k: -c for k, c in first} if negate else dict(first)
+        # It matches chained ``+`` on BosonPoly bit for bit (a ``-`` is the next
+        # term's own sign): a sum that cancels to zero drops its key (a later
+        # term re-appends it), and keys keep first-insertion order.
+        acc = dict(self._items(self.parse_term()))
         while (kind := self.peek()) == "plus" or kind == "minus":
-            self.i += 1
-            negate = kind == "minus"
+            if kind == "plus":
+                self.i += 1
             for key, coeff in self._items(self.parse_term()):
-                total = acc.get(key, 0.0) + (-coeff if negate else coeff)
+                total = acc.get(key, 0.0) + coeff
                 if total != 0:
                     acc[key] = total
                 else:
@@ -198,8 +193,13 @@ class _Parser:
     def parse_term(self):
         tokens = self.tokens
         acc = None
+        negate = False
         while True:
             kind, value, _ = tokens[self.i]
+            if kind == "minus":  # a sign before a factor: it negates the whole term
+                negate = not negate
+                self.i += 1
+                continue
             if (
                 (kind == "ad" or kind == "a")
                 and value[1] <= DEFAULT_MAX_DEGREE
@@ -226,6 +226,8 @@ class _Parser:
                 factor = self.parse_factor()
                 acc = factor if acc is None else self._product(acc, factor)
             if tokens[self.i][0] != "star":
+                if negate:  # once, on the finished term
+                    acc = (-acc[0],) + acc[1:] if type(acc) is tuple else -acc
                 return acc
             self.i += 1
 
@@ -264,8 +266,6 @@ class _Parser:
             inner = self.parse_expr()
             self.take("rpar")
             return inner
-        if kind == "minus":
-            return -self._poly(self.parse_atom())
         raise ParseError(f"unexpected token {kind!r}", pos)
 
 

@@ -70,6 +70,8 @@ FLOW_BYTES_MAX = 2**30
 
 def _flow_inputs(model: QuadraticModel, grid: MatsubaraGrid, b_floor, modes) -> tuple[int, int]:
     """``b_floor`` and ``modes`` checked for a flow of ``model`` on ``grid``."""
+    if grid.N < 3:  # below N = 3 no shell lies above the floor 0
+        raise ValueError(f"the flow needs N >= 3, one shell above the floor; got N={grid.N}")
     grid.require_odd("the frequency-shell flow")
     modes = _count(modes, "modes", 1)
     b_floor = _count(b_floor, "b_floor", 0, (grid.N - 1) // 2 - 1)

@@ -403,15 +403,12 @@ class _ReferenceParser:
         # parser does, so that both refuse it at the end with the same message
         from cspi.algebra import _canonical
 
-        negate = self.peek()[0] == "minus"
-        if negate:
-            self.take()
-        first = self.parse_term().terms
-        acc = {k: -c for k, c in first.items()} if negate else dict(first)
+        acc = dict(self.parse_term().terms)
         while self.peek()[0] in ("plus", "minus"):
-            negate = self.take()[0] == "minus"
+            if self.peek()[0] == "plus":  # a minus is the next term's own sign
+                self.take()
             for key, coeff in self.parse_term().terms.items():
-                total = acc.get(key, 0.0) + (-coeff if negate else coeff)
+                total = acc.get(key, 0.0) + coeff
                 if total != 0:
                     acc[key] = total
                 else:
@@ -419,11 +416,18 @@ class _ReferenceParser:
         return _canonical(acc, self.modes)
 
     def parse_term(self):
-        acc = self.parse_factor()
-        while self.peek()[0] == "star":
+        # every minus before a factor flips the sign of the whole term
+        negate = False
+        acc = None
+        while True:
+            while self.peek()[0] == "minus":
+                self.take()
+                negate = not negate
+            factor = self.parse_factor()
+            acc = factor if acc is None else acc * factor
+            if self.peek()[0] != "star":
+                return -acc if negate else acc
             self.take()
-            acc = acc * self.parse_factor()
-        return acc
 
     def parse_factor(self):
         from cspi import BosonPoly
@@ -460,9 +464,6 @@ class _ReferenceParser:
             inner = self.parse_expr()
             self.take("rpar")
             return inner
-        if kind == "minus":
-            self.take()
-            return -self.parse_atom()
         raise ParseError(f"unexpected token {kind!r}", pos)
 
 

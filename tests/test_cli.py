@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,20 @@ def test_extreme_beta_A_fails_verdict_not_input(argv, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert lines[-1] == "verdict: fail"
     assert not any(line.startswith(("error:", "Traceback")) for line in lines)
+
+
+def test_flow_corrections_underflowing_to_zero_fail_the_slope_check(capsys):
+    # beta A / N = 1e-303: c^2 underflows to 0, and log(0) of the window's corrections
+    # warned and fitted a nan slope (a traceback under -W error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["flow", "--N", "1001", "--A", "1e-300"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert "correction_slope,nan,-2 +- 0.2\n" in out.out
+    lines = out.err.splitlines()
+    assert "check correction_slope: FAIL (the fit window's corrections underflow to 0)" in lines
+    assert lines[-1] == "verdict: fail"
 
 
 def test_flow_report(capsys):

@@ -137,15 +137,21 @@ def _draw_atom(draw, depth: int) -> str:
     return f"({_draw_expression(draw, depth - 1)})"
 
 
+def _draw_term(draw, depth: int) -> str:
+    pieces = []
+    for factor in range(draw(st.integers(1, 3))):
+        if factor:
+            pieces.append("*")
+        pieces.append(_draw_atom(draw, depth) + draw(st.sampled_from(POWERS)))
+    return "".join(pieces)
+
+
 def _draw_expression(draw, depth: int) -> str:
     pieces = [draw(st.sampled_from(["", "", "-"]))]
     for term in range(draw(st.integers(1, 3))):
         if term:
             pieces.append(draw(st.sampled_from([" + ", " - ", "+", "-"])))
-        for factor in range(draw(st.integers(1, 3))):
-            if factor:
-                pieces.append("*")
-            pieces.append(_draw_atom(draw, depth) + draw(st.sampled_from(POWERS)))
+        pieces.append(_draw_term(draw, depth))
     return "".join(pieces)
 
 
@@ -184,7 +190,7 @@ def _outcome(parse, text, modes):
 @example("0 + a_0 + 1", None)
 @example("2*-a_0*-(ad_0)^0 ", 2)
 @example("-ad_0^2", None)  # a leading minus negates the term: -(ad_0^2)
-@example("2*-ad_0^2", None)  # (-ad_0)^2: unary minus binds tighter than a fused power
+@example("2*-ad_0^2", None)  # a minus after a star negates the whole term: -(2 ad_0^2)
 @example("ad_0*-a_0^3", None)
 @example("ad_0*-ad_0^0", None)
 @example("( 0.5 - 1.5i )^2", None)  # a spaced complex literal, then a power
@@ -203,6 +209,58 @@ def _outcome(parse, text, modes):
 @example("a_0^2^3", None)
 def test_parse_matches_multiply_reference(reference_parse_operator, text, modes):
     assert _outcome(parse_operator, text, modes) == _outcome(reference_parse_operator, text, modes)
+
+
+# -- one sign rule: a minus negates the term it stands in ------------------------
+
+
+def _terms_or_refusal(text):
+    """The term list with signed zeros visible, or only the refusal's type."""
+    outcome = _outcome(parse_operator, text, None)
+    return outcome[0] if type(outcome) is tuple else outcome
+
+
+@pytest.mark.parametrize(
+    "text, same_as",
+    [
+        ("a_0 + -ad_0^2", "a_0 - ad_0^2"),  # it was ad_0^2 + a_0: the minus bound before ^
+        ("2*-ad_0^2", "-2*ad_0^2"),
+        ("a_0 - -ad_0^2", "a_0 + ad_0^2"),
+    ],
+)
+def test_minus_negates_its_whole_term(text, same_as):
+    assert _outcome(parse_operator, text, None) == _outcome(parse_operator, same_as, None)
+
+
+@st.composite
+def complete_texts(draw):
+    """Texts of the grammar with no stray character, so a term may follow them."""
+    return _draw_expression(draw, 1)
+
+
+@st.composite
+def term_texts(draw):
+    """One term of the grammar, two parentheses deep, with or without a sign."""
+    return draw(st.sampled_from(["", "", "-"])) + _draw_term(draw, 2)
+
+
+@settings(max_examples=200)
+@given(complete_texts(), operator_texts())
+def test_binary_minus_is_the_next_terms_own_sign(a, t):
+    assert _terms_or_refusal(f"{a} - {t}") == _terms_or_refusal(f"{a} + -{t}")
+
+
+@settings(max_examples=200)
+@given(term_texts())
+def test_leading_minus_negates_every_coefficient(term):
+    negated = _terms_or_refusal("-" + term)
+    try:
+        p = parse_operator(term)
+    except Exception as exc:
+        assert negated == type(exc).__name__
+    else:
+        terms = [(key, ((-c).real, (-c).imag)) for key, c in p.terms.items()]
+        assert negated == repr((p.modes, terms))
 
 
 def test_parse_edge_cases():
@@ -297,6 +355,9 @@ def test_monomial_terms_skip_multiply(monkeypatch, waves):
     text = " + ".join(pieces)
     assert all(f"{c}*" in text for c in ("(-0.5-1.25i)", "(0.25+0.0i)", "(0.0+0.5i)"))
     assert parse_operator(text) == BosonPoly(terms, 3)
+    assert calls == []
+    # a minus before a bare ladder keeps the fold: the term is negated once, at its end
+    assert parse_operator("2*-ad_0^2*-a_1") == BosonPoly({((2, 0), (0, 1)): 2.0}, 2)
     assert calls == []
     parse_operator("(ad_1 + a_1)^2")  # a two-term factor: unit * f, then f * f
     assert calls == [2, 4]

@@ -70,6 +70,22 @@ def test_flow_validation(unchecked_model):
         run_flow(unchecked_model(math.nan, 1.0), grid, 10)
 
 
+@pytest.mark.parametrize("N", [1, 2])
+def test_flow_below_three_slices_names_N(N, capsys):
+    # at N = 1 the b_floor check read "b_floor must be in 0..-1"
+    with pytest.raises(ValueError, match=f"needs N >= 3, one shell above the floor; got N={N}$"):
+        run_flow(QuadraticModel(A=1.0, beta=1.0), MatsubaraGrid(N, 1.0), 0)
+    assert main(["flow", "--N", str(N)]) == 2
+    assert capsys.readouterr().err == f"error: the flow needs N >= 3, one shell above the floor; got N={N}\n"
+
+
+def test_flow_at_three_slices_takes_its_one_step():
+    result = run_flow(QuadraticModel(A=1.0, beta=1.0), MatsubaraGrid(3, 1.0), 0)
+    assert list(result.shells) == [1]
+    assert result.corrections.shape == result.log_c_series.shape == (1,)
+    assert result.conservation_residuals[0] <= 1e-9
+
+
 def test_non_finite_flow_is_an_error():
     # beta A / N = 1e197: c^2 overflows, and the correction logs with it
     with pytest.raises(NumericalError, match="not finite"):
