@@ -119,25 +119,28 @@ def _half_tables(variables: Sequence, halves: Sequence, shift: int = 0):
     row: dict[tuple[int, ...], int] = {}
     steps: list = []  # None: ones; i: copy variable i; (a, b): row a times row b
 
-    def add(e, step):
+    def add(e, step) -> int:
         row[e] = len(steps)
         steps.append(step)
+        return row[e]
 
-    for e in (e for pair in halves for e in pair):
-        chain = []
-        while any(e) and e not in row:
-            i = max(j for j, k in enumerate(e) if k)
-            rest = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            chain.append((e, i, rest))
-            e = rest
-        if not chain and e not in row:  # the zero vector
-            add(e, None)
-        for e, i, rest in reversed(chain):
-            unit = tuple(int(j == i) for j in range(len(e)))
-            if unit not in row:
-                add(unit, i)
-            if e != unit:
-                add(e, (row[rest], row[unit]))
+    def index(e) -> int:
+        """The row of e, added after the rows it is built from."""
+        if e in row:
+            return row[e]
+        if not any(e):
+            return add(e, None)
+        i = max(j for j, k in enumerate(e) if k)
+        unit = tuple(int(j == i) for j in range(len(e)))
+        # the powers of variable i are added in a loop, lowest first, so the
+        # recursion only drops variables: it is at most len(e) deep at any degree
+        below = e[:i] + (0,) + e[i + 1 :]
+        for k in range(1, e[i] + 1):
+            power = e[:i] + (k,) + e[i + 1 :]
+            if power not in row:
+                add(power, i if power == unit else (index(below), index(unit)))
+            below = power
+        return row[e]
 
     def blocks():
         n = len(variables[0])
@@ -160,7 +163,7 @@ def _half_tables(variables: Sequence, halves: Sequence, shift: int = 0):
                     np.multiply(table[a, :columns], table[b, :columns], out=table[r, :columns])
             yield lo, width, table
 
-    return [(row[x], row[y]) for x, y in halves], blocks()
+    return [(index(x), index(y)) for x, y in halves], blocks()
 
 
 def _conjugate_pairs(rows: Sequence[tuple[int, int]]):

@@ -8,9 +8,9 @@ check of the coherent-state resolution of identity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -45,29 +45,23 @@ RADIAL_NODES_MAX = 186
 
 
 class FockBasis:
-    """Occupancy-number basis with a per-mode cap.
+    """Occupancy-number basis with one occupancy cap ``n_max`` for every mode.
 
     Basis vectors are enumerated lexicographically in the occupancy vector
     ``n = (n_0, ..., n_{M-1})`` with the last mode varying fastest, i.e.
     ``(0,0), (0,1), ..., (1,0), ...``.  This order is part of the contract:
-    matrix indices from :func:`hamiltonian_matrix` refer to it.
-
-    ``occupancy[i, j]`` is the occupancy of mode ``i`` in basis state ``j``,
-    and state ``n`` has index ``n @ strides`` (mixed radix, last mode
-    fastest).
+    matrix indices from :func:`hamiltonian_matrix` refer to it.  State ``n``
+    has index ``n @ strides``, the strides being powers of ``n_max + 1``.
 
     A basis whose dim x dim complex matrix would exceed
     :data:`DENSE_BYTES_MAX` raises ``ValueError`` before any state is
     enumerated.
     """
 
-    def __init__(self, modes: int, n_max: int | Sequence[int]):
+    def __init__(self, modes: int, n_max: int):
         modes = _count(modes, "modes", 1)
-        caps = (n_max,) * modes if np.ndim(n_max) == 0 else tuple(n_max)
-        if len(caps) != modes:
-            raise ModeMismatchError(f"{len(caps)} caps given for {modes} modes")
-        caps = tuple(_count(c, "n_max", 0) for c in caps)
-        dim = math.prod(c + 1 for c in caps)
+        n_max = _count(n_max, "n_max", 0)
+        dim = (n_max + 1) ** modes
         dense_bytes = dim * dim * np.dtype(complex).itemsize
         if dense_bytes > DENSE_BYTES_MAX:
             raise ValueError(
@@ -75,23 +69,21 @@ class FockBasis:
                 f"over the {DENSE_BYTES_MAX / 2**30:g} GiB budget"
             )
         self.modes = modes
-        self.n_max = caps
-        sizes = tuple(c + 1 for c in caps)
-        self.occupancy = np.indices(sizes).reshape(modes, dim)
-        self.strides = dim // np.cumprod(sizes)
+        self.n_max = n_max
+        self.strides = (n_max + 1) ** np.arange(modes - 1, -1, -1)
 
     @property
     def dimension(self) -> int:
-        return self.occupancy.shape[1]
+        return (self.n_max + 1) ** self.modes
 
     @property
     def states(self) -> list[tuple[int, ...]]:
         """Occupancy vectors in basis order."""
-        return list(map(tuple, self.occupancy.T.tolist()))
+        return list(itertools.product(range(self.n_max + 1), repeat=self.modes))
 
 
 def _ladder_weights(cap: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared ladder-chain amplitudes of one mode, as exact float tables.
+    """Squared ladder-chain amplitudes on occupancies 0..cap, as exact float tables.
 
     ``fall[a, n] = n!/(n-a)!`` is |a^a |n>|^2 and ``rise[c, m] = (m+c)!/m!``
     is |ad^c |m>|^2, for exponents up to ``top``; both are 0 where the chain
@@ -117,11 +109,12 @@ def hamiltonian_matrix(p: BosonPoly, basis: FockBasis) -> np.ndarray:
 
     Monomial ``ad^c a^a`` (per mode) maps column ``n`` to row
     ``n + (c - a) @ strides`` with amplitude ``sqrt(w)``, ``w`` the product
-    of the per-mode :func:`_ladder_weights`.  ``w`` is an integer, so it is
-    exact in float while below 2^53 (``cap^degree`` bounds it), and the
-    entries are then byte-identical to an integer weight rounded once under
-    the sqrt.  Monomials are scattered in chunks of at most ``dim``, key by
-    key, so an entry several monomials reach sums them in key order.
+    over the modes of :func:`_ladder_weights` entries, all from one table.
+    ``w`` is an integer, so it is exact in float while below 2^53
+    (``cap^degree`` bounds it), and the entries are then byte-identical to
+    an integer weight rounded once under the sqrt.  Monomials are scattered
+    in chunks of at most ``dim``, key by key, so an entry several monomials
+    reach sums them in key order.
     """
     if p.modes != basis.modes:
         raise ModeMismatchError(
@@ -135,19 +128,17 @@ def hamiltonian_matrix(p: BosonPoly, basis: FockBasis) -> np.ndarray:
         return H.reshape(dim, dim)
     keys = np.array(list(p.terms), dtype=np.intp).reshape(-1, basis.modes, 2)
     # an exponent past the cap reaches no state: cap + 1 stands for all of them
-    keys = np.minimum(keys, np.array(basis.n_max)[:, None] + 1)
+    keys = np.minimum(keys, basis.n_max + 1)
     coeffs = np.array(list(p.terms.values()), dtype=complex)
     shifts = (keys[:, :, 0] - keys[:, :, 1]) @ basis.strides * dim
+    n = np.arange(basis.n_max + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        tables = [
-            _ladder_weights(cap, int(keys[:, i].max())) for i, cap in enumerate(basis.n_max)
-        ]
+        fall, rise = _ladder_weights(basis.n_max, int(keys.max()))
         for start in range(0, len(coeffs), dim):
             chunk = keys[start : start + dim]
             weight = np.ones((len(chunk), 1))
-            for i, (fall, rise) in enumerate(tables):
-                # per-mode factors over n = 0..cap, spread over the grid, last mode fastest
-                n = np.arange(fall.shape[1])
+            for i in range(basis.modes):
+                # mode i's factors over n = 0..cap, spread over the grid, last mode fastest
                 a, c = chunk[:, i, 1, None], chunk[:, i, 0, None]
                 factor = fall[a, n] * rise[c, np.maximum(n - a, 0)]
                 weight = (weight[:, :, None] * factor[:, None, :]).reshape(len(chunk), -1)
@@ -245,14 +236,13 @@ def check_resolution_identity(
     the sub-block of occupancies <= n_max - margin.  ``radial_nodes`` outside
     1..:data:`RADIAL_NODES_MAX` is refused before any node is computed.
 
-    The quadrature matrix is the Kronecker product of the per-mode blocks
-    E_i, and is never formed.  On the diagonal the deviation is
-    |prod_i E_i[n_i, n_i] - 1|, dim entries.  An off-diagonal entry differs
-    from the diagonal in a non-empty set S of modes, so its largest size is
-    the max over S of prod_{i in S} o_i * prod_{i not in S} d_i, with o_i,
-    d_i the largest off-diagonal and diagonal |E_i|; that max is attained
-    at S = {i} plus every j with o_j >= d_j, for some i.  A mode with a
-    one-state block has o_i = 0.  Memory is sum_i (cap_i + 1)^2 plus dim.
+    The quadrature matrix is the Kronecker product of one block E per mode,
+    all alike, and is never formed.  On the diagonal the deviation is
+    |prod_i E[n_i, n_i] - 1|, dim entries; an off-diagonal entry is off the
+    diagonal of E in at least one mode, so its largest size is
+    o * max(o, d)^(modes - 1), with o and d the largest off-diagonal and
+    diagonal |E| (o = 0 for a one-state block).  Memory is (top + 1)^2
+    plus dim, top the block's top occupancy.
     """
     radial_refused = (
         f"radial must be 1 to {RADIAL_NODES_MAX} Gauss-Laguerre nodes (beyond, their"
@@ -261,24 +251,21 @@ def check_resolution_identity(
     if _count(radial_nodes, "radial", 1) > RADIAL_NODES_MAX:
         raise ValueError(radial_refused)
     _count(angular_nodes, "angular", 1)
-    tops = np.array(basis.n_max) - _count(margin, "margin", 0)  # the block's top occupancies
-    if tops.min() < 0:
+    top = basis.n_max - _count(margin, "margin", 0)  # the block's top occupancy
+    if top < 0:
         raise ValueError(f"margin {margin} leaves no states in the block")
     with np.errstate(all="ignore"):
         t, wt = np.polynomial.laguerre.laggauss(radial_nodes)
     if not np.isfinite(wt).all():
         raise ValueError(radial_refused)
 
+    E = _mode_quadrature(t, wt, angular_nodes, top)
     diagonal = np.ones(1, dtype=complex)
-    d, o = [], []
-    for top in tops:
-        E = _mode_quadrature(t, wt, angular_nodes, int(top))
+    for _ in range(basis.modes):
         diagonal = np.multiply.outer(diagonal, np.diagonal(E)).ravel()
-        size = np.abs(E)
-        d.append(np.diagonal(size).max())
-        o.append(size[~np.eye(top + 1, dtype=bool)].max(initial=0.0))
-    off = max(
-        o[i] * math.prod(max(o[j], d[j]) for j in range(len(o)) if j != i)
-        for i in range(len(o))
-    )
+    size = np.abs(E)
+    d = np.diagonal(size).max()
+    o = size[~np.eye(top + 1, dtype=bool)].max(initial=0.0)
+    # the factors multiplied in turn, one per mode: a single ** rounds differently
+    off = o * math.prod([max(o, d)] * (basis.modes - 1))
     return float(max(np.abs(diagonal - 1.0).max(), off))

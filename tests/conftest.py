@@ -511,30 +511,15 @@ def fraction_cross_derivatives():
     return _fraction_cross_derivatives
 
 
-def _no_enumeration(*args, **kwargs):
-    raise AssertionError("Fock states enumerated")
-
-
-@pytest.fixture
-def forbid_state_enumeration(monkeypatch):
-    """Call to make any later Fock state enumeration fail the test.
-
-    Guards the oversized-basis tests: ``FockBasis`` enumerates its states
-    with ``numpy.indices``, which this replaces, so a missing size check
-    fails at once instead of allocating gigabytes.
-    """
-    return lambda: monkeypatch.setattr(np, "indices", _no_enumeration)
-
-
 def _loop_hamiltonian_matrix(p, basis) -> np.ndarray:
     """Per-state loop build of <m|p|n>, the reference for the array build.
 
     Integer weights under one final sqrt, monomials in key order, states in
-    basis order; the state index is rebuilt here from ``basis.states``.
+    basis order; the states and their index are rebuilt here from the cap.
     """
-    states = basis.states
+    states = list(itertools.product(range(basis.n_max + 1), repeat=basis.modes))
     index = {state: i for i, state in enumerate(states)}
-    dim = basis.dimension
+    dim = len(states)
     H = np.zeros((dim, dim), dtype=complex)
     for key, coeff in p.terms.items():
         for col, state in enumerate(states):
@@ -562,26 +547,27 @@ def _loop_hamiltonian_matrix(p, basis) -> np.ndarray:
 def _kron_identity_deviation(basis, radial_nodes: int, angular_nodes: int, margin: int = 0):
     """Resolution-of-identity deviation from the dense Kronecker product.
 
-    Per-mode quadrature matrices filled entry by entry, combined with
-    ``np.kron`` into the full dim x dim matrix, then the max-norm distance
-    from the identity on the block of occupancies <= cap - margin.
+    The one-mode quadrature matrix filled entry by entry, its ``np.kron``
+    power over the modes the full dim x dim matrix, then the max-norm
+    distance from the identity on the block of occupancies <= cap - margin.
     """
+    cap = basis.n_max
     t, wt = np.polynomial.laguerre.laggauss(radial_nodes)
     phi = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
+    radial = [np.sum(wt * t ** (s / 2.0)) for s in range(2 * cap + 1)]
+    angular = {d: np.mean(np.exp(1j * d * phi)) for d in range(-cap, cap + 1)}
+    E = np.empty((cap + 1, cap + 1), dtype=complex)
+    for m in range(cap + 1):
+        for n in range(cap + 1):
+            norm = math.sqrt(math.factorial(m)) * math.sqrt(math.factorial(n))
+            E[m, n] = radial[m + n] * angular[m - n] / norm
     approx = np.ones((1, 1), dtype=complex)
-    for cap in basis.n_max:
-        radial = [np.sum(wt * t ** (s / 2.0)) for s in range(2 * cap + 1)]
-        angular = {d: np.mean(np.exp(1j * d * phi)) for d in range(-cap, cap + 1)}
-        E = np.empty((cap + 1, cap + 1), dtype=complex)
-        for m in range(cap + 1):
-            for n in range(cap + 1):
-                norm = math.sqrt(math.factorial(m)) * math.sqrt(math.factorial(n))
-                E[m, n] = radial[m + n] * angular[m - n] / norm
+    for _ in range(basis.modes):
         approx = np.kron(approx, E)
     keep = [
         i
-        for i, state in enumerate(itertools.product(*(range(c + 1) for c in basis.n_max)))
-        if all(n <= cap - margin for n, cap in zip(state, basis.n_max))
+        for i, state in enumerate(itertools.product(range(cap + 1), repeat=basis.modes))
+        if max(state) <= cap - margin
     ]
     sub = approx[np.ix_(keep, keep)] - np.eye(len(keep))
     return float(np.abs(sub).max())

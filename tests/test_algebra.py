@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from cspi import (
     symmetrize,
     to_ordered_form,
 )
-from cspi.algebra import EVAL_BLOCK, TABLE_BYTES
+from cspi.algebra import EVAL_BLOCK, TABLE_BYTES, _half_tables
 
 A_OP = BosonPoly.annihilate(0)
 AD_OP = BosonPoly.create(0)
@@ -551,6 +552,33 @@ def test_path_sum_table_capped(shift):
         tracemalloc.stop()
     assert peak <= TABLE_BYTES + 2**20
     _assert_path_sum_matches_oracle(symbol, z, shift)
+
+
+def test_half_table_has_one_row_per_exponent_vector_in_use():
+    # the rows a degree-16 half is built from are the vectors below it, so the
+    # 3-variable halves of degree 16 fill the 969 vectors of degree <= 16, each
+    # once; variables 2, 3, 5 make every row an exact, distinct integer
+    halves = [(e, (0, 0, 0)) for e in itertools.product(range(17), repeat=3) if sum(e) == 16]
+    rows, blocks = _half_tables([np.full(2, v, dtype=complex) for v in (2, 3, 5)], halves)
+    _, _, table = next(blocks)
+    assert len(table) == math.comb(16 + 3, 3) == 969
+    values = {
+        2**a * 3**b * 5**c for a, b, c in itertools.product(range(17), repeat=3) if a + b + c <= 16
+    }
+    assert set(table[:, 0].real.astype(np.int64).tolist()) == values
+    for (x, y), (e, _) in zip(rows, halves):
+        assert table[x, 0] == 2 ** e[0] * 3 ** e[1] * 5 ** e[2] and table[y, 0] == 1
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_path_sum_at_a_degree_past_the_recursion_limit(shift):
+    # the row plan recurses over variables and loops over powers, so a
+    # half-monomial of degree 3000 is no deeper a recursion than one of degree 2
+    assert 3000 > sys.getrecursionlimit()
+    rng = np.random.default_rng(30)
+    z = np.exp(2j * np.pi * rng.random((101, 2)))  # unit modulus: every power stays finite
+    terms = {((0, 3000), (0, 0)): 1.0, ((2, 1500), (3, 4)): 0.5j, ((3000, 0), (0, 0)): 1.0}
+    _assert_path_sum_matches_oracle(SymbolPoly(terms, 2, Ordering.NORMAL), z, shift)
 
 
 @pytest.mark.parametrize("shift", [0, 1])

@@ -416,9 +416,8 @@ def test_identity_check_bad_input_exit_2(argv, message, capsys, recwarn):
         ["order", "--expr", "a_9", "--target", "weyl", "--verify"],
     ],
 )
-def test_oversized_dense_build_exit_2(argv, capsys, forbid_state_enumeration):
-    # 52 GiB and 1.8e11 GiB of dense matrix: refused before any state exists
-    forbid_state_enumeration()
+def test_oversized_dense_build_exit_2(argv, capsys):
+    # 52 GiB and 1.8e11 GiB of dense matrix: refused when the basis is made
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "GiB budget" in err

@@ -41,36 +41,39 @@ def test_basis_enumeration_is_lexicographic():
     basis = FockBasis(2, 1)
     assert basis.states == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert basis.dimension == 4
-    assert FockBasis(2, (2, 1)).dimension == 6
+    assert FockBasis(3, 0).states == [(0, 0, 0)]
 
 
-def test_dense_byte_budget(forbid_state_enumeration):
+def test_dense_byte_budget():
     assert DENSE_BYTES_MAX == 2**30
     assert FockBasis(1, 8191).dimension == 8192  # exactly 2^30 bytes
     assert FockBasis(4, 8).dimension == 6561
-    forbid_state_enumeration()
-    for modes, n_max in [(1, 8192), (5, 8), (10, 8), (2, (100, 90))]:
+    for modes, n_max in [(1, 8192), (5, 8), (10, 8), (2, 90)]:
         with pytest.raises(ValueError, match="GiB budget"):
             FockBasis(modes, n_max)
+    message = "a dense matrix over 59049 Fock states needs 52 GiB, over the 1 GiB budget"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FockBasis(5, 8)
 
 
-@pytest.mark.parametrize("modes, n_max, dim", [(2, 2, 9), (3, (1, 0, 2), 6)])
-def test_dense_byte_budget_boundary(modes, n_max, dim, monkeypatch, forbid_state_enumeration):
+@pytest.mark.parametrize("modes, n_max, dim", [(2, 2, 9), (3, 1, 8)])
+def test_dense_byte_budget_boundary(modes, n_max, dim, monkeypatch):
     # a basis whose complex dim x dim matrix is exactly the budget is built;
-    # with one byte less of budget it is refused before any state is made
+    # with one byte less of budget it is refused
     monkeypatch.setattr(cspi.fock, "DENSE_BYTES_MAX", dim * dim * 16)
     assert FockBasis(modes, n_max).dimension == dim
     monkeypatch.setattr(cspi.fock, "DENSE_BYTES_MAX", dim * dim * 16 - 1)
-    forbid_state_enumeration()
     with pytest.raises(ValueError, match=f"over {dim} Fock states needs .* GiB budget"):
         FockBasis(modes, n_max)
 
 
 def test_basis_grid_and_strides():
-    basis = FockBasis(3, (2, 0, 3))
-    assert basis.states == list(itertools.product(range(3), range(1), range(4)))
-    assert list(basis.strides) == [4, 4, 1]
-    assert [tuple(n) @ basis.strides for n in basis.states] == list(range(basis.dimension))
+    # 70 one-state modes passed numpy's 64-dimension limit of an occupancy grid
+    for modes, n_max in [(1, 0), (1, 5), (3, 0), (3, 2), (4, 1), (70, 0)]:
+        basis = FockBasis(modes, n_max)
+        assert basis.states == list(itertools.product(range(n_max + 1), repeat=modes))
+        assert list(basis.strides) == [(n_max + 1) ** (modes - 1 - i) for i in range(modes)]
+        assert [n @ basis.strides for n in basis.states] == list(range(basis.dimension))
 
 
 def test_number_operator_matrix():
@@ -109,9 +112,9 @@ def _same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
 
 @st.composite
 def _fock_case(draw):
-    """(Hermitian polynomial, basis): 1-3 modes, caps 0-3, degree <= 6."""
+    """(Hermitian polynomial, occupancy cap): 1-3 modes, cap 0-3, degree <= 6."""
     modes = draw(st.integers(1, 3))
-    caps = tuple(draw(st.integers(0, 3)) for _ in range(modes))
+    cap = draw(st.integers(0, 3))
 
     @st.composite
     def key(draw):
@@ -125,20 +128,22 @@ def _fock_case(draw):
 
     coeff = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
     p = BosonPoly(draw(st.dictionaries(key(), coeff, max_size=8)), modes)
-    return p + p.adjoint(), caps
+    return p + p.adjoint(), cap
 
 
 _PAST_CAP = BosonPoly({((1, 2), (0, 0), (3, 0)): 1 + 2j, ((0, 1), (2, 0), (0, 0)): 0.5}, 3)
 
 
 @given(_fock_case())
-@example((_PAST_CAP + _PAST_CAP.adjoint(), (2, 0, 3)))
-@example((BosonPoly({((1, 1),): 1.5, ((2, 0),): 0.25j, ((0, 2),): -0.25j}, 1), (0,)))
-@example((BosonPoly({}, 2), (1, 2)))
+@example((_PAST_CAP + _PAST_CAP.adjoint(), 2))
+@example((_PAST_CAP + _PAST_CAP.adjoint(), 0))
+@example((BosonPoly({((1, 1),): 1.5, ((2, 0),): 0.25j, ((0, 2),): -0.25j}, 1), 0))
+@example((BosonPoly({}, 2), 2))
 def test_hamiltonian_matrix_bytes_match_loop(loop_hamiltonian_matrix, case):
-    # asymmetric caps, cap 0, keys that create past the cap, the zero polynomial
-    p, caps = case
-    basis = FockBasis(p.modes, caps)
+    # keys that create past the cap (3 > 2, and every key at cap 0), the one-state
+    # block of cap 0, the zero polynomial
+    p, cap = case
+    basis = FockBasis(p.modes, cap)
     assert _same_bytes(hamiltonian_matrix(p, basis), loop_hamiltonian_matrix(p, basis))
 
 
@@ -343,22 +348,24 @@ def test_resolution_identity_angular_saturation():
 
 
 @pytest.mark.parametrize(
-    "modes, caps, radial, angular, margin",
+    "modes, n_max, radial, angular, margin",
     [
         (1, 0, 2, 4, 0),
         (1, 8, 64, 64, 2),
         (1, 8, 64, 4, 0),  # aliased: O(1) off-diagonals
         (2, 3, 24, 16, 1),
-        (2, (4, 1), 5, 5, 1),  # mode 1 keeps a one-state block
-        (3, (2, 0, 3), 8, 3, 0),  # aliased on three modes
+        (2, 4, 5, 5, 4),  # margin = cap: a one-state block
+        (3, 0, 5, 5, 0),  # cap 0: a one-state block
+        (3, 3, 8, 3, 0),  # aliased on three modes
         (3, 3, 10, 7, 1),
         (4, 2, 6, 2, 0),  # aliased on four modes
+        (4, 3, 3, 2, 1),  # aliased on four modes, three radial nodes
     ],
 )
 def test_resolution_identity_matches_kron(
-    modes, caps, radial, angular, margin, kron_identity_deviation
+    modes, n_max, radial, angular, margin, kron_identity_deviation
 ):
-    basis = FockBasis(modes, caps)
+    basis = FockBasis(modes, n_max)
     got = check_resolution_identity(basis, radial, angular, margin)
     want = kron_identity_deviation(basis, radial, angular, margin)
     assert abs(got - want) <= 4 * EPS * max(1.0, want)
@@ -386,7 +393,7 @@ def test_resolution_identity_validation():
     with pytest.raises(ValueError, match="non-negative"):
         check_resolution_identity(FockBasis(1, 2), 8, 8, margin=-1)
     with pytest.raises(ValueError, match="no states"):
-        check_resolution_identity(FockBasis(2, (3, 1)), 8, 8, margin=2)
+        check_resolution_identity(FockBasis(2, 1), 8, 8, margin=2)
 
 
 def test_resolution_identity_float_range(recwarn):
@@ -403,3 +410,8 @@ def test_resolution_identity_float_range(recwarn):
 def test_suggested_n_max():
     cap = suggested_n_max(QuadraticModel(A=1.0, beta=1.0))
     assert math.exp(-cap) < 1e-12 <= math.exp(-(cap - 1))
+    # a gap so wide that cap 0 would do still gets one excited state; no gap is refused
+    assert suggested_n_max(QuadraticModel(A=100.0, beta=1.0)) == 1
+    for A in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive gap"):
+            suggested_n_max(QuadraticModel(A=A, beta=1.0))

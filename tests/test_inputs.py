@@ -58,7 +58,6 @@ COUNTS = [
     ("cutoff_dFdA", lambda v: cutoff_dFdA(MODEL, v, Ordering.NORMAL), "b", 0, None, 10),
     ("FockBasis modes", lambda v: FockBasis(v, 2), "modes", 1, None, 2),
     ("FockBasis cap", lambda v: FockBasis(1, v), "n_max", 0, None, 2),
-    ("FockBasis caps", lambda v: FockBasis(2, (2, v)), "n_max", 0, None, 2),
     (
         "check_resolution_identity radial",
         lambda v: check_resolution_identity(FockBasis(1, 2), v, 8),
@@ -184,6 +183,7 @@ def test_cutoff_reads_beta_from_the_model():
         (lambda: MatsubaraGrid(True, 1.0), TypeError, "N"),  # was N = 1
         (lambda: partition_function(np.eye(2), math.inf), ValueError, "beta"),  # was 0.0
         (lambda: FockBasis(1, 2.5), TypeError, "n_max"),  # "'float' object is not iterable"
+        (lambda: FockBasis(2, (2, 1)), TypeError, "n_max"),  # one cap serves every mode
         (
             lambda: normal_discrete_dFdA(MatsubaraGrid(101, 5.0), QuadraticModel(1.0, 1.0)),
             ValueError,
@@ -201,6 +201,7 @@ def test_cutoff_reads_beta_from_the_model():
         "grid bool N",
         "partition_function beta",
         "FockBasis cap",
+        "FockBasis caps",
         "beta mismatch",
     ],
 )
