@@ -7,7 +7,7 @@ oracle that everything is validated against.
 """
 
 from .algebra import (
-    DEFAULT_MAX_DEGREE,
+    MAX_DEGREE,
     BosonPoly,
     Ordering,
     SymbolPoly,
@@ -58,7 +58,7 @@ from .fock import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_DEGREE",
+    "MAX_DEGREE",
     "BosonPoly",
     "Ordering",
     "SymbolPoly",

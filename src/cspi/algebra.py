@@ -40,7 +40,7 @@ from .errors import DegreeCapError, ModeMismatchError, _count
 MonomialKey = tuple[tuple[int, int], ...]
 
 #: reordering is combinatorial; refuse blowups beyond this total degree
-DEFAULT_MAX_DEGREE = 16
+MAX_DEGREE = 16
 
 #: most slices per block of a half-monomial table (see :func:`_half_tables`)
 EVAL_BLOCK = 8192
@@ -500,25 +500,23 @@ def _contract(terms, s: float) -> dict[MonomialKey, complex]:
     return out
 
 
-def multiply(
-    p: BosonPoly, q: BosonPoly, max_degree: int = DEFAULT_MAX_DEGREE
-) -> BosonPoly:
+def multiply(p: BosonPoly, q: BosonPoly) -> BosonPoly:
     """Operator product ``p * q`` re-expressed in canonical normal form.
 
     Per mode, a^q1 ad^p2 = sum_k C(q1,k) C(p2,k) k! ad^(p2-k) a^(q1-k), so
     contracting k pairs across the middle yields the exponent pair
     (p1+p2-k, q1+q2-k) with an exact integer weight; coefficients stay
     complex floats.  Raises :class:`DegreeCapError` when the result degree
-    would exceed ``max_degree`` and :class:`ModeMismatchError` on different
-    mode counts.
+    would exceed :data:`MAX_DEGREE` and :class:`ModeMismatchError` on
+    different mode counts.
     """
     if p.modes != q.modes:
         raise ModeMismatchError(
             f"cannot multiply polynomials on {p.modes} and {q.modes} modes"
         )
-    if p.degree() + q.degree() > max_degree:
+    if p.degree() + q.degree() > MAX_DEGREE:
         raise DegreeCapError(
-            f"product degree {p.degree() + q.degree()} exceeds cap {max_degree}"
+            f"product degree {p.degree() + q.degree()} exceeds cap {MAX_DEGREE}"
         )
     terms = (
         (c1 * c2, [(p1 + p2, q1 + q2, q1, p2) for (p1, q1), (p2, q2) in zip(key1, key2)])
@@ -539,11 +537,7 @@ def _as_elementary(factor: BosonPoly) -> tuple[complex, MonomialKey]:
     return coeff, key
 
 
-def symmetrize(
-    factors: Sequence[BosonPoly],
-    modes: int | None = None,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-) -> BosonPoly:
+def symmetrize(factors: Sequence[BosonPoly], modes: int | None = None) -> BosonPoly:
     """Average of all n! permuted products of the given ladder operators.
 
     Linear in each slot, so scalar prefactors on the factors multiply out
@@ -567,8 +561,8 @@ def symmetrize(
         return BosonPoly.unit(modes)
 
     n = len(factors)
-    if n > max_degree:
-        raise DegreeCapError(f"symmetrizing {n} factors exceeds degree cap {max_degree}")
+    if n > MAX_DEGREE:
+        raise DegreeCapError(f"symmetrizing {n} factors exceeds degree cap {MAX_DEGREE}")
 
     scale = 1.0 + 0.0j
     exponents = [(0, 0)] * modes

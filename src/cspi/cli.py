@@ -35,7 +35,7 @@ from .algebra import KAPPA, Ordering, quantize, to_ordered_form
 from .continuum import cutoff_dFdA, prefactor_log_closed, prefactor_log_empirical
 from .discrete import MatsubaraGrid, normal_discrete_dFdA, weyl_discrete_dFdA
 from .errors import EvenSliceCountError, SingularityError
-from .expr import ParseError, _non_finite_term, format_symbol, parse_operator
+from .expr import _non_finite_term, format_symbol, parse_operator
 from .flow import _flow_inputs, _walk
 from .fock import (
     FockBasis,
@@ -58,16 +58,6 @@ def _as_int(value) -> int:
     return int(number)
 
 
-def _as_int_list(value) -> list[int]:
-    if isinstance(value, str):
-        value = [v for v in value.split(",") if v]
-    if not isinstance(value, (list, tuple)):
-        value = [value]
-    if not value:
-        raise ValueError("sweep list must be non-empty")
-    return [_as_int(v) for v in value]
-
-
 def _as_float(value) -> float:
     """A float from a number or a numeric string; a bool is refused."""
     if isinstance(value, bool):
@@ -81,15 +71,20 @@ def _as_str(value) -> str:
     return value
 
 
-def _as_str_list(value) -> list[str]:
-    if isinstance(value, str):
-        value = [v for v in value.split(",") if v]
-    if not isinstance(value, list):  # a JSON object would give its keys
-        raise ValueError(f"must be a list of strings, got {value!r}")
-    out = [_as_str(v) for v in value]
-    if not out:
-        raise ValueError("list must be non-empty")
-    return out
+def _as_list(item):
+    """A converter of a non-empty list: a comma-separated string (empty pieces
+    dropped), a JSON list item by item, or any other value as one item."""
+
+    def convert(value) -> list:
+        if isinstance(value, str):
+            value = [v for v in value.split(",") if v]
+        elif not isinstance(value, list):
+            value = [value]
+        if not value:
+            raise ValueError("list must be non-empty")
+        return [item(v) for v in value]
+
+    return convert
 
 
 def _as_bool(value) -> bool:
@@ -106,7 +101,7 @@ def _as_tol(value) -> float:
 
 
 def _as_window(value) -> tuple[int, int]:
-    window = _as_int_list(value)
+    window = _as_list(_as_int)(value)
     if len(window) != 2:
         raise ValueError(f"must be two integers lo,hi, got {value!r}")
     return tuple(window)
@@ -148,8 +143,6 @@ def load_config(args: argparse.Namespace) -> SimpleNamespace:
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
@@ -196,6 +189,7 @@ def cmd_order(cfg: SimpleNamespace):
     term = _non_finite_term(symbol)  # reordering can overflow finite coefficients
     if term is not None:
         raise ConfigError(f"{target.value} symbol term {term} has a non-finite coefficient")
+    columns = ["expr", "target", "symbol"]
     row = [cfg.expr, target.value, format_symbol(symbol)]
     checks = []
     if cfg.verify:
@@ -205,12 +199,12 @@ def cmd_order(cfg: SimpleNamespace):
         H_original = hamiltonian_matrix(poly, basis)
         H_round_trip = hamiltonian_matrix(quantize(symbol), basis)
         residual = float(np.abs(H_original - H_round_trip).max())
+        columns.append("residual")
         row.append(residual)
         checks.append(
             ("round_trip_residual", residual <= cfg.tol, f"{residual:.3e} <= {cfg.tol:g}")
         )
-        return ["expr", "target", "symbol", "residual"], [row], checks
-    return ["expr", "target", "symbol"], [row], checks
+    return columns, [row], checks
 
 
 def cmd_free_energy(cfg: SimpleNamespace):
@@ -371,9 +365,9 @@ _COMMANDS = {
 _SETTINGS = (
     ("A", _as_float, 1.0, ("free-energy", "cutoff", "flow"), "quadratic coefficient"),
     ("beta", _as_float, 1.0, ("free-energy", "cutoff", "prefactor", "flow"), "inverse temperature"),
-    ("N", _as_int_list, (), ("free-energy", "prefactor", "flow"), "slice count(s)"),
-    ("b", _as_int_list, (), ("cutoff", "prefactor"), "cutoff(s)"),
-    ("ordering", _as_str_list, ("normal", "antinormal", "weyl"), ("cutoff",), "ordering(s)"),
+    ("N", _as_list(_as_int), (), ("free-energy", "prefactor", "flow"), "slice count(s)"),
+    ("b", _as_list(_as_int), (), ("cutoff", "prefactor"), "cutoff(s)"),
+    ("ordering", _as_list(_as_str), ("normal", "antinormal", "weyl"), ("cutoff",), "ordering(s)"),
     ("expr", _as_str, None, ("order",), "operator expression, e.g. 'ad_0*a_0'"),
     ("target", _as_str, None, ("order",), "normal | antinormal | weyl"),
     ("verify", _as_bool, False, ("order",), "report the Fock round-trip residual"),
@@ -453,7 +447,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         columns, rows, checks = _COMMANDS[args.command][0](cfg)
-    except (ConfigError, ParseError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # the last resort for a size no budget refused

@@ -23,7 +23,7 @@ import cmath
 import re
 
 from .algebra import (
-    DEFAULT_MAX_DEGREE,
+    MAX_DEGREE,
     BosonPoly,
     MonomialKey,
     SymbolPoly,
@@ -202,7 +202,7 @@ class _Parser:
                 continue
             if (
                 (kind == "ad" or kind == "a")
-                and value[1] <= DEFAULT_MAX_DEGREE
+                and value[1] <= MAX_DEGREE
                 and tokens[self.i + 1][0] != "caret"
             ):  # a bare ladder factor, of coefficient 1
                 if acc is None:  # 1 * 1 steps to 1 exactly: start from the unit
@@ -212,7 +212,7 @@ class _Parser:
                 if (
                     type(acc) is tuple
                     and acc[0]
-                    and acc[2] + n <= DEFAULT_MAX_DEGREE
+                    and acc[2] + n <= MAX_DEGREE
                     and not (create and n and acc[1][mode][1])
                 ):  # multiply's float operations; a nonzero c stays nonzero
                     c, key, degree = acc

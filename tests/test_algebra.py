@@ -81,9 +81,10 @@ def test_multiply_mode_mismatch():
 
 def test_multiply_degree_cap():
     high = BosonPoly({((5, 4),): 1.0}, 1)
-    with pytest.raises(DegreeCapError):
+    with pytest.raises(DegreeCapError, match="^product degree 18 exceeds cap 16$"):
         multiply(high, high)
-    assert multiply(high, high, max_degree=18).degree() == 18
+    # the cap itself is allowed
+    assert multiply(high, BosonPoly({((4, 3),): 1.0}, 1)).degree() == 16
 
 
 # -- symmetrize --------------------------------------------------------------

@@ -898,3 +898,74 @@ def test_identity_check_gate_is_tol_inclusive(deviation, verdict, monkeypatch, c
     monkeypatch.setattr(cli, "check_resolution_identity", lambda *args: deviation)
     main(["identity-check", "--n-max", "2"])
     assert _checks(capsys) == [("deviation", verdict)]
+
+
+# -- one list rule, and the refusals no other test reaches ---------------------
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["order", "--target", "weyl"], None, "order needs an operator expression"),
+        (["free-energy"], None, "free-energy needs a sweep list of N values"),
+        (["cutoff"], None, "cutoff needs a sweep list of b values"),
+        (["prefactor"], None, "prefactor needs a sweep list of (odd) N values"),
+        (["cutoff"], [10], "config file must contain a JSON object"),
+        (["cutoff", "--b", "10", "--ordering", ","], None, "bad value for ordering: list must be non-empty"),
+        (["cutoff", "--b", "10"], {"ordering": []}, "bad value for ordering: list must be non-empty"),
+        (["cutoff", "--b", ","], None, "bad value for b: list must be non-empty"),
+        (["free-energy"], {"N": []}, "bad value for N: list must be non-empty"),
+        (["flow", "--fit-window", ","], None, "bad value for fit_window: list must be non-empty"),
+        (["flow", "--fit-window", "50,60,70"], None, "bad value for fit_window: must be two integers lo,hi"),
+        (["flow"], {"fit_window": 50}, "bad value for fit_window: must be two integers lo,hi"),
+        # a value that is neither a list nor a string is a one-item list
+        (["cutoff", "--b", "10"], {"ordering": 5}, "bad value for ordering: must be a string, got 5"),
+        (["cutoff", "--b", "10"], {"ordering": {"weyl": 1}}, "bad value for ordering: must be a string"),
+        (["cutoff"], {"b": None}, "bad value for b: "),
+        (["cutoff", "--b", "10", "--ordering", "sideways"], None, "target/ordering must be one of"),
+    ],
+)
+def test_refusals_name_their_input(argv, config, message, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {message}")
+    assert len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, config, column",
+    [
+        # a comma list with empty pieces, a JSON list, a JSON scalar and a JSON string
+        (["cutoff", "--b", ",10,,100,", "--ordering", "weyl,"], None, ["10,weyl", "100,weyl"]),
+        (["cutoff"], {"b": [10, 100.0], "ordering": ["weyl"]}, ["10,weyl", "100,weyl"]),
+        (["cutoff"], {"b": 10, "ordering": "weyl"}, ["10,weyl"]),
+        (["cutoff"], {"b": "10,100", "ordering": "normal,weyl"}, ["10,normal", "100,normal", "10,weyl", "100,weyl"]),
+    ],
+)
+def test_one_list_rule_for_every_list_setting(argv, config, column, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert main([*argv, "--tol", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [",".join(row.split(",")[:2]) for row in rows] == column
+
+
+def test_singular_row_is_a_warning_not_an_error(capsys):
+    # beta A / N = 2 is the normal-discrete pole at omega = pi, and N = 2 is even
+    assert main(["free-energy", "--N", "2", "--A", "4"]) in (0, 1)
+    out, err = capsys.readouterr()
+    assert out.splitlines()[2:] == [
+        "2,normal-discrete,,,singular: the omega = pi denominator vanishes at beta*A/N = 2.0",
+        "2,weyl-discrete,,,refused: even N",
+    ]
+    assert err.splitlines()[:2] == [
+        "warning: N=2 normal-discrete: singular: the omega = pi denominator vanishes at beta*A/N = 2.0",
+        "warning: N=2 weyl-discrete: refused: even N",
+    ]

@@ -207,6 +207,13 @@ def _outcome(parse, text, modes):
 @example("ad_0^10001", None)  # MAX_POWER refusal at the power's position
 @example("a_0^10000", None)  # MAX_POWER itself is allowed, and meets the degree cap
 @example("a_0^2^3", None)
+@example("1^10000", None)  # a number's power: one multiply call per unit of the exponent
+@example("1e-200^3", None)  # underflows to the zero operator
+@example("0^0", None)
+@example("0^5", None)
+@example("(0.5+0.5i)^7", None)
+@example("(-0.25+0.0i)^1", None)  # multiply's 0.0 + ... turns the imaginary -0.0 into 0.0
+@example("2^2000*ad_0", None)  # overflows to a non-finite coefficient, then folds a ladder
 def test_parse_matches_multiply_reference(reference_parse_operator, text, modes):
     assert _outcome(parse_operator, text, modes) == _outcome(reference_parse_operator, text, modes)
 

@@ -3,7 +3,9 @@
 A count is an integral value (a numpy integer too) within its range: a
 fraction or a bool is a ``TypeError``, a value out of range a
 ``ValueError``, and both name the input.  beta is positive and finite, and
-a grid and a model that state different betas are refused.
+a grid and a model that state different betas are refused.  Every other
+refusal of the library raises its own type with a message that starts by
+naming what it refuses.
 """
 
 import math
@@ -209,3 +211,77 @@ def test_silent_wrong_answers_refused(call, error, name):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value).startswith(name)
+
+
+A_OP, AD_OP = BosonPoly.annihilate(0), BosonPoly.create(0)
+WEYL_NUMBER = cspi.to_ordered_form(AD_OP * A_OP, Ordering.WEYL)
+GRID = MatsubaraGrid(3, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: BosonPoly({((1, 0), (0, 1)): 1.0}, 1),
+            cspi.ModeMismatchError,
+            "monomial key ((1, 0), (0, 1)) has 2 modes, expected 1",
+        ),
+        (lambda: BosonPoly({((1, -1),): 1.0}, 1), ValueError, "negative exponent in monomial key"),
+        (lambda: BosonPoly({((1, 1),): math.nan}, 1), ValueError, "coefficient of monomial key"),
+        (lambda: SymbolPoly({}, 1, "weyl"), TypeError, "ordering must be an Ordering"),
+        (lambda: cspi.to_ordered_form(A_OP, "weyl"), TypeError, "target must be an Ordering"),
+        (lambda: symmetrize([A_OP + AD_OP]), ValueError, "symmetrizer factors must be single"),
+        (
+            lambda: symmetrize([A_OP, BosonPoly.create(0, 2)]),
+            cspi.ModeMismatchError,
+            "symmetrizer factors live on different mode counts",
+        ),
+        (lambda: symmetrize([A_OP], modes=2), cspi.ModeMismatchError, "explicit modes disagrees"),
+        (lambda: cspi.DiscretePath(PATH, "space"), ValueError, "domain must be 'time' or 'frequency'"),
+        (
+            lambda: cspi.action_weyl(cspi.DiscretePath(np.ones((3, 2))), WEYL_NUMBER, GRID),
+            cspi.ModeMismatchError,
+            "path has 2 modes, symbol has 1",
+        ),
+        (
+            lambda: cspi.action_weyl(cspi.DiscretePath(np.ones((5, 1))), WEYL_NUMBER, GRID),
+            ValueError,
+            "path has 5 slices, grid expects 3",
+        ),
+        (
+            lambda: weyl_discrete_dFdA(GRID, QuadraticModel(0.0, 1.0)),
+            cspi.SingularityError,
+            "symmetric-order dF/dA has a pole at A = 0",
+        ),
+        (
+            lambda: cspi.hamiltonian_matrix(AD_OP * A_OP, FockBasis(2, 2)),
+            cspi.ModeMismatchError,
+            "polynomial on 1 modes, basis on 2",
+        ),
+    ],
+    ids=[
+        "key modes",
+        "negative exponent",
+        "non-finite coefficient",
+        "symbol ordering tag",
+        "reorder target",
+        "composite factor",
+        "factor modes",
+        "explicit modes",
+        "path domain",
+        "action modes",
+        "action slices",
+        "weyl dFdA at A = 0",
+        "Fock modes",
+    ],
+)
+def test_refusals_name_what_they_refuse(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error
+    assert str(exc.value).startswith(message)
+
+
+def test_symbol_repr_names_its_ordering():
+    assert repr(WEYL_NUMBER) == "SymbolPoly('zbar_0*z_0 - 0.5', modes=1, ordering='weyl')"
+    assert repr(SymbolPoly({}, 2, Ordering.NORMAL)) == "SymbolPoly('0.0', modes=2, ordering='normal')"
