@@ -226,16 +226,14 @@ def cmd_free_energy(cfg: SimpleNamespace):
             else:
                 rows.append([N, method, value, abs(value - exact), ""])
 
-    for row in rows:
-        if row[4]:
-            print(f"warning: N={row[0]} {row[1]}: {row[4]}", file=sys.stderr)
-
     checks = []
     for method in ("normal-discrete", "weyl-discrete"):
         errs = [row[3] for row in rows if row[1] == method and row[4] == ""]
         # tol * |exact|: fails, not divides, when exact underflows to 0
         names = (f"{method}_error_nonincreasing", f"{method}_final_rel_error")
         checks += _sweep_checks(errs, *names, cfg.tol * abs(exact), f"{cfg.tol:g} * |exact|")
+    if not checks:  # every point refused: a verdict on no check would pass
+        checks.append(("points_computed", False, f"0 of {len(rows) - 1} points computed"))
     return ["N", "method", "dFdA", "abs_error", "note"], rows, checks
 
 
@@ -413,6 +411,9 @@ def _emit(cfg: SimpleNamespace, columns, rows, checks, passed: bool) -> None:
     else:
         sys.stdout.write(csv_text)
 
+    for row in rows:  # a row's note is a warning, after the write: an unwritable report errs alone
+        if columns[-1] == "note" and row[-1]:
+            print(f"warning: {columns[0]}={row[0]} {row[1]}: {row[-1]}", file=sys.stderr)
     for name, ok, detail in checks:
         print(f"check {name}: {'pass' if ok else 'FAIL'} ({detail})", file=sys.stderr)
     print(f"verdict: {'pass' if passed else 'fail'}", file=sys.stderr)

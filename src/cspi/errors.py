@@ -33,6 +33,18 @@ class EvenSliceCountError(ValueError):
     """The symmetric-order lattice construction is only defined for odd N."""
 
 
+#: the bytes one build may allocate: a dense Fock matrix, the flow's shell arrays
+BYTES_MAX = 2**30
+
+
+def _within_budget(nbytes: int, what: str) -> None:
+    """Every build passes here before it allocates: over :data:`BYTES_MAX`, a ``ValueError``."""
+    if nbytes > BYTES_MAX:
+        raise ValueError(
+            f"{what} needs {nbytes / 2**30:.3g} GiB, over the {BYTES_MAX / 2**30:g} GiB budget"
+        )
+
+
 def _count(value, name: str, lo: int, hi: int | None = None) -> int:
     """``value`` as an int in [lo, hi]: every count the library takes passes here.
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import MatsubaraGrid, _lattice_c, _shell_blocks, _Sum2, weyl_discrete_logZ_quadratic
-from .errors import NumericalError, _count, _finite
+from .errors import NumericalError, _count, _finite, _within_budget
 from .fock import QuadraticModel
 
 
@@ -61,11 +61,6 @@ class FlowResult:
     # |log_c + remaining-shell Gaussian log Z - full lattice log Z| after each
     # step; None for A <= 0, where the zero mode makes the lattice log Z diverge
     conservation_residuals: np.ndarray | None
-
-
-#: largest total size of the arrays :func:`run_flow` returns, in bytes; a
-#: flow over more shells is refused before anything is allocated
-FLOW_BYTES_MAX = 2**30
 
 
 def _flow_inputs(model: QuadraticModel, grid: MatsubaraGrid, b_floor, modes) -> tuple[int, int]:
@@ -168,8 +163,8 @@ def run_flow(
     :func:`_walk` goes up the shells once, in the blocks of
     :func:`~cspi.discrete._shell_blocks`, and its steps are written into the
     outputs, whose order is the flow's, top shell first; the shifts are then
-    applied in place.  Outputs over :data:`FLOW_BYTES_MAX` bytes are a
-    ``ValueError`` before any is made.
+    applied in place.  Outputs over :data:`~cspi.errors.BYTES_MAX` bytes
+    are a ``ValueError`` before any is made.
 
     The accumulated correction beyond the floor inherits the 1/b tail of
     sum 1/shell^2, so it vanishes in the double limit 1 << b << B.
@@ -179,11 +174,7 @@ def run_flow(
     steps = top - b_floor
     conserved = model.A > 0
     out_bytes = steps * 8 * (4 if conserved else 3)  # shells, corrections, log c, residuals
-    if out_bytes > FLOW_BYTES_MAX:
-        raise ValueError(
-            f"the flow at N = {grid.N} returns {out_bytes / 2**30:.3g} GiB of shell arrays, "
-            f"over the {FLOW_BYTES_MAX / 2**30:g} GiB budget"
-        )
+    _within_budget(out_bytes, f"the flow at N = {grid.N}")
     shells = np.arange(top, b_floor, -1)  # the flow's order
     corrections = np.empty(steps)
     log_c_series = np.empty(steps)

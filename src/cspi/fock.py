@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import BosonPoly
 from .errors import ModeMismatchError, NonHermitianError, NumericalError, SingularityError
-from .errors import _count, _inverse_temperature
+from .errors import _count, _inverse_temperature, _within_budget
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,6 @@ class QuadraticModel:
             raise ValueError(f"A * beta must be finite, got {self.A} * {self.beta}")
 
 
-#: largest dense complex matrix over a basis, in bytes; every user of a
-#: :class:`FockBasis` builds dim x dim matrices, so larger bases are refused
-DENSE_BYTES_MAX = 2**30
-
 #: most Gauss-Laguerre nodes of the identity check: numpy's ``laggauss``
 #: weights overflow to NaN from 187 nodes on (numpy 2.4), and a count of
 #: n builds an n x n companion matrix, so a huge count would exhaust memory
@@ -53,21 +49,16 @@ class FockBasis:
     matrix indices from :func:`hamiltonian_matrix` refer to it.  State ``n``
     has index ``n @ strides``, the strides being powers of ``n_max + 1``.
 
-    A basis whose dim x dim complex matrix would exceed
-    :data:`DENSE_BYTES_MAX` raises ``ValueError`` before any state is
-    enumerated.
+    A basis whose dim x dim complex matrix, as :func:`hamiltonian_matrix`
+    builds it, would exceed :data:`~cspi.errors.BYTES_MAX` raises
+    ``ValueError`` before any state is enumerated.
     """
 
     def __init__(self, modes: int, n_max: int):
         modes = _count(modes, "modes", 1)
         n_max = _count(n_max, "n_max", 0)
         dim = (n_max + 1) ** modes
-        dense_bytes = dim * dim * np.dtype(complex).itemsize
-        if dense_bytes > DENSE_BYTES_MAX:
-            raise ValueError(
-                f"a dense matrix over {dim} Fock states needs {dense_bytes / 2**30:.3g} GiB, "
-                f"over the {DENSE_BYTES_MAX / 2**30:g} GiB budget"
-            )
+        _within_budget(16 * dim * dim, f"a dense matrix over {dim} Fock states")  # complex128
         self.modes = modes
         self.n_max = n_max
         self.strides = (n_max + 1) ** np.arange(modes - 1, -1, -1)
@@ -238,11 +229,11 @@ def check_resolution_identity(
 
     The quadrature matrix is the Kronecker product of one block E per mode,
     all alike, and is never formed.  On the diagonal the deviation is
-    |prod_i E[n_i, n_i] - 1|, dim entries; an off-diagonal entry is off the
-    diagonal of E in at least one mode, so its largest size is
-    o * max(o, d)^(modes - 1), with o and d the largest off-diagonal and
-    diagonal |E| (o = 0 for a one-state block).  Memory is (top + 1)^2
-    plus dim, top the block's top occupancy.
+    |prod_i E[n_i, n_i] - 1|, largest at the smallest or the largest of
+    those products; an off-diagonal entry is off the diagonal of E in at
+    least one mode, so its largest size is o * max(o, d)^(modes - 1), with
+    o and d the largest off-diagonal and diagonal |E| (o = 0 for a
+    one-state block).  Memory is (top + 1)^2, top the block's top occupancy.
     """
     radial_refused = (
         f"radial must be 1 to {RADIAL_NODES_MAX} Gauss-Laguerre nodes (beyond, their"
@@ -260,12 +251,13 @@ def check_resolution_identity(
         raise ValueError(radial_refused)
 
     E = _mode_quadrature(t, wt, angular_nodes, top)
-    diagonal = np.ones(1, dtype=complex)
-    for _ in range(basis.modes):
-        diagonal = np.multiply.outer(diagonal, np.diagonal(E)).ravel()
-    size = np.abs(E)
-    d = np.diagonal(size).max()
-    o = size[~np.eye(top + 1, dtype=bool)].max(initial=0.0)
-    # the factors multiplied in turn, one per mode: a single ** rounds differently
+    # E's diagonal is non-negative (Gauss-Laguerre weights are positive) and
+    # rounded multiplication is monotone, so every diagonal product lies
+    # between the products of the smallest and of the largest entry, and
+    # |x - 1| is largest at an end of that interval; the factors are
+    # multiplied in turn, one per mode, as a single ** rounds differently
+    d_min, d = np.diagonal(E).min(), np.diagonal(E).max()
+    o = np.abs(E[~np.eye(top + 1, dtype=bool)]).max(initial=0.0)
+    diagonal = max(math.prod([d] * basis.modes) - 1.0, 1.0 - math.prod([d_min] * basis.modes))
     off = o * math.prod([max(o, d)] * (basis.modes - 1))
-    return float(max(np.abs(diagonal - 1.0).max(), off))
+    return float(max(diagonal, off))

@@ -6,8 +6,10 @@ every run sees the same values, and hypothesis runs under one derandomized
 profile.  The Fock-side oracles never go through the package's own matrix
 builder or quadrature check: one evaluates polynomials from raw ladder
 matrices, one is the per-state integer loop the array build replaced, and
-one forms the dense Kronecker product of the identity quadrature; the
-algebra oracles reorder with integers and ``Fraction`` and never call the
+one forms the dense Kronecker product of the identity quadrature.  One
+more takes the package's one-mode quadrature block and forms every
+diagonal product of it, the reduction the check replaced.  The algebra
+oracles reorder with integers and ``Fraction`` and never call the
 package's product or transforms.  The reference parser builds every term
 from ``multiply`` products of validated polynomials, the path the package's
 monomial parser leaves.  The flow has two references: one takes its shells
@@ -24,6 +26,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from cspi.fock import _mode_quadrature
 
 settings.register_profile("cspi", derandomize=True, database=None, deadline=None)
 settings.load_profile("cspi")
@@ -573,6 +577,28 @@ def _kron_identity_deviation(basis, radial_nodes: int, angular_nodes: int, margi
     return float(np.abs(sub).max())
 
 
+def _per_state_identity_deviation(basis, radial_nodes: int, angular_nodes: int, margin: int = 0):
+    """The identity check with the diagonal formed state by state.
+
+    The package's one-mode block E, every one of the diagonal's products
+    ``prod_i E[n_i, n_i]`` formed by an outer product per mode, and the
+    off-diagonal bound o * max(o, d)^(modes - 1) as the package takes it:
+    the check as it was before the diagonal came from E's extreme entries.
+    """
+    top = basis.n_max - margin
+    with np.errstate(all="ignore"):
+        t, wt = np.polynomial.laguerre.laggauss(radial_nodes)
+    E = _mode_quadrature(t, wt, angular_nodes, top)
+    diagonal = np.ones(1, dtype=complex)
+    for _ in range(basis.modes):
+        diagonal = np.multiply.outer(diagonal, np.diagonal(E)).ravel()
+    size = np.abs(E)
+    d = np.diagonal(size).max()
+    o = size[~np.eye(top + 1, dtype=bool)].max(initial=0.0)
+    off = o * math.prod([max(o, d)] * (basis.modes - 1))
+    return float(max(np.abs(diagonal - 1.0).max(), off))
+
+
 @pytest.fixture
 def waves():
     return _waves
@@ -626,3 +652,8 @@ def loop_hamiltonian_matrix():
 @pytest.fixture
 def kron_identity_deviation():
     return _kron_identity_deviation
+
+
+@pytest.fixture
+def per_state_identity_deviation():
+    return _per_state_identity_deviation

@@ -217,6 +217,16 @@ def test_unwritable_out_exits_2(name, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: cannot write report: ")
+
+
+def test_unwritable_out_of_a_sweep_with_refused_points_prints_one_error(tmp_path, capsys):
+    # the refused point's warning came before the error, so exit 2 printed two lines
+    argv = ["free-energy", "--N", "2,101", "--out", str(tmp_path / "missing" / "x.csv")]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("error: cannot write report: ")
     assert len(out.err.splitlines()) == 1
     assert not (tmp_path / "missing").exists()
 
@@ -968,4 +978,13 @@ def test_singular_row_is_a_warning_not_an_error(capsys):
     assert err.splitlines()[:2] == [
         "warning: N=2 normal-discrete: singular: the omega = pi denominator vanishes at beta*A/N = 2.0",
         "warning: N=2 weyl-discrete: refused: even N",
+    ]
+
+
+def test_a_sweep_with_every_point_refused_fails_one_check(capsys):
+    # all([]) passed the sweep on no check at all
+    assert main(["free-energy", "--N", "2", "--A", "4"]) == 1
+    assert capsys.readouterr().err.splitlines()[2:] == [
+        "check points_computed: FAIL (0 of 2 points computed)",
+        "verdict: fail",
     ]

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cspi.discrete
-import cspi.flow
+import cspi.errors
 from cspi import (
     EvenSliceCountError,
     MatsubaraGrid,
@@ -24,7 +24,7 @@ from cspi import (
 )
 from cspi.cli import main
 from cspi.discrete import _SHELL_BLOCK, _half_tan, _Sum2
-from cspi.flow import FLOW_BYTES_MAX
+from cspi.errors import BYTES_MAX
 
 
 def test_free_theory_flow_matches_shell_product():
@@ -401,9 +401,9 @@ def test_run_flow_refuses_outputs_over_budget():
     # three at A = 0, which has no conservation residuals
     b_floor = 40
     for A, step_bytes in [(1.0, 32), (0.0, 24)]:
-        N = 2 * (FLOW_BYTES_MAX // step_bytes + 1 + b_floor) + 1
+        N = 2 * (BYTES_MAX // step_bytes + 1 + b_floor) + 1
         model, grid = QuadraticModel(A=A, beta=1.0), MatsubaraGrid(N, 1.0)
-        message = f"N = {N} returns 1 GiB of shell arrays, over the 1 GiB budget"
+        message = f"^the flow at N = {N} needs 1 GiB, over the 1 GiB budget$"
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=message):
@@ -546,8 +546,8 @@ def test_run_flow_budget_boundary(A, step_bytes, monkeypatch):
     # outputs of exactly the budget are made; one byte over, none are
     model, grid, b_floor = QuadraticModel(A=A, beta=1.0), MatsubaraGrid(1001, 1.0), 40
     steps = (grid.N - 1) // 2 - b_floor
-    monkeypatch.setattr(cspi.flow, "FLOW_BYTES_MAX", steps * step_bytes)
+    monkeypatch.setattr(cspi.errors, "BYTES_MAX", steps * step_bytes)
     assert len(run_flow(model, grid, b_floor).shells) == steps
-    monkeypatch.setattr(cspi.flow, "FLOW_BYTES_MAX", steps * step_bytes - 1)
+    monkeypatch.setattr(cspi.errors, "BYTES_MAX", steps * step_bytes - 1)
     with pytest.raises(ValueError, match="GiB budget"):
         run_flow(model, grid, b_floor)

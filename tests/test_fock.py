@@ -1,5 +1,6 @@
 """Truncated-Fock-space oracle: matrices, partition functions, quadrature."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import cspi.fock
+import cspi.errors
 from cspi import (
     BosonPoly,
     FockBasis,
@@ -28,7 +29,8 @@ from cspi import (
     partition_function,
     suggested_n_max,
 )
-from cspi.fock import DENSE_BYTES_MAX, RADIAL_NODES_MAX
+from cspi.errors import BYTES_MAX
+from cspi.fock import RADIAL_NODES_MAX
 
 EPS = np.finfo(float).eps
 
@@ -45,24 +47,30 @@ def test_basis_enumeration_is_lexicographic():
 
 
 def test_dense_byte_budget():
-    assert DENSE_BYTES_MAX == 2**30
+    assert BYTES_MAX == 2**30
     assert FockBasis(1, 8191).dimension == 8192  # exactly 2^30 bytes
     assert FockBasis(4, 8).dimension == 6561
     for modes, n_max in [(1, 8192), (5, 8), (10, 8), (2, 90)]:
         with pytest.raises(ValueError, match="GiB budget"):
             FockBasis(modes, n_max)
     message = "a dense matrix over 59049 Fock states needs 52 GiB, over the 1 GiB budget"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        FockBasis(5, 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FockBasis(5, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20  # refused before anything is allocated
 
 
 @pytest.mark.parametrize("modes, n_max, dim", [(2, 2, 9), (3, 1, 8)])
 def test_dense_byte_budget_boundary(modes, n_max, dim, monkeypatch):
     # a basis whose complex dim x dim matrix is exactly the budget is built;
     # with one byte less of budget it is refused
-    monkeypatch.setattr(cspi.fock, "DENSE_BYTES_MAX", dim * dim * 16)
+    monkeypatch.setattr(cspi.errors, "BYTES_MAX", dim * dim * 16)
     assert FockBasis(modes, n_max).dimension == dim
-    monkeypatch.setattr(cspi.fock, "DENSE_BYTES_MAX", dim * dim * 16 - 1)
+    monkeypatch.setattr(cspi.errors, "BYTES_MAX", dim * dim * 16 - 1)
     with pytest.raises(ValueError, match=f"over {dim} Fock states needs .* GiB budget"):
         FockBasis(modes, n_max)
 
@@ -369,6 +377,29 @@ def test_resolution_identity_matches_kron(
     got = check_resolution_identity(basis, radial, angular, margin)
     want = kron_identity_deviation(basis, radial, angular, margin)
     assert abs(got - want) <= 4 * EPS * max(1.0, want)
+
+
+def test_resolution_identity_matches_per_state_products(per_state_identity_deviation, monkeypatch):
+    # the diagonal from E's extreme entries gives the bits of every product
+    # formed, on every cap within the budget and every even margin; the
+    # node sets, the same for every basis, are computed once per count
+    laguerre = np.polynomial.laguerre
+    monkeypatch.setattr(laguerre, "laggauss", functools.cache(laguerre.laggauss))
+    cases = 0
+    for modes, n_max in itertools.product(range(1, 6), range(9)):
+        if (n_max + 1) ** modes > 8192:
+            continue
+        basis = FockBasis(modes, n_max)
+        for radial, angular, margin in itertools.product(
+            [1, 2, 5, 24, 64, RADIAL_NODES_MAX], [1, 3, 4, 17, 64], range(0, n_max + 1, 2)
+        ):
+            got = check_resolution_identity(basis, radial, angular, margin)
+            assert got == per_state_identity_deviation(basis, radial, angular, margin)
+            cases += 1
+    assert cases == 3360
+    basis = FockBasis(10**5, 0)
+    got = check_resolution_identity(basis, 64, 64)
+    assert got == per_state_identity_deviation(basis, 64, 64)
 
 
 def test_resolution_identity_angular_closed_form():
