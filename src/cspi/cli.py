@@ -15,7 +15,9 @@ setting is an error.  The run's config is a namespace of ``command`` and
 exactly the settings the command reads, under their keys; the JSON config
 echoes it, without ``out``, with the values the command ran with (its
 verdict tolerance included).  ``_COMMANDS`` maps each command to its runner
-and its default tolerance.
+and its default tolerance.  A runner returns the table's columns and rows,
+its checks and its warning lines; the warnings follow the written report,
+so an unwritable report errs alone.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config/parse error,
 a run that ran out of memory, or a report that cannot be written.
@@ -204,7 +206,7 @@ def cmd_order(cfg: SimpleNamespace):
         checks.append(
             ("round_trip_residual", residual <= cfg.tol, f"{residual:.3e} <= {cfg.tol:g}")
         )
-    return columns, [row], checks
+    return columns, [row], checks, []
 
 
 def cmd_free_energy(cfg: SimpleNamespace):
@@ -226,6 +228,7 @@ def cmd_free_energy(cfg: SimpleNamespace):
             else:
                 rows.append([N, method, value, abs(value - exact), ""])
 
+    warnings = [f"N={row[0]} {row[1]}: {row[4]}" for row in rows if row[4]]
     checks = []
     for method in ("normal-discrete", "weyl-discrete"):
         errs = [row[3] for row in rows if row[1] == method and row[4] == ""]
@@ -234,7 +237,7 @@ def cmd_free_energy(cfg: SimpleNamespace):
         checks += _sweep_checks(errs, *names, cfg.tol * abs(exact), f"{cfg.tol:g} * |exact|")
     if not checks:  # every point refused: a verdict on no check would pass
         checks.append(("points_computed", False, f"0 of {len(rows) - 1} points computed"))
-    return ["N", "method", "dFdA", "abs_error", "note"], rows, checks
+    return ["N", "method", "dFdA", "abs_error", "note"], rows, checks, warnings
 
 
 def cmd_cutoff(cfg: SimpleNamespace):
@@ -262,7 +265,7 @@ def cmd_cutoff(cfg: SimpleNamespace):
             rows.append([b, ordering.value, value, errs[-1]])
         names = (f"{ordering.value}_error_nonincreasing", f"{ordering.value}_final_error")
         checks += _sweep_checks(errs, *names, cfg.tol, f"{cfg.tol:g}")
-    return ["b", "ordering", "dFdA", "abs_error"], rows, checks
+    return ["b", "ordering", "dFdA", "abs_error"], rows, checks, []
 
 
 def cmd_prefactor(cfg: SimpleNamespace):
@@ -280,7 +283,7 @@ def cmd_prefactor(cfg: SimpleNamespace):
     rels = [row[4] for row in rows]
     names = ("rel_difference_nonincreasing", "final_rel_difference")
     checks = _sweep_checks(rels, *names, cfg.tol, f"{cfg.tol:g}")[::-1]  # final first
-    return ["N", "b", "log_empirical", "log_closed", "rel_difference"], rows, checks
+    return ["N", "b", "log_empirical", "log_closed", "rel_difference"], rows, checks, []
 
 
 def cmd_flow(cfg: SimpleNamespace):
@@ -333,7 +336,7 @@ def cmd_flow(cfg: SimpleNamespace):
         ("conservation", max_residual <= 1e-9, f"{max_residual:.3e} <= 1e-9"),
         ("accumulated_correction", accumulated <= cfg.tol, f"{accumulated:.3e} <= {cfg.tol:g}"),
     ]
-    return ["metric", "value", "threshold"], rows, checks
+    return ["metric", "value", "threshold"], rows, checks, []
 
 
 def cmd_identity_check(cfg: SimpleNamespace):
@@ -341,7 +344,7 @@ def cmd_identity_check(cfg: SimpleNamespace):
     deviation = check_resolution_identity(basis, cfg.radial, cfg.angular, cfg.margin)
     rows = [[cfg.n_max, cfg.radial, cfg.angular, cfg.margin, deviation]]
     checks = [("deviation", deviation <= cfg.tol, f"{deviation:.3e} <= {cfg.tol:g}")]
-    return ["n_max", "radial", "angular", "margin", "deviation"], rows, checks
+    return ["n_max", "radial", "angular", "margin", "deviation"], rows, checks, []
 
 
 #: every command: name -> (runner, default verdict tolerance)
@@ -387,7 +390,7 @@ _SETTINGS = (
 # ---------------------------------------------------------------------------
 
 
-def _emit(cfg: SimpleNamespace, columns, rows, checks, passed: bool) -> None:
+def _emit(cfg: SimpleNamespace, columns, rows, checks, warnings, passed: bool) -> None:
     formatted = [[_fmt(v) for v in row] for row in rows]
     csv_text = ",".join(columns) + "\n"
     csv_text += "".join(",".join(row) + "\n" for row in formatted)
@@ -411,9 +414,8 @@ def _emit(cfg: SimpleNamespace, columns, rows, checks, passed: bool) -> None:
     else:
         sys.stdout.write(csv_text)
 
-    for row in rows:  # a row's note is a warning, after the write: an unwritable report errs alone
-        if columns[-1] == "note" and row[-1]:
-            print(f"warning: {columns[0]}={row[0]} {row[1]}: {row[-1]}", file=sys.stderr)
+    for line in warnings:
+        print(f"warning: {line}", file=sys.stderr)
     for name, ok, detail in checks:
         print(f"check {name}: {'pass' if ok else 'FAIL'} ({detail})", file=sys.stderr)
     print(f"verdict: {'pass' if passed else 'fail'}", file=sys.stderr)
@@ -447,7 +449,7 @@ def main(argv=None) -> int:
         args.command_error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = load_config(args)
-        columns, rows, checks = _COMMANDS[args.command][0](cfg)
+        columns, rows, checks, warnings = _COMMANDS[args.command][0](cfg)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -456,7 +458,7 @@ def main(argv=None) -> int:
         return 2
     passed = all(p for _, p, _ in checks)
     try:
-        _emit(cfg, columns, rows, checks, passed)
+        _emit(cfg, columns, rows, checks, warnings, passed)
     except OSError as exc:  # a missing directory, or a directory as --out
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2

@@ -256,8 +256,9 @@ def check_resolution_identity(
     # between the products of the smallest and of the largest entry, and
     # |x - 1| is largest at an end of that interval; the factors are
     # multiplied in turn, one per mode, as a single ** rounds differently
-    d_min, d = np.diagonal(E).min(), np.diagonal(E).max()
-    o = np.abs(E[~np.eye(top + 1, dtype=bool)]).max(initial=0.0)
+    # (floats, not numpy scalars, so that math.prod takes its C-double path)
+    d_min, d = float(np.diagonal(E).min()), float(np.diagonal(E).max())
+    o = float(np.abs(E[~np.eye(top + 1, dtype=bool)]).max(initial=0.0))
     diagonal = max(math.prod([d] * basis.modes) - 1.0, 1.0 - math.prod([d_min] * basis.modes))
     off = o * math.prod([max(o, d)] * (basis.modes - 1))
-    return float(max(diagonal, off))
+    return max(diagonal, off)
