@@ -46,22 +46,25 @@ class FockBasis:
     Basis vectors are enumerated lexicographically in the occupancy vector
     ``n = (n_0, ..., n_{M-1})`` with the last mode varying fastest, i.e.
     ``(0,0), (0,1), ..., (1,0), ...``.  This order is part of the contract:
-    matrix indices from :func:`hamiltonian_matrix` refer to it.  State ``n``
-    has index ``n @ strides``, the strides being powers of ``n_max + 1``.
+    matrix indices from :func:`hamiltonian_matrix` refer to it.
 
     A basis whose dim x dim complex matrix, as :func:`hamiltonian_matrix`
     builds it, would exceed :data:`~cspi.errors.BYTES_MAX` raises
-    ``ValueError`` before any state is enumerated.
+    ``ValueError`` before any state is enumerated; so does every basis past
+    2^64 states, whose count is then named as a power (``9^200``).
     """
 
     def __init__(self, modes: int, n_max: int):
         modes = _count(modes, "modes", 1)
         n_max = _count(n_max, "n_max", 0)
-        dim = (n_max + 1) ** modes
+        dim = 1
+        for _ in range(modes if n_max else 0):  # dim at least doubles: 65 rounds at most
+            if dim > 2**64 // (n_max + 1):
+                _within_budget(math.inf, f"a dense matrix over {n_max + 1}^{modes} Fock states")
+            dim *= n_max + 1
         _within_budget(16 * dim * dim, f"a dense matrix over {dim} Fock states")  # complex128
         self.modes = modes
         self.n_max = n_max
-        self.strides = (n_max + 1) ** np.arange(modes - 1, -1, -1)
 
     @property
     def dimension(self) -> int:
@@ -121,7 +124,8 @@ def hamiltonian_matrix(p: BosonPoly, basis: FockBasis) -> np.ndarray:
     # an exponent past the cap reaches no state: cap + 1 stands for all of them
     keys = np.minimum(keys, basis.n_max + 1)
     coeffs = np.array(list(p.terms.values()), dtype=complex)
-    shifts = (keys[:, :, 0] - keys[:, :, 1]) @ basis.strides * dim
+    strides = (basis.n_max + 1) ** np.arange(basis.modes - 1, -1, -1)
+    shifts = (keys[:, :, 0] - keys[:, :, 1]) @ strides * dim
     n = np.arange(basis.n_max + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         fall, rise = _ladder_weights(basis.n_max, int(keys.max()))
@@ -228,11 +232,11 @@ def check_resolution_identity(
     1..:data:`RADIAL_NODES_MAX` is refused before any node is computed.
 
     The quadrature matrix is the Kronecker product of one block E per mode,
-    all alike, and is never formed.  On the diagonal the deviation is
-    |prod_i E[n_i, n_i] - 1|, largest at the smallest or the largest of
-    those products; an off-diagonal entry is off the diagonal of E in at
-    least one mode, so its largest size is o * max(o, d)^(modes - 1), with
-    o and d the largest off-diagonal and diagonal |E| (o = 0 for a
+    all alike, and is never formed.  E's diagonal is non-negative, so the
+    diagonal deviation |prod_i E[n_i, n_i] - 1| is largest at d_min^modes or
+    d^modes, the powers of its smallest and largest entry; an off-diagonal
+    entry is off the diagonal of E in at least one mode, so its largest size
+    is o * max(o, d)^(modes - 1), o the largest off-diagonal |E| (0 for a
     one-state block).  Memory is (top + 1)^2, top the block's top occupancy.
     """
     radial_refused = (
@@ -251,14 +255,10 @@ def check_resolution_identity(
         raise ValueError(radial_refused)
 
     E = _mode_quadrature(t, wt, angular_nodes, top)
-    # E's diagonal is non-negative (Gauss-Laguerre weights are positive) and
-    # rounded multiplication is monotone, so every diagonal product lies
-    # between the products of the smallest and of the largest entry, and
-    # |x - 1| is largest at an end of that interval; the factors are
-    # multiplied in turn, one per mode, as a single ** rounds differently
-    # (floats, not numpy scalars, so that math.prod takes its C-double path)
     d_min, d = float(np.diagonal(E).min()), float(np.diagonal(E).max())
     o = float(np.abs(E[~np.eye(top + 1, dtype=bool)]).max(initial=0.0))
-    diagonal = max(math.prod([d] * basis.modes) - 1.0, 1.0 - math.prod([d_min] * basis.modes))
-    off = o * math.prod([max(o, d)] * (basis.modes - 1))
-    return max(diagonal, off)
+    try:
+        diagonal = max(d**basis.modes - 1.0, 1.0 - d_min**basis.modes)
+        return max(diagonal, o * max(o, d) ** (basis.modes - 1))
+    except OverflowError:  # a power past the float range: d > 1 on ~1e18 modes
+        return math.inf

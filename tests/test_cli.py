@@ -425,13 +425,16 @@ def test_identity_check_bad_input_exit_2(argv, message, capsys, recwarn):
     [
         ["identity-check", "--modes", "5", "--n-max", "8"],
         ["order", "--expr", "a_9", "--target", "weyl", "--verify"],
+        ["identity-check", "--modes", "166"],
+        ["order", "--expr", "a_166", "--target", "weyl", "--verify"],
     ],
 )
 def test_oversized_dense_build_exit_2(argv, capsys):
-    # 52 GiB and 1.8e11 GiB of dense matrix: refused when the basis is made
+    # 52 GiB and 1.8e11 GiB of dense matrix, and 9^166 and 9^167 states, whose
+    # byte count is past the float range: refused when the basis is made
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "GiB budget" in err
+    assert err.startswith("error: ") and "GiB budget" in err and err.count("\n") == 1
 
 
 def test_order_verify_degree_beyond_n_max(capsys):

@@ -3,6 +3,8 @@
 import functools
 import itertools
 import math
+import re
+import time
 import tracemalloc
 
 import mpmath
@@ -30,7 +32,7 @@ from cspi import (
     suggested_n_max,
 )
 from cspi.errors import BYTES_MAX
-from cspi.fock import RADIAL_NODES_MAX
+from cspi.fock import RADIAL_NODES_MAX, _mode_quadrature
 
 EPS = np.finfo(float).eps
 
@@ -53,6 +55,22 @@ def test_dense_byte_budget():
     for modes, n_max in [(1, 8192), (5, 8), (10, 8), (2, 90)]:
         with pytest.raises(ValueError, match="GiB budget"):
             FockBasis(modes, n_max)
+    # a count that fits in 64 bits is given in full, a larger one as a power
+    for modes, n_max, states in [(64, 1, 2**64), (65, 1, "2^65"), (40, 2, 3**40), (41, 2, "3^41")]:
+        with pytest.raises(ValueError, match=re.escape(f"over {states} Fock states needs ")):
+            FockBasis(modes, n_max)
+    # no count wider than 64 bits is formed: each is refused at once, in little memory
+    for modes, n_max in [(166, 8), (4507, 8), (10**7, 2), (10**18, 1)]:
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="Fock states .* GiB budget"):
+                FockBasis(modes, n_max)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.01 and peak <= 2**20
     message = "a dense matrix over 59049 Fock states needs 52 GiB, over the 1 GiB budget"
     tracemalloc.start()
     try:
@@ -76,12 +94,24 @@ def test_dense_byte_budget_boundary(modes, n_max, dim, monkeypatch):
 
 
 def test_basis_grid_and_strides():
-    # 70 one-state modes passed numpy's 64-dimension limit of an occupancy grid
+    # matrix indices follow `states`: the number operator of mode i is diagonal
+    # with entries n_i, and ad_i takes state n to n + e_i with amplitude
+    # sqrt(n_i + 1); 70 one-state modes passed numpy's 64-dimension limit of an
+    # occupancy grid
     for modes, n_max in [(1, 0), (1, 5), (3, 0), (3, 2), (4, 1), (70, 0)]:
         basis = FockBasis(modes, n_max)
-        assert basis.states == list(itertools.product(range(n_max + 1), repeat=modes))
-        assert list(basis.strides) == [(n_max + 1) ** (modes - 1 - i) for i in range(modes)]
-        assert [n @ basis.strides for n in basis.states] == list(range(basis.dimension))
+        states = basis.states
+        assert states == list(itertools.product(range(n_max + 1), repeat=modes))
+        for i in range(modes):
+            a, ad = BosonPoly.annihilate(i, modes), BosonPoly.create(i, modes)
+            number = hamiltonian_matrix(multiply(ad, a), basis)
+            assert np.array_equal(number, np.diag([float(n[i]) for n in states]))
+            steps = np.zeros((len(states), len(states)))
+            for col, n in enumerate(states):
+                if n[i] < n_max:
+                    row = states.index(n[:i] + (n[i] + 1,) + n[i + 1 :])
+                    steps[row, col] = steps[col, row] = math.sqrt(n[i] + 1)
+            assert np.array_equal(hamiltonian_matrix(a + ad, basis), steps)
 
 
 def test_number_operator_matrix():
@@ -379,10 +409,30 @@ def test_resolution_identity_matches_kron(
     assert abs(got - want) <= 4 * EPS * max(1.0, want)
 
 
+def _check_from_powers(basis, radial: int, angular: int, margin: int) -> float:
+    """The identity check's deviation from its three powers, each within 1 ulp of mpmath's.
+
+    E's largest and smallest diagonal entry d and d_min to the power modes,
+    and max(o, d) to the power modes - 1, o its largest off-diagonal |E|.
+    """
+    with np.errstate(all="ignore"):
+        t, wt = np.polynomial.laguerre.laggauss(radial)
+    E = _mode_quadrature(t, wt, angular, basis.n_max - margin)
+    d_min, d = float(np.diagonal(E).min()), float(np.diagonal(E).max())
+    o = float(np.abs(E - np.diag(np.diagonal(E))).max())
+    modes = basis.modes
+    with mpmath.workdps(40):
+        for x, k in [(d, modes), (d_min, modes), (max(o, d), modes - 1)]:
+            assert abs(mpmath.mpf(x**k) - mpmath.mpf(x) ** k) <= math.ulp(x**k)
+    return max(d**modes - 1.0, 1.0 - d_min**modes, o * max(o, d) ** (modes - 1))
+
+
 def test_resolution_identity_matches_per_state_products(per_state_identity_deviation, monkeypatch):
-    # the diagonal from E's extreme entries gives the bits of every product
-    # formed, on every cap within the budget and every even margin; the
-    # node sets, the same for every basis, are computed once per count
+    # the deviation is formed from the correctly rounded powers of E's extreme
+    # entries, and the products formed state by state, each rounded modes - 1
+    # times, agree within that rounding, on every cap within the budget and
+    # every even margin; the node sets, the same for every basis, are computed
+    # once per count
     laguerre = np.polynomial.laguerre
     monkeypatch.setattr(laguerre, "laggauss", functools.cache(laguerre.laggauss))
     cases = 0
@@ -394,12 +444,41 @@ def test_resolution_identity_matches_per_state_products(per_state_identity_devia
             [1, 2, 5, 24, 64, RADIAL_NODES_MAX], [1, 3, 4, 17, 64], range(0, n_max + 1, 2)
         ):
             got = check_resolution_identity(basis, radial, angular, margin)
-            assert got == per_state_identity_deviation(basis, radial, angular, margin)
+            assert got == _check_from_powers(basis, radial, angular, margin)
+            want = per_state_identity_deviation(basis, radial, angular, margin)
+            assert abs(got - want) <= (modes - 1) * 2**-53 * (1.0 + want)
             cases += 1
     assert cases == 3360
     basis = FockBasis(10**5, 0)
     got = check_resolution_identity(basis, 64, 64)
-    assert got == per_state_identity_deviation(basis, 64, 64)
+    assert got == _check_from_powers(basis, 64, 64, 0)
+    want = per_state_identity_deviation(basis, 64, 64)
+    assert abs(got - want) <= (10**5 - 1) * 2**-53 * (1.0 + want)
+
+
+def test_resolution_identity_memory_is_constant_in_the_mode_count():
+    # three powers of one-mode entries, no per-mode list or array
+    for modes in [10**9, 10**18]:
+        tracemalloc.start()
+        try:
+            check_resolution_identity(FockBasis(modes, 0), 64, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    # E at cap 0 is d = 1 - 2^-53: the deviation is within an ulp of d^(1e9)
+    got = check_resolution_identity(FockBasis(10**9, 0), 64, 64)
+    d = float(np.polynomial.laguerre.laggauss(64)[1].sum())
+    assert d == 1.0 - 2**-53
+    with mpmath.workdps(40):
+        want = abs(mpmath.mpf(d) ** 10**9 - 1)
+    assert abs(got - want) <= math.ulp(1.0 - got)
+
+
+def test_resolution_identity_power_past_the_float_range():
+    # E at cap 0 is 1 + 2^-52 on 6 radial nodes: its 1e19th power overflows
+    assert float(np.polynomial.laguerre.laggauss(6)[1].sum()) == 1.0 + 2**-52
+    assert check_resolution_identity(FockBasis(10**19, 0), 6, 1, 0) == math.inf
 
 
 def test_resolution_identity_angular_closed_form():
